@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EosConfig, effective_sample_size, fit
+from .core import EosConfig, Termination, effective_sample_size, fit
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams
@@ -34,7 +34,7 @@ class FlagRule(str, Enum):
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Converged weights plus the binary flags derived from them."""
+    """Fitted weights, the binary flags derived from them, and how the fit ended."""
 
     weights: np.ndarray
     flags: np.ndarray
@@ -42,6 +42,8 @@ class OutlierReport:
     rule_param: float
     alpha_used: float
     gaussian: GaussianParams
+    iterations: int
+    termination: Termination
 
     def __post_init__(self) -> None:
         flags = np.array(self.flags, dtype=bool, copy=True)
@@ -119,6 +121,8 @@ def detect(
         rule_param=float(rule_param),
         alpha_used=config.alpha,
         gaussian=result.theta,
+        iterations=result.iterations,
+        termination=result.termination,
     )
 
 

@@ -2,10 +2,14 @@
 
 A single JSON config selects one of six commands (detect, affinity,
 robust-train, synth-bench, mislabel-bench, timing) and carries one section
-per module.  Unknown keys are rejected.  Every run writes ``report.json``
+per module.  Each section is a frozen dataclass, and one parser reads any
+of them from its field annotations and defaults; unknown keys and values of
+the wrong type are rejected with the key path.  Each command is a thin
+layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
-and timestamps excluded).
+and timestamps excluded).  ``EOS_THREADS`` sets the thread count of the
+synth-bench and mislabel-bench commands.
 """
 
 from __future__ import annotations
@@ -18,18 +22,20 @@ import json
 import os
 import sys
 import tempfile
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .affinity import affinity_rows, calibrate_row_alpha
-from .anomaly import AlphaCalibration, FlagRule, calibrate_alpha, detect
+from .affinity import affinity_rows
+from .anomaly import FlagRule, calibrate_alpha, detect
 from .bench import (
     SyntheticSpec,
-    MetricReport,
     metric_report,
     run_synth_benchmark,
     timing_probe_wstep,
@@ -41,14 +47,12 @@ from .dataio import parse_csv_dataset
 from .exceptions import EosError, InvalidConfigError, ParseError
 from .supervised import (
     MislabelExperimentConfig,
-    SplitOutcome,
-    _select_alpha,
     auc,
     mislabel_experiment,
     predict_proba,
+    robust_fit,
+    select_alpha,
 )
-
-COMMANDS = ("detect", "affinity", "robust-train", "synth-bench", "mislabel-bench", "timing")
 
 SCHEMA_VERSION = 1
 
@@ -57,111 +61,15 @@ SCHEMA_VERSION = 1
 # config sections (strict parsing: unknown keys are errors)
 # ---------------------------------------------------------------------------
 
-def _require_mapping(data, path: str) -> dict:
-    if not isinstance(data, dict):
-        raise InvalidConfigError(f"config section {path!r} must be an object")
-    return data
-
-
-def _check_keys(data: dict, cls, path: str) -> None:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise InvalidConfigError(f"unknown key(s) {unknown} in config section {path!r}")
-
-
-def _as_float(data: dict, key: str, default: float, path: str) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_opt_float(data: dict, key: str, default: float | None, path: str) -> float | None:
-    value = data.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfigError(f"{path}.{key} must be a number or null, got {value!r}")
-    return float(value)
-
-
-def _as_int(data: dict, key: str, default: int, path: str) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _as_str(data: dict, key: str, default: str, path: str) -> str:
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        raise InvalidConfigError(f"{path}.{key} must be a string, got {value!r}")
-    return value
-
-
-def _as_opt_str(data: dict, key: str, default: str | None, path: str) -> str | None:
-    value = data.get(key, default)
-    if value is not None and not isinstance(value, str):
-        raise InvalidConfigError(f"{path}.{key} must be a string or null, got {value!r}")
-    return value
-
-
-def _as_float_tuple(data: dict, key: str, default: tuple, path: str) -> tuple[float, ...]:
-    value = data.get(key, list(default))
-    if not isinstance(value, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise InvalidConfigError(f"{path}.{key} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def _as_int_tuple(data: dict, key: str, default: tuple, path: str) -> tuple[int, ...]:
-    value = data.get(key, list(default))
-    if not isinstance(value, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise InvalidConfigError(f"{path}.{key} must be a list of integers, got {value!r}")
-    return tuple(int(v) for v in value)
-
-
-def _as_str_tuple(data: dict, key: str, default: tuple, path: str) -> tuple[str, ...]:
-    value = data.get(key, list(default))
-    if not isinstance(value, (list, tuple)) or any(not isinstance(v, str) for v in value):
-        raise InvalidConfigError(f"{path}.{key} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
 @dataclass(frozen=True)
 class EosSection:
     alpha: float = 1.0
     tol: float = 1e-12
     max_iters: int = 500
-    init_policy: str = "uniform"
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "eos") -> "EosSection":
-        _check_keys(data, cls, path)
-        init = _as_str(data, "init_policy", "uniform", path)
-        if init not in (p.value for p in InitPolicy):
-            raise InvalidConfigError(
-                f"{path}.init_policy must be one of {[p.value for p in InitPolicy]}, got {init!r}"
-            )
-        return cls(
-            alpha=_as_float(data, "alpha", 1.0, path),
-            tol=_as_float(data, "tol", 1e-12, path),
-            max_iters=_as_int(data, "max_iters", 500, path),
-            init_policy=init,
-        )
+    init_policy: InitPolicy = InitPolicy.UNIFORM
 
     def build(self, seed: int) -> EosConfig:
-        return EosConfig(
-            alpha=self.alpha,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            init_policy=InitPolicy(self.init_policy),
-            seed=seed,
-        )
+        return EosConfig(**dataclasses.asdict(self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -170,45 +78,12 @@ class CsvSection:
     drop_columns: tuple[str, ...] = ()
     label_map: dict[str, int] | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "csv") -> "CsvSection":
-        _check_keys(data, cls, path)
-        label_map = data.get("label_map")
-        if label_map is not None:
-            if not isinstance(label_map, dict) or any(
-                not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, int)
-                for k, v in label_map.items()
-            ):
-                raise InvalidConfigError(
-                    f"{path}.label_map must map strings to integers, got {label_map!r}"
-                )
-            label_map = {k: int(v) for k, v in label_map.items()}
-        return cls(
-            label_column=_as_opt_str(data, "label_column", None, path),
-            drop_columns=_as_str_tuple(data, "drop_columns", (), path),
-            label_map=label_map,
-        )
-
 
 @dataclass(frozen=True)
 class DetectSection:
-    rule: str = "relative_threshold"
+    rule: FlagRule = FlagRule.RELATIVE_THRESHOLD
     rule_param: float = 0.1
     calibrate_ess_fraction: float | None = None
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "detect") -> "DetectSection":
-        _check_keys(data, cls, path)
-        rule = _as_str(data, "rule", "relative_threshold", path)
-        if rule not in (r.value for r in FlagRule):
-            raise InvalidConfigError(
-                f"{path}.rule must be one of {[r.value for r in FlagRule]}, got {rule!r}"
-            )
-        return cls(
-            rule=rule,
-            rule_param=_as_float(data, "rule_param", 0.1, path),
-            calibrate_ess_fraction=_as_opt_float(data, "calibrate_ess_fraction", None, path),
-        )
 
 
 @dataclass(frozen=True)
@@ -217,30 +92,12 @@ class AffinitySection:
     alpha: float | None = None
     perplexity: float | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "affinity") -> "AffinitySection":
-        _check_keys(data, cls, path)
-        return cls(
-            sigma_sq=_as_opt_float(data, "sigma_sq", None, path),
-            alpha=_as_opt_float(data, "alpha", None, path),
-            perplexity=_as_opt_float(data, "perplexity", None, path),
-        )
-
 
 @dataclass(frozen=True)
 class RobustTrainSection:
     l2_strength: float = 1e-4
     alpha: float | None = None
     alpha_grid: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "robust_train") -> "RobustTrainSection":
-        _check_keys(data, cls, path)
-        return cls(
-            l2_strength=_as_float(data, "l2_strength", 1e-4, path),
-            alpha=_as_opt_float(data, "alpha", None, path),
-            alpha_grid=_as_float_tuple(data, "alpha_grid", (0.1, 0.3, 1.0, 3.0, 10.0), path),
-        )
 
 
 @dataclass(frozen=True)
@@ -254,20 +111,6 @@ class SynthBenchSection:
     quantile: float = 0.975
     ess_target: float = 0.95
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "synth_bench") -> "SynthBenchSection":
-        _check_keys(data, cls, path)
-        return cls(
-            t=_as_int(data, "t", 1000, path),
-            d=_as_int(data, "d", 10, path),
-            outlier_fraction=_as_float(data, "outlier_fraction", 0.05, path),
-            box_low=_as_float(data, "box_low", 5.0, path),
-            box_high=_as_float(data, "box_high", 9.0, path),
-            n_seeds=_as_int(data, "n_seeds", 50, path),
-            quantile=_as_float(data, "quantile", 0.975, path),
-            ess_target=_as_float(data, "ess_target", 0.95, path),
-        )
-
 
 @dataclass(frozen=True)
 class MislabelSection:
@@ -279,19 +122,6 @@ class MislabelSection:
     task_size: int = 400
     task_dim: int = 5
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "mislabel_bench") -> "MislabelSection":
-        _check_keys(data, cls, path)
-        return cls(
-            flip_proportions=_as_float_tuple(data, "flip_proportions", (0.0, 0.1, 0.2, 0.3), path),
-            n_splits=_as_int(data, "n_splits", 50, path),
-            train_fraction=_as_float(data, "train_fraction", 0.75, path),
-            alpha_grid=_as_float_tuple(data, "alpha_grid", (0.1, 0.3, 1.0, 3.0, 10.0), path),
-            l2_strength=_as_float(data, "l2_strength", 1e-4, path),
-            task_size=_as_int(data, "task_size", 400, path),
-            task_dim=_as_int(data, "task_dim", 5, path),
-        )
-
 
 @dataclass(frozen=True)
 class TimingSection:
@@ -299,16 +129,6 @@ class TimingSection:
     d_grid: tuple[int, ...] = (2, 20, 200)
     repeats: int = 9
     fixed_t: int = 100_000
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "timing") -> "TimingSection":
-        _check_keys(data, cls, path)
-        return cls(
-            t_grid=_as_int_tuple(data, "t_grid", (100_000, 200_000, 400_000), path),
-            d_grid=_as_int_tuple(data, "d_grid", (2, 20, 200), path),
-            repeats=_as_int(data, "repeats", 9, path),
-            fixed_t=_as_int(data, "fixed_t", 100_000, path),
-        )
 
 
 @dataclass(frozen=True)
@@ -326,56 +146,89 @@ class RunConfig:
     mislabel_bench: MislabelSection = field(default_factory=MislabelSection)
     timing: TimingSection = field(default_factory=TimingSection)
 
+    def __post_init__(self) -> None:
+        if self.command not in _RUNNERS:
+            raise InvalidConfigError(
+                f"command must be one of {list(_RUNNERS)}, got {self.command!r}"
+            )
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        _require_mapping(data, "<root>")
-        _check_keys(data, cls, "<root>")
-        command = _as_str(data, "command", "", "<root>")
-        if command not in COMMANDS:
-            raise InvalidConfigError(f"command must be one of {list(COMMANDS)}, got {command!r}")
-        seed = _as_int(data, "seed", 0, "<root>")
-        if seed < 0:
-            raise InvalidConfigError(f"seed must be non-negative, got {seed}")
-        return cls(
-            command=command,
-            output_dir=_as_str(data, "output_dir", "eos-output", "<root>"),
-            input_path=_as_opt_str(data, "input_path", None, "<root>"),
-            seed=seed,
-            eos=EosSection.from_dict(_require_mapping(data.get("eos", {}), "eos")),
-            csv=CsvSection.from_dict(_require_mapping(data.get("csv", {}), "csv")),
-            detect=DetectSection.from_dict(_require_mapping(data.get("detect", {}), "detect")),
-            affinity=AffinitySection.from_dict(
-                _require_mapping(data.get("affinity", {}), "affinity")
-            ),
-            robust_train=RobustTrainSection.from_dict(
-                _require_mapping(data.get("robust_train", {}), "robust_train")
-            ),
-            synth_bench=SynthBenchSection.from_dict(
-                _require_mapping(data.get("synth_bench", {}), "synth_bench")
-            ),
-            mislabel_bench=MislabelSection.from_dict(
-                _require_mapping(data.get("mislabel_bench", {}), "mislabel_bench")
-            ),
-            timing=TimingSection.from_dict(_require_mapping(data.get("timing", {}), "timing")),
-        )
+        return _parse(cls, data, "")
 
     def to_dict(self) -> dict:
-        return _jsonify(dataclasses.asdict(self))
+        return _jsonify(self)
+
+
+# JSON scalar types by the annotation they fill, with the name used in errors.
+_SCALARS = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _parse(cls, data, path: str):
+    """Build dataclass ``cls`` from a JSON object, field by annotated field.
+
+    Absent keys take the field's default; unknown and missing required keys
+    are errors, as is any value whose type does not match the annotation.
+    ``path`` is the section's key path, empty at the root.
+    """
+    section = path or "<root>"
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"config section {section!r} must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise InvalidConfigError(f"unknown key(s) {unknown} in config section {section!r}")
+    prefix = f"{path}." if path else ""
+    for name, f in fields.items():
+        if name not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise InvalidConfigError(f"{prefix}{name} is required")
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: _parse_value(hints[key], value, prefix + key) for key, value in data.items()}
+    return cls(**kwargs)
+
+
+def _parse_value(tp, value, path: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _parse_value(args[0], value, path)
+    if origin is tuple:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(_parse_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:  # dict[str, T]; JSON object keys are always strings
+        if not isinstance(value, dict):
+            raise InvalidConfigError(f"{path} must be an object, got {value!r}")
+        return {k: _parse_value(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if dataclasses.is_dataclass(tp):
+        return _parse(tp, value, path)
+    if issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise InvalidConfigError(
+                f"{path} must be one of {[member.value for member in tp]}, got {value!r}"
+            ) from None
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return tp(value)
+    raise InvalidConfigError(f"{path} must be {_SCALARS[tp]}, got {value!r}")
 
 
 def _jsonify(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonify(dataclasses.asdict(obj))
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (AlphaCalibration, MetricReport, SplitOutcome)):
-        return _jsonify(dataclasses.asdict(obj))
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -463,7 +316,7 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
     if config.detect.calibrate_ess_fraction is not None:
         calibration = calibrate_alpha(data, config.detect.calibrate_ess_fraction, eos_cfg)
         eos_cfg = replace(eos_cfg, alpha=calibration.alpha)
-    report = detect(data, eos_cfg, FlagRule(config.detect.rule), config.detect.rule_param)
+    report = detect(data, eos_cfg, config.detect.rule, config.detect.rule_param)
     _write_csv(
         out_dir / "weights.csv",
         ["index", "weight", "flag"],
@@ -478,11 +331,9 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
         "rule_param": report.rule_param,
         "n_flagged": report.n_flagged,
         "flagged_indices": np.flatnonzero(report.flags),
-        "gaussian": {
-            "mu": report.gaussian.mu,
-            "sigma": report.gaussian.sigma,
-            "ridge": report.gaussian.ridge,
-        },
+        "iterations": report.iterations,
+        "termination": report.termination.value,
+        "gaussian": report.gaussian,
     }
 
 
@@ -513,21 +364,12 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=True)
     section = config.robust_train
     if section.alpha is not None:
-        from .supervised import robust_fit
-
         result = robust_fit(
             data, replace(config.eos.build(config.seed), alpha=section.alpha), section.l2_strength
         )
-        alpha_selected = section.alpha
+        alpha = section.alpha
     else:
-        cfg = MislabelExperimentConfig(
-            flip_proportion=0.0,
-            n_splits=1,
-            seed=config.seed,
-            alpha_grid=section.alpha_grid,
-            l2_strength=section.l2_strength,
-        )
-        _, alpha_selected, result = _select_alpha(data, data, cfg)
+        _, alpha, result = select_alpha(data, data, section.alpha_grid, section.l2_strength)
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
     _write_csv(
@@ -538,7 +380,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     return {
         "T": data.n_instances,
         "D": data.n_features,
-        "alpha_selected": alpha_selected,
+        "alpha_selected": alpha,
         "coefficients": params.coefficients,
         "intercept": params.intercept,
         "l2_strength": params.l2_strength,
@@ -571,13 +413,13 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         for metric in ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha"):
             csv_rows.append(["synth-bench", row["seed"], metric, _fmt(row[metric])])
     _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], csv_rows)
-    return {"spec": dataclasses.asdict(spec), "rows": outcome["rows"], "reports": outcome["reports"]}
+    return {"spec": spec, "rows": outcome["rows"], "reports": outcome["reports"]}
 
 
 def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     section = config.mislabel_bench
     data = _load_input(config, require_labels=True) if config.input_path is not None else None
-    max_workers = _env_threads()
+    threads = _env_threads()
 
     per_p: dict[str, dict] = {}
     csv_rows: list[list] = []
@@ -590,26 +432,9 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
             alpha_grid=section.alpha_grid,
             l2_strength=section.l2_strength,
         )
-        if max_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-
-            def job(child):
-                from .supervised import _run_split, two_gaussian_dataset
-
-                rng = np.random.default_rng(child)
-                local = data if data is not None else two_gaussian_dataset(
-                    section.task_size, section.task_dim, rng
-                )
-                return _run_split(local, cfg, rng)
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(job, children))
-        else:
-            outcomes = mislabel_experiment(
-                cfg, data, task_size=section.task_size, task_dim=section.task_dim
-            )
+        outcomes = mislabel_experiment(
+            cfg, data, task_size=section.task_size, task_dim=section.task_dim, max_workers=threads
+        )
 
         plain = [o.auc_plain for o in outcomes]
         robust = [o.auc_robust for o in outcomes]
@@ -702,8 +527,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ParseError(f"config file {args.config} is not valid JSON: {exc}") from None
         config = RunConfig.from_dict(raw)
         if args.seed is not None:
-            if args.seed < 0:
-                raise InvalidConfigError(f"--seed must be non-negative, got {args.seed}")
             config = replace(config, seed=args.seed)
         if args.output is not None:
             config = replace(config, output_dir=args.output)

@@ -85,8 +85,7 @@ class EosConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidConfigError(f"alpha must be a positive finite real, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvalidConfigError(f"tol must be positive, got {self.tol!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):

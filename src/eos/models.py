@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import check_weights
 from .data import Dataset
@@ -68,51 +67,52 @@ class GaussianParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "ridge", float(self.ridge))
+        # Eigenvalues and eigenvectors of sigma, set on first use; see _whiten.
+        object.__setattr__(self, "_spectrum", None)
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
 
 
-def _cholesky_lower(params: GaussianParams) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(params.sigma)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(params.sigma)[0])
-        raise ModelError(
-            f"covariance is not positive definite (smallest eigenvalue {smallest:.6e})"
-        ) from None
+def _whiten(dataset: Dataset, params: GaussianParams) -> tuple[np.ndarray, float]:
+    """Rows (x - mu) V/sqrt(lambda), whose squared norms are the Mahalanobis
+    distances, and 0.5*log det Sigma = 0.5*sum(log lambda).
 
-
-def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
-    """(x - mu)^T Sigma^{-1} (x - mu) per row, via one triangular solve."""
+    lambda and V are the spectrum ``weighted_gaussian_mle`` chose; any other
+    params are eigendecomposed here on first use.
+    """
     if dataset.n_features != params.dim:
         raise InvalidInputError(
             f"dataset has {dataset.n_features} features, params expect {params.dim}"
         )
-    chol = _cholesky_lower(params)
-    diff = dataset.instances - params.mu
-    z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
-    return np.einsum("ij,ij->j", z, z)
+    if params._spectrum is None:
+        eigenvalues, eigenvectors = np.linalg.eigh(params.sigma)
+        if not float(eigenvalues[0]) > 0.0:
+            raise ModelError(
+                f"covariance is not positive definite (smallest eigenvalue {eigenvalues[0]:.6e})"
+            )
+        object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
+    eigenvalues, eigenvectors = params._spectrum
+    z = (dataset.instances - params.mu) @ (eigenvectors / np.sqrt(eigenvalues))
+    return z, 0.5 * float(np.sum(np.log(eigenvalues)))
+
+
+def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
+    """(x - mu)^T Sigma^{-1} (x - mu) per row."""
+    z, _ = _whiten(dataset, params)
+    return np.einsum("ij,ij->i", z, z)
 
 
 def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     """Per-instance negative Gaussian log-likelihood, scaled by 1/D.
 
     g_t = (0.5*log(det Sigma) + 0.5*(x_t-mu)^T Sigma^{-1} (x_t-mu)) / D,
-    evaluated through a Cholesky factor; the covariance is never inverted
-    explicitly.
+    evaluated through the eigendecomposition of Sigma; the covariance is
+    never inverted explicitly.
     """
-    if dataset.n_features != params.dim:
-        raise InvalidInputError(
-            f"dataset has {dataset.n_features} features, params expect {params.dim}"
-        )
-    chol = _cholesky_lower(params)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    diff = dataset.instances - params.mu
-    z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
-    maha = np.einsum("ij,ij->j", z, z)
-    return (half_logdet + 0.5 * maha) / params.dim
+    z, half_logdet = _whiten(dataset, params)
+    return (half_logdet + 0.5 * np.einsum("ij,ij->i", z, z)) / params.dim
 
 
 def covariance_floor(dataset: Dataset) -> float:
@@ -147,12 +147,15 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     ridge = 0.0
     eigenvalues, eigenvectors = np.linalg.eigh(sigma)
     if float(eigenvalues[0]) < floor:
-        sigma = (eigenvectors * np.maximum(eigenvalues, floor)) @ eigenvectors.T
+        eigenvalues = np.maximum(eigenvalues, floor)
+        sigma = (eigenvectors * eigenvalues) @ eigenvectors.T
         sigma = 0.5 * (sigma + sigma.T)
         ridge = floor
     params = GaussianParams(mu=mu, sigma=sigma, ridge=ridge)
-    # Surface a degenerate covariance here rather than mid-evaluation.
-    _cholesky_lower(params)
+    # Evaluate with the spectrum chosen here: re-factoring the rebuilt sigma
+    # moves floored eigenvalues by rounding, and with it the log-determinant
+    # by more than fit's descent slack.
+    object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
     return params
 
 

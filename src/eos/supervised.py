@@ -9,6 +9,7 @@ where randomly flipped labels end up.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "MislabelExperimentConfig",
     "SplitOutcome",
     "two_gaussian_dataset",
+    "select_alpha",
     "mislabel_experiment",
 ]
 
@@ -304,6 +306,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
+def _check_alpha_grid(alpha_grid) -> tuple[float, ...]:
+    grid = tuple(float(a) for a in alpha_grid)
+    if not grid or any(not (math.isfinite(a) and a > 0) for a in grid):
+        raise InvalidConfigError("alpha_grid must be non-empty with positive entries")
+    return grid
+
+
 @dataclass(frozen=True)
 class MislabelExperimentConfig:
     """Protocol knobs for the repeated label-flip experiment.
@@ -311,7 +320,7 @@ class MislabelExperimentConfig:
     ``alpha_grid`` entries are multipliers: each candidate alpha is the
     multiplier times the mean per-sample loss of the plain fit on that
     split, so the grid tracks the loss scale of the data at hand.  How one
-    candidate is chosen is described in ``_select_alpha``.
+    candidate is chosen is described in ``select_alpha``.
     """
 
     flip_proportion: float
@@ -332,10 +341,7 @@ class MislabelExperimentConfig:
             raise InvalidConfigError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
             )
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if not grid or any(not (math.isfinite(a) and a > 0) for a in grid):
-            raise InvalidConfigError("alpha_grid must be non-empty with positive entries")
-        object.__setattr__(self, "alpha_grid", grid)
+        object.__setattr__(self, "alpha_grid", _check_alpha_grid(self.alpha_grid))
         if not (self.l2_strength >= 0.0):
             raise InvalidConfigError(f"l2_strength must be non-negative, got {self.l2_strength!r}")
 
@@ -389,17 +395,20 @@ def _separation(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(pos.mean() - neg.mean()) / spread
 
 
-def _select_alpha(
+def select_alpha(
     corrupted: Dataset,
     reference: Dataset,
-    cfg: MislabelExperimentConfig,
+    alpha_grid: tuple[float, ...],
+    l2_strength: float,
     *,
     tol: float = 1e-12,
     max_iters: int = 500,
 ) -> tuple[ClassifierParams, float, FitResult]:
     """Plain fit plus grid selection of alpha by class separation on ``reference``.
 
-    Every grid entry gets a robust fit on ``corrupted``.  Among the fits
+    ``alpha_grid`` holds multipliers of the plain fit's mean per-sample loss
+    (see ``MislabelExperimentConfig``).  Every grid entry gets a robust fit
+    on ``corrupted`` with ``tol`` and ``max_iters``.  Among the fits
     that converged, the one whose decision scores best separate the classes
     of ``reference`` (``_separation``, the binormal AUC) is selected; ties
     go to the earlier grid entry.  ``reference`` carries the labels to
@@ -411,9 +420,10 @@ def _select_alpha(
     favours fits close to the plain one.  Raises ``NonConvergenceError``
     naming the alpha values if no fit converged.
     """
+    grid = _check_alpha_grid(alpha_grid)
     n = corrupted.n_instances
     uniform = np.full(n, 1.0 / n)
-    plain = train_weighted_classifier(corrupted, uniform, cfg.l2_strength)
+    plain = train_weighted_classifier(corrupted, uniform, l2_strength)
     loss_scale = max(float(classifier_loss_error(corrupted, plain).mean()), 1e-6)
     labels = _require_labels(reference)
 
@@ -421,12 +431,12 @@ def _select_alpha(
     best_separation = -math.inf
     best_result: FitResult | None = None
     unconverged: list[float] = []
-    for multiplier in cfg.alpha_grid:
+    for multiplier in grid:
         alpha = multiplier * loss_scale
         result = robust_fit(
             corrupted,
             EosConfig(alpha=alpha, tol=tol, max_iters=max_iters),
-            l2_strength=cfg.l2_strength,
+            l2_strength=l2_strength,
         )
         if result.termination is not Termination.CONVERGED:
             unconverged.append(alpha)
@@ -454,7 +464,7 @@ def _run_split(data: Dataset, cfg: MislabelExperimentConfig, rng: np.random.Gene
     flip_seed = int(rng.integers(0, 2**63 - 1))
     corrupted, flipped = inject_label_flips(train, cfg.flip_proportion, flip_seed)
 
-    plain, alpha_selected, robust = _select_alpha(corrupted, train, cfg)
+    plain, alpha_selected, robust = select_alpha(corrupted, train, cfg.alpha_grid, cfg.l2_strength)
 
     auc_plain = auc(predict_proba(plain, test.instances), test.labels)
     auc_robust = auc(predict_proba(robust.theta, test.instances), test.labels)
@@ -483,18 +493,25 @@ def mislabel_experiment(
     *,
     task_size: int = 400,
     task_dim: int = 5,
+    max_workers: int = 1,
 ) -> list[SplitOutcome]:
     """Run the repeated flip-train-evaluate protocol.
 
     With ``dataset`` given, each split re-partitions it into train and test;
     otherwise a fresh two-Gaussian task is drawn per split.  Test labels are
     never corrupted.  Split randomness is derived from ``cfg.seed`` so the
-    whole experiment is reproducible.
+    whole experiment is reproducible.  Splits run independently (optionally
+    in a thread pool); outcomes are returned in split order so they do not
+    depend on scheduling.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
-    outcomes: list[SplitOutcome] = []
-    for child in children:
+
+    def job(child: np.random.SeedSequence) -> SplitOutcome:
         rng = np.random.default_rng(child)
         data = dataset if dataset is not None else two_gaussian_dataset(task_size, task_dim, rng)
-        outcomes.append(_run_split(data, cfg, rng))
-    return outcomes
+        return _run_split(data, cfg, rng)
+
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(job, children))
+    return [job(child) for child in children]

@@ -14,6 +14,9 @@ from eos import (
     effective_sample_size,
     fit,
     GaussianModel,
+    SyntheticSpec,
+    Termination,
+    generate,
 )
 
 from conftest import planted_gaussian_2d
@@ -149,3 +152,29 @@ def test_ess_fraction_monotone_in_alpha():
         result = fit(data, GaussianModel(), EosConfig(alpha=float(alpha)))
         fractions.append(effective_sample_size(result.weights) / data.n_instances)
     assert all(b >= a - 1e-9 for a, b in zip(fractions, fractions[1:]))
+
+
+@pytest.mark.parametrize("seed", [9103, 9287])
+def test_calibrate_survives_weights_collapsed_onto_two_points(seed):
+    # During this bisection one fit's weights collapse onto two points, so
+    # nine of ten covariance eigenvalues sit at the floor.  Evaluating a
+    # re-factored sigma rebuilt from that spectrum moved the log-determinant
+    # by more than fit's descent slack: the objective rose about 1e-9 and fit
+    # raised ContractViolationError.
+    spec = SyntheticSpec(
+        T=1000, D=10, outlier_fraction=0.05, outlier_box_low=1.0, outlier_box_high=3.0, seed=seed
+    )
+    data, _ = generate(spec)
+    calibration = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
+    assert not calibration.saturated
+    assert abs(calibration.attained_fraction - 0.95) <= 0.01
+
+
+def test_detect_reports_fit_termination():
+    data, _ = planted_gaussian_2d(seed=7)
+    converged = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10)
+    assert converged.termination is Termination.CONVERGED
+    assert converged.iterations > 1
+    capped = detect(data, EosConfig(alpha=1.0, max_iters=1), FlagRule.TOP_K, 10)
+    assert capped.termination is Termination.MAX_ITERS_REACHED
+    assert capped.iterations == 1

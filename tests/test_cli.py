@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,14 +68,21 @@ def test_config_round_trip_is_fixpoint():
         "input_path": "x.csv",
         "output_dir": "out",
         "seed": 7,
-        "eos": {"alpha": 2.0, "tol": 1e-10},
+        "eos": {"alpha": 2.0, "tol": 1e-10, "init_policy": "seeded_dirichlet"},
+        "csv": {"label_column": "y", "drop_columns": ["id", "ts"], "label_map": {"a": 0, "b": 1}},
         "detect": {"rule": "top_k", "rule_param": 5},
+        "timing": {"t_grid": [1000, 2000]},
     }
     first = RunConfig.from_dict(raw).to_dict()
     second = RunConfig.from_dict(first).to_dict()
     assert first == second
     assert first["eos"]["alpha"] == 2.0
     assert first["eos"]["max_iters"] == 500  # default filled in
+    assert first["eos"]["init_policy"] == "seeded_dirichlet"
+    assert first["csv"]["drop_columns"] == ["id", "ts"]
+    assert first["csv"]["label_map"] == {"a": 0, "b": 1}
+    assert first["timing"]["t_grid"] == [1000, 2000]
+    assert json.loads(json.dumps(first)) == first
 
 
 @pytest.mark.parametrize(
@@ -85,6 +94,12 @@ def test_config_round_trip_is_fixpoint():
         {"command": "frobnicate"},
         {"command": "detect", "seed": -1},
         {"command": "detect", "eos": {"alpha": "large"}},
+        {"command": "detect", "eos": {"max_iters": 5.0}},
+        {"command": "detect", "seed": True},
+        {"command": "detect", "csv": {"label_map": {"a": True}}},
+        {"command": "timing", "timing": {"t_grid": [1, 2.5]}},
+        {"command": "detect", "eos": []},
+        {"seed": 1},
     ],
 )
 def test_config_rejects_bad_payloads(payload):
@@ -117,6 +132,21 @@ def test_detect_rerun_is_byte_identical(detect_setup):
     second = (tmp_path / "out2" / "weights.csv").read_bytes()
     assert first == second
     assert _strip_volatile(_report(tmp_path / "out")) == _strip_volatile(_report(tmp_path / "out2"))
+
+
+def test_detect_reports_unconverged_fit(detect_setup):
+    tmp_path, _, config = detect_setup
+    cfg_path = _write_config(tmp_path / "capped.json", {**config, "eos": {"max_iters": 1}})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    results = _report(tmp_path / "out")["results"]
+    assert results["termination"] == "max_iters_reached"
+    assert results["iterations"] == 1
+
+
+def test_negative_seed_override_exits_2(detect_setup, capsys):
+    _, cfg_path, _ = detect_setup
+    assert main(["--config", str(cfg_path), "--quiet", "--seed", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidConfigError"
 
 
 def test_detect_alpha_override(detect_setup):
@@ -280,21 +310,43 @@ def test_timing_command(tmp_path):
     assert lines[0] == "axis,T,D,median_s,iqr_s,repeats"
 
 
-def test_eos_threads_env(tmp_path, monkeypatch):
-    cfg = {
-        "command": "synth-bench",
-        "output_dir": str(tmp_path / "serial"),
-        "seed": 2,
-        "synth_bench": {"t": 150, "d": 3, "n_seeds": 2},
-    }
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("synth-bench", {"synth_bench": {"t": 150, "d": 3, "n_seeds": 2}}),
+        (
+            "mislabel-bench",
+            {"mislabel_bench": {"flip_proportions": [0.2], "n_splits": 3, "task_size": 80,
+                                "task_dim": 2}},
+        ),
+    ],
+    ids=["synth-bench", "mislabel-bench"],
+)
+def test_eos_threads_env(tmp_path, monkeypatch, command, section):
+    cfg = {"command": command, "output_dir": str(tmp_path / "serial"), "seed": 2, **section}
     cfg_path = _write_config(tmp_path / "cfg.json", cfg)
     monkeypatch.delenv("EOS_THREADS", raising=False)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     monkeypatch.setenv("EOS_THREADS", "2")
     assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "par")]) == 0
-    serial = _report(tmp_path / "serial")["results"]["rows"]
-    parallel = _report(tmp_path / "par")["results"]["rows"]
+    serial = _report(tmp_path / "serial")["results"]
+    parallel = _report(tmp_path / "par")["results"]
     assert serial == parallel
+    metrics = "metrics.csv"
+    assert (tmp_path / "serial" / metrics).read_bytes() == (tmp_path / "par" / metrics).read_bytes()
 
     monkeypatch.setenv("EOS_THREADS", "zero")
     assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "bad")]) == 2
+
+
+def test_cli_imports_no_private_eos_names():
+    # The CLI is a layer over the library's public surface.
+    source = Path(__file__).resolve().parents[1] / "src" / "eos" / "cli.py"
+    private = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("eos")):
+            module = node.module or ""
+            for name in module.split(".") + [alias.name for alias in node.names]:
+                if name.startswith("_") and not name.endswith("__"):
+                    private.append(f"{module}:{name}")
+    assert private == [], f"cli.py imports private eos names: {private}"

@@ -25,7 +25,7 @@ from eos import (
     two_gaussian_dataset,
 )
 
-from eos.supervised import _select_alpha, _separation
+from eos.supervised import _separation, select_alpha
 
 from conftest import finite_difference_gradient
 
@@ -311,14 +311,16 @@ def _corrupted_task():
 def test_select_alpha_skips_unconverged_fits():
     data, corrupted = _corrupted_task()
     cfg = MislabelExperimentConfig(flip_proportion=0.2, alpha_grid=(0.1, 10.0))
-    plain, _, _ = _select_alpha(corrupted, data, cfg)
+    plain, _, _ = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength)
     scale = float(classifier_loss_error(corrupted, plain).mean())
     small = robust_fit(corrupted, EosConfig(alpha=0.1 * scale, max_iters=15), l2_strength=1e-4)
     large = robust_fit(corrupted, EosConfig(alpha=10.0 * scale, max_iters=15), l2_strength=1e-4)
     assert small.termination is Termination.MAX_ITERS_REACHED
     assert large.termination is Termination.CONVERGED
 
-    _, alpha, result = _select_alpha(corrupted, data, cfg, max_iters=15)
+    _, alpha, result = select_alpha(
+        corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=15
+    )
     assert alpha == pytest.approx(10.0 * scale, rel=1e-12)
     assert result.termination is Termination.CONVERGED
 
@@ -327,8 +329,15 @@ def test_select_alpha_raises_when_no_fit_converges():
     data, corrupted = _corrupted_task()
     cfg = MislabelExperimentConfig(flip_proportion=0.2, alpha_grid=(0.1, 10.0))
     with pytest.raises(NonConvergenceError, match="max_iters=1") as info:
-        _select_alpha(corrupted, data, cfg, max_iters=1)
+        select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=1)
     assert str(info.value).count(",") == 1  # both alpha values are named
+
+
+@pytest.mark.parametrize("grid", [(), (1.0, 0.0), (1.0, math.inf)])
+def test_select_alpha_rejects_bad_grid(grid):
+    data, corrupted = _corrupted_task()
+    with pytest.raises(InvalidConfigError, match="alpha_grid"):
+        select_alpha(corrupted, data, grid, 1e-4)
 
 
 def test_mislabel_config_validation():
