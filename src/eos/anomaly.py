@@ -8,21 +8,22 @@ outliers, either by a relative threshold or by taking the k smallest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import EosConfig, Termination, effective_sample_size, fit
+from .core import EosConfig, FitResult, Termination, effective_sample_size, fit
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
-from .models import GaussianModel, GaussianParams
+from .models import GaussianModel, GaussianParams, gaussian_error
 
 __all__ = [
     "FlagRule",
     "OutlierReport",
     "AlphaCalibration",
     "detect",
+    "flag_outliers",
     "calibrate_alpha",
 ]
 
@@ -65,12 +66,29 @@ class AlphaCalibration:
     """Result of the ESS-fraction bisection.
 
     ``saturated`` is the warning flag: the target was unattainable inside
-    the bracket and ``alpha`` is the nearer bracket endpoint.
+    the bracket and ``alpha`` is the nearer bracket endpoint.  ``path``
+    holds every probed (alpha, attained fraction) pair in probe order: the
+    low end of the bracket, then the high end if probed, then each midpoint.
+    ``fit`` is the fit computed at ``alpha``, reused to flag outliers
+    instead of fitting again.
     """
 
     alpha: float
     attained_fraction: float
     saturated: bool
+    path: tuple[tuple[float, float], ...]
+    fit: FitResult = field(repr=False, compare=False)
+
+    @property
+    def monotone(self) -> bool:
+        """False when a larger probed alpha attained a smaller fraction.
+
+        The bisection assumes the ESS fraction of the fitted weights is
+        non-decreasing in alpha.  That holds for a fixed theta, not in
+        general, so it is checked along the path.
+        """
+        fractions = [fraction for _, fraction in sorted(self.path)]
+        return all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
 def detect(
@@ -79,7 +97,24 @@ def detect(
     rule: FlagRule = FlagRule.RELATIVE_THRESHOLD,
     rule_param: float = 0.1,
 ) -> OutlierReport:
-    """Fit the Gaussian model and convert converged weights to flags.
+    """Fit the Gaussian model at ``config.alpha`` and flag outliers from it.
+
+    This is one ``fit`` followed by ``flag_outliers``.  After
+    ``calibrate_alpha``, call ``flag_outliers`` on the calibration's fit
+    instead: it is the fit this function would compute again.
+    """
+    result = fit(dataset, GaussianModel(), config)
+    return flag_outliers(dataset, result, config.alpha, rule, rule_param)
+
+
+def flag_outliers(
+    dataset: Dataset,
+    result: FitResult,
+    alpha: float,
+    rule: FlagRule = FlagRule.RELATIVE_THRESHOLD,
+    rule_param: float = 0.1,
+) -> OutlierReport:
+    """Convert the converged weights of a Gaussian fit at ``alpha`` to flags.
 
     RELATIVE_THRESHOLD flags instances with weight below rule_param/T.
     TOP_K flags the rule_param smallest weights, breaking ties by larger
@@ -91,8 +126,6 @@ def detect(
             f"need at least D+2 = {d + 2} instances for a stable covariance, got T={n}"
         )
     rule = FlagRule(rule)
-    model = GaussianModel()
-    result = fit(dataset, model, config)
     w = result.weights
 
     if rule is FlagRule.RELATIVE_THRESHOLD:
@@ -109,7 +142,7 @@ def detect(
         if k < 0 or k != rule_param:
             raise InvalidConfigError(f"top-k count must be a non-negative integer, got {rule_param!r}")
         k_eff = min(k, n - 1)
-        errors = model.evaluate(dataset, result.theta)
+        errors = gaussian_error(dataset, result.theta)
         order = np.lexsort((np.arange(n), -errors, w))
         flags = np.zeros(n, dtype=bool)
         flags[order[:k_eff]] = True
@@ -119,7 +152,7 @@ def detect(
         flags=flags,
         rule=rule,
         rule_param=float(rule_param),
-        alpha_used=config.alpha,
+        alpha_used=alpha,
         gaussian=result.theta,
         iterations=result.iterations,
         termination=result.termination,
@@ -137,10 +170,12 @@ def calibrate_alpha(
 ) -> AlphaCalibration:
     """Bisect log(alpha) so the fitted ESS fraction matches the target.
 
-    The effective sample size exp(entropy(w)) divided by T is non-decreasing
-    in alpha, so a monotone bisection applies.  If even the bracket endpoints
-    cannot reach the target, the nearer endpoint is returned with
-    ``saturated=True``.
+    The effective sample size exp(entropy(w)) divided by T is assumed
+    non-decreasing in alpha, so a monotone bisection applies; the result's
+    ``monotone`` reports whether the probes bore that out.  If even the
+    bracket endpoints cannot reach the target, the nearer endpoint is
+    returned with ``saturated=True``.  The fit at the returned alpha, an
+    endpoint included, is kept in the result.
     """
     if not (0.0 < target_ess_fraction <= 1.0):
         raise InvalidInputError(
@@ -151,29 +186,32 @@ def calibrate_alpha(
         raise InvalidConfigError(f"invalid bracket {bracket!r}")
     n = dataset.n_instances
     model = GaussianModel()
+    path: list[tuple[float, float]] = []
 
-    def fraction(alpha: float) -> float:
+    def probe(alpha: float) -> AlphaCalibration:
         result = fit(dataset, model, replace(config, alpha=alpha))
-        return effective_sample_size(result.weights) / n
+        fraction = effective_sample_size(result.weights) / n
+        path.append((alpha, fraction))
+        return AlphaCalibration(alpha, fraction, False, tuple(path), result)
 
-    f_lo = fraction(lo)
-    if f_lo >= target_ess_fraction:
-        return AlphaCalibration(lo, f_lo, saturated=f_lo - target_ess_fraction > tol)
-    f_hi = fraction(hi)
-    if f_hi <= target_ess_fraction:
-        return AlphaCalibration(hi, f_hi, saturated=target_ess_fraction - f_hi > tol)
+    probed = probe(lo)
+    excess = probed.attained_fraction - target_ess_fraction
+    if excess >= 0.0:
+        return replace(probed, saturated=excess > tol)
+    probed = probe(hi)
+    shortfall = target_ess_fraction - probed.attained_fraction
+    if shortfall >= 0.0:
+        return replace(probed, saturated=shortfall > tol)
 
-    achieved = f_hi
     for _ in range(max_steps):
-        mid = math.sqrt(lo * hi)
-        achieved = fraction(mid)
-        if abs(achieved - target_ess_fraction) <= tol:
-            return AlphaCalibration(mid, achieved, saturated=False)
-        if achieved < target_ess_fraction:
-            lo = mid
+        probed = probe(math.sqrt(lo * hi))
+        if abs(probed.attained_fraction - target_ess_fraction) <= tol:
+            return probed
+        if probed.attained_fraction < target_ess_fraction:
+            lo = probed.alpha
         else:
-            hi = mid
+            hi = probed.alpha
     raise CalibrationError(
         f"ESS calibration did not converge in {max_steps} steps "
-        f"(achieved fraction {achieved:.4f}, target {target_ess_fraction})"
+        f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"
     )

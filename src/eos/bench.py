@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import chi2
 
-from .anomaly import FlagRule, calibrate_alpha, detect
+from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, w_step
 from .data import Dataset
 from .exceptions import InvalidConfigError, InvalidInputError
@@ -244,11 +244,8 @@ def _synth_seed_row(
 ) -> dict:
     data, truth = generate(spec)
     calibration = calibrate_alpha(data, ess_target, config)
-    report = detect(
-        data,
-        replace(config, alpha=calibration.alpha),
-        FlagRule.TOP_K,
-        len(truth),
+    report = flag_outliers(
+        data, calibration.fit, calibration.alpha, FlagRule.TOP_K, len(truth)
     )
     return {
         "seed": spec.seed,

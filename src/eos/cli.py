@@ -10,6 +10,11 @@ with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
 and timestamps excluded).  ``EOS_THREADS`` sets the thread count of the
 synth-bench and mislabel-bench commands.
+
+robust-train without ``robust_train.alpha`` selects alpha with
+``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
+always start from uniform weights: ``eos.init_policy`` and ``seed`` apply
+only when ``robust_train.alpha`` is set.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .affinity import affinity_rows
-from .anomaly import FlagRule, calibrate_alpha, detect
+from .anomaly import FlagRule, calibrate_alpha, detect, flag_outliers
 from .bench import (
     SyntheticSpec,
     metric_report,
@@ -312,11 +317,15 @@ def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
 def _run_detect(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=False)
     eos_cfg = config.eos.build(config.seed)
+    section = config.detect
     calibration = None
-    if config.detect.calibrate_ess_fraction is not None:
-        calibration = calibrate_alpha(data, config.detect.calibrate_ess_fraction, eos_cfg)
-        eos_cfg = replace(eos_cfg, alpha=calibration.alpha)
-    report = detect(data, eos_cfg, config.detect.rule, config.detect.rule_param)
+    if section.calibrate_ess_fraction is None:
+        report = detect(data, eos_cfg, section.rule, section.rule_param)
+    else:
+        calibration = calibrate_alpha(data, section.calibrate_ess_fraction, eos_cfg)
+        report = flag_outliers(
+            data, calibration.fit, calibration.alpha, section.rule, section.rule_param
+        )
     _write_csv(
         out_dir / "weights.csv",
         ["index", "weight", "flag"],
@@ -326,7 +335,10 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
         "T": data.n_instances,
         "D": data.n_features,
         "alpha_used": report.alpha_used,
-        "calibration": calibration,
+        "calibration": None if calibration is None else {
+            key: getattr(calibration, key)
+            for key in ("alpha", "attained_fraction", "saturated", "path", "monotone")
+        },
         "rule": report.rule.value,
         "rule_param": report.rule_param,
         "n_flagged": report.n_flagged,
@@ -369,7 +381,10 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
         )
         alpha = section.alpha
     else:
-        _, alpha, result = select_alpha(data, data, section.alpha_grid, section.l2_strength)
+        _, alpha, result = select_alpha(
+            data, data, section.alpha_grid, section.l2_strength,
+            tol=config.eos.tol, max_iters=config.eos.max_iters,
+        )
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
     _write_csv(

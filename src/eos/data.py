@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,7 +15,8 @@ class Dataset:
     """A fixed batch of T instances, one D-dimensional row per instance.
 
     ``labels``, when present, must be binary (0/1) and aligned with the rows.
-    Arrays are copied and frozen so a Dataset can be shared across threads.
+    Arrays are copied and frozen so a Dataset can be shared across threads,
+    and statistics of the instances can be computed once and cached on it.
     """
 
     instances: np.ndarray
@@ -67,6 +69,11 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.instances.shape[1]
+
+    @cached_property
+    def mean_variance(self) -> float:
+        """Mean per-coordinate variance of the instances, computed on first use."""
+        return float(self.instances.var(axis=0).mean())
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Row-select a new Dataset (labels follow when present)."""

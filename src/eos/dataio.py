@@ -49,58 +49,78 @@ def parse_csv_dataset(
             for i, name in enumerate(header)
             if name not in dropped and name != label_column
         ]
+        feature_idx = [i for i, _ in feature_cols]
         label_idx = header.index(label_column) if label_column is not None else None
 
-        features: list[list[float]] = []
         labels: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
-                )
-            values = []
-            for col_idx, col_name in feature_cols:
-                cell = row[col_idx].strip()
-                if cell == "":
+        n_rows = 0
+
+        def feature_cells():
+            # One row at a time into np.fromiter: no per-row Python lists
+            # outlive their row.
+            nonlocal n_rows
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise ParseError(
-                        f"{path}: blank cell at line {line_no}, column {col_name!r}"
+                        f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
                     )
                 try:
-                    values.append(float(cell))
+                    yield from map(float, [row[i] for i in feature_idx])
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell {cell!r} at line {line_no}, "
-                        f"column {col_name!r}"
-                    ) from None
-            features.append(values)
-            if label_idx is not None:
-                cell = row[label_idx].strip()
-                if label_map is not None:
-                    if cell not in label_map:
-                        raise ParseError(
-                            f"{path}: label value {cell!r} at line {line_no} not in label map "
-                            f"{sorted(label_map)}"
-                        )
-                    labels.append(int(label_map[cell]))
-                else:
-                    try:
-                        value = int(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: label value {cell!r} at line {line_no} is not numeric; "
-                            "provide a label map"
-                        ) from None
-                    if value not in (0, 1):
-                        raise ParseError(
-                            f"{path}: label value {cell!r} at line {line_no} is not 0/1; "
-                            "provide a label map"
-                        )
-                    labels.append(value)
+                    _raise_cell_error(path, row, feature_cols, line_no)
+                    raise
+                if label_idx is not None:
+                    labels.append(_parse_label(path, row[label_idx].strip(), label_map, line_no))
+                n_rows += 1
 
-    if not features:
+        values = np.fromiter(feature_cells(), dtype=float)
+
+    if n_rows == 0:
         raise ParseError(f"{path}: no data rows")
     return Dataset(
-        np.asarray(features, dtype=float),
+        values.reshape(n_rows, len(feature_cols)),
         np.asarray(labels, dtype=int) if label_idx is not None else None,
         tuple(name for _, name in feature_cols),
     )
+
+
+def _raise_cell_error(
+    path: Path, row: list[str], feature_cols: list[tuple[int, str]], line_no: int
+) -> None:
+    """Raise the ParseError naming the first feature cell of ``row`` that is
+    blank or not a number."""
+    for col_idx, col_name in feature_cols:
+        cell = row[col_idx].strip()
+        if cell == "":
+            raise ParseError(
+                f"{path}: blank cell at line {line_no}, column {col_name!r}"
+            ) from None
+        try:
+            float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric cell {cell!r} at line {line_no}, column {col_name!r}"
+            ) from None
+
+
+def _parse_label(path: Path, cell: str, label_map: dict[str, int] | None, line_no: int) -> int:
+    if label_map is not None:
+        if cell not in label_map:
+            raise ParseError(
+                f"{path}: label value {cell!r} at line {line_no} not in label map "
+                f"{sorted(label_map)}"
+            )
+        return int(label_map[cell])
+    try:
+        value = int(float(cell))
+    except ValueError:
+        raise ParseError(
+            f"{path}: label value {cell!r} at line {line_no} is not numeric; "
+            "provide a label map"
+        ) from None
+    if value not in (0, 1):
+        raise ParseError(
+            f"{path}: label value {cell!r} at line {line_no} is not 0/1; "
+            "provide a label map"
+        )
+    return value

@@ -69,6 +69,9 @@ class GaussianParams:
         object.__setattr__(self, "ridge", float(self.ridge))
         # Eigenvalues and eigenvectors of sigma, set on first use; see _whiten.
         object.__setattr__(self, "_spectrum", None)
+        # (dataset, x - mu) left by weighted_gaussian_mle for the first
+        # evaluation; see _whiten.
+        object.__setattr__(self, "_centered", (None, None))
 
     @property
     def dim(self) -> int:
@@ -80,7 +83,10 @@ def _whiten(dataset: Dataset, params: GaussianParams) -> tuple[np.ndarray, float
     distances, and 0.5*log det Sigma = 0.5*sum(log lambda).
 
     lambda and V are the spectrum ``weighted_gaussian_mle`` chose; any other
-    params are eigendecomposed here on first use.
+    params are eigendecomposed here on first use.  The first evaluation
+    after ``weighted_gaussian_mle`` takes over the x - mu it built when the
+    dataset is the one it was fitted on, and releases it in any case, so the
+    T x D matrix does not outlive one fit iteration.
     """
     if dataset.n_features != params.dim:
         raise InvalidInputError(
@@ -94,7 +100,11 @@ def _whiten(dataset: Dataset, params: GaussianParams) -> tuple[np.ndarray, float
             )
         object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
     eigenvalues, eigenvectors = params._spectrum
-    z = (dataset.instances - params.mu) @ (eigenvectors / np.sqrt(eigenvalues))
+    source, centered = params._centered
+    object.__setattr__(params, "_centered", (None, None))
+    if source is not dataset:
+        centered = dataset.instances - params.mu
+    z = centered @ (eigenvectors / np.sqrt(eigenvalues))
     return z, 0.5 * float(np.sum(np.log(eigenvalues)))
 
 
@@ -119,9 +129,11 @@ def covariance_floor(dataset: Dataset) -> float:
     """The dataset's fixed covariance eigenvalue floor.
 
     RIDGE_FACTOR times the mean per-coordinate variance; an absolute
-    RIDGE_FACTOR for a constant dataset, where no scale is left.
+    RIDGE_FACTOR for a constant dataset, where no scale is left.  The
+    variance is computed once per dataset (``Dataset.mean_variance``), so
+    the floor costs one pass over the data however many updates use it.
     """
-    spread = float(dataset.instances.var(axis=0).mean())
+    spread = dataset.mean_variance
     return RIDGE_FACTOR * (spread if spread > 0.0 else 1.0)
 
 
@@ -135,6 +147,9 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     minimizer of the weighted Gaussian error over covariances bounded below
     by the floor, so the update never increases the weighted error even for
     one-hot weights, where the unconstrained problem is unbounded.
+
+    The centered matrix x - mu built here is reused by the first evaluation
+    of the returned params on ``dataset`` (see ``_whiten``).
     """
     w = check_weights(weights, dataset.n_instances)
     x = dataset.instances
@@ -156,6 +171,7 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     # moves floored eigenvalues by rounding, and with it the log-determinant
     # by more than fit's descent slack.
     object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
+    object.__setattr__(params, "_centered", (dataset, centered))
     return params
 
 

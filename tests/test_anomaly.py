@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import eos.anomaly
 
 from eos import (
     Dataset,
@@ -152,6 +156,35 @@ def test_ess_fraction_monotone_in_alpha():
         result = fit(data, GaussianModel(), EosConfig(alpha=float(alpha)))
         fractions.append(effective_sample_size(result.weights) / data.n_instances)
     assert all(b >= a - 1e-9 for a, b in zip(fractions, fractions[1:]))
+
+
+def test_calibration_records_its_bisection_path():
+    data, _ = planted_gaussian_2d(seed=11)
+    config = EosConfig(alpha=1.0)
+    result = calibrate_alpha(data, 0.95, config)
+    assert [alpha for alpha, _ in result.path[:2]] == [1e-6, 1e6]
+    assert len(result.path) > 2
+    assert result.path[-1] == (result.alpha, result.attained_fraction)
+    for alpha, fraction in result.path:
+        refit = fit(data, GaussianModel(), replace(config, alpha=alpha))
+        assert effective_sample_size(refit.weights) / data.n_instances == fraction
+    assert result.monotone
+    at_alpha = fit(data, GaussianModel(), replace(config, alpha=result.alpha))
+    assert np.array_equal(result.fit.weights, at_alpha.weights)
+
+
+def test_calibration_reports_a_non_monotone_path(monkeypatch):
+    # Probes at 1e-6, 1e6, 1, 1e-3, then 10**-4.5: the fraction at 1e-3 is
+    # above the one at 1, which the bisection's monotonicity assumption rules out.
+    data, _ = planted_gaussian_2d(seed=11)
+    fractions = iter([0.1, 0.99, 0.97, 0.98, 0.95])
+    monkeypatch.setattr(
+        eos.anomaly, "effective_sample_size", lambda w: next(fractions) * len(w)
+    )
+    result = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
+    assert [fraction for _, fraction in result.path] == pytest.approx([0.1, 0.99, 0.97, 0.98, 0.95])
+    assert result.alpha == pytest.approx(10**-4.5)
+    assert not result.monotone
 
 
 @pytest.mark.parametrize("seed", [9103, 9287])

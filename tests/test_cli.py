@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eos.anomaly
 from eos.cli import RunConfig, main
-from eos import InvalidConfigError
+from eos import (
+    EosConfig,
+    FlagRule,
+    InvalidConfigError,
+    calibrate_alpha,
+    detect,
+    parse_csv_dataset,
+)
 
 
 def _write_csv(path, matrix, labels=None):
@@ -156,6 +165,54 @@ def test_detect_alpha_override(detect_setup):
     assert _report(tmp_path / "out3")["results"]["alpha_used"] == 2.5
 
 
+@pytest.mark.parametrize(
+    "target, identical",
+    [(0.95, False), (1.0, False), (0.5, True)],
+    ids=["bisection", "high-endpoint", "saturated-low-endpoint"],
+)
+def test_calibrated_detect_flags_from_the_calibration_fit(
+    detect_setup, monkeypatch, target, identical
+):
+    tmp_path, _, config = detect_setup
+    if identical:
+        same = _write_csv(tmp_path / "same.csv", np.tile([0.5, 1.0, 2.0], (20, 1)))
+        config = {**config, "input_path": str(same)}
+    config = {**config, "detect": {**config["detect"], "calibrate_ess_fraction": target}}
+    cfg_path = _write_config(tmp_path / "calibrated.json", config)
+    fits = []
+    counted = eos.anomaly.fit
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(eos.anomaly, "fit", counting_fit)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    cli_fits = len(fits)
+
+    data = parse_csv_dataset(config["input_path"])
+    eos_cfg = EosConfig(alpha=1.0, seed=config["seed"])
+    fits.clear()
+    calibration = calibrate_alpha(data, target, eos_cfg)
+    assert cli_fits == len(fits) == len(calibration.path)
+    assert calibration.saturated is identical
+
+    report = detect(data, replace(eos_cfg, alpha=calibration.alpha), FlagRule.TOP_K, 4)
+    expected = ["index,weight,flag"] + [
+        f"{i},{float(w)!r},{int(f)}" for i, (w, f) in enumerate(zip(report.weights, report.flags))
+    ]
+    assert (tmp_path / "out" / "weights.csv").read_text().splitlines() == expected
+    results = _report(tmp_path / "out")["results"]
+    assert results["flagged_indices"] == np.flatnonzero(report.flags).tolist()
+    assert results["calibration"] == {
+        "alpha": calibration.alpha,
+        "attained_fraction": calibration.attained_fraction,
+        "saturated": calibration.saturated,
+        "path": [list(step) for step in calibration.path],
+        "monotone": calibration.monotone,
+    }
+
+
 def test_detect_too_few_rows_fails_cleanly(tmp_path, capsys):
     data_path = _write_csv(tmp_path / "tiny.csv", np.zeros((2, 3)))
     cfg_path = _write_config(
@@ -272,25 +329,38 @@ def test_affinity_rows_stochastic(tmp_path):
     assert np.abs(sums - 1.0).max() <= 1e-9
 
 
-def test_robust_train_report(tmp_path):
+def _robust_train_config(tmp_path, **sections):
     rng = np.random.default_rng(4)
     x = np.vstack([rng.normal(-1.5, 1, (40, 2)), rng.normal(1.5, 1, (40, 2))])
     y = np.concatenate([np.zeros(40, dtype=int), np.ones(40, dtype=int)])
     data_path = _write_csv(tmp_path / "labeled.csv", x, y)
-    cfg_path = _write_config(
+    return _write_config(
         tmp_path / "cfg.json",
         {
             "command": "robust-train",
             "input_path": str(data_path),
             "output_dir": str(tmp_path / "out"),
             "csv": {"label_column": "label"},
+            **sections,
         },
     )
+
+
+def test_robust_train_report(tmp_path):
+    cfg_path = _robust_train_config(tmp_path)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     results = _report(tmp_path / "out")["results"]
     assert len(results["coefficients"]) == 2
     assert results["training_auc"] > 0.9
     assert (tmp_path / "out" / "weights.csv").exists()
+
+
+def test_robust_train_alpha_selection_honours_eos_max_iters(tmp_path, capsys):
+    # Without robust_train.alpha, every grid fit runs with eos.tol and
+    # eos.max_iters; capped at one iteration none converges.
+    cfg_path = _robust_train_config(tmp_path, eos={"max_iters": 1})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonConvergenceError"
 
 
 def test_timing_command(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eos import InvalidConfigError, ParseError, parse_csv_dataset
+from eos import InvalidConfigError, InvalidInputError, ParseError, parse_csv_dataset
 
 
 def _write(tmp_path, name, text):
@@ -53,6 +53,31 @@ def test_non_numeric_cell_names_location(tmp_path):
     path = _write(tmp_path, "bad.csv", "a,b\n1,2\nfoo,4\n")
     with pytest.raises(ParseError, match=r"'foo'.*line 3.*'a'"):
         parse_csv_dataset(path)
+
+
+def test_whitespace_padded_cells_parse_and_blank_cells_do_not(tmp_path):
+    path = _write(tmp_path, "padded.csv", "a,b\n 1.5 ,2\n3,\t-4e0 \n")
+    assert np.array_equal(parse_csv_dataset(path).instances, [[1.5, 2.0], [3.0, -4.0]])
+    blank = _write(tmp_path, "blank.csv", "a,b\n1,2\n3,4\n5,  \n")
+    with pytest.raises(ParseError, match=r"blank cell at line 4, column 'b'"):
+        parse_csv_dataset(blank)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"drop_columns": ("id", "y")}, {"drop_columns": ("id",), "label_column": "y"}],
+    ids=["all-dropped", "dropped-and-label"],
+)
+def test_no_feature_columns_left(tmp_path, kwargs):
+    path = _write(tmp_path, "data.csv", "id,y\n1,0\n2,1\n3,1\n")
+    with pytest.raises(InvalidInputError, match=r"at least 1x1, got \(3, 0\)"):
+        parse_csv_dataset(path, **kwargs)
+
+
+def test_bad_label_on_a_valid_row_names_its_line(tmp_path):
+    path = _write(tmp_path, "data.csv", "a,b,y\n1,2,0\n3,4,1\n5,6,7\n7,8,0\n")
+    with pytest.raises(ParseError, match=r"label value '7' at line 4 is not 0/1"):
+        parse_csv_dataset(path, label_column="y")
 
 
 def test_missing_label_column_is_config_error(tmp_path):

@@ -7,16 +7,21 @@ import pytest
 
 from eos import (
     Dataset,
+    EosConfig,
     GaussianModel,
     GaussianParams,
     InvalidInputError,
     ModelError,
+    calibrate_alpha,
+    fit,
     gaussian_error,
+    mahalanobis_squared,
     squared_euclidean_error,
     weighted_gaussian_mle,
 )
+from eos.models import RIDGE_FACTOR, covariance_floor
 
-from conftest import dense_inverse_gaussian_error
+from conftest import dense_inverse_gaussian_error, planted_gaussian_2d
 
 
 def _random_spd(rng, d):
@@ -147,6 +152,54 @@ def test_update_never_increases_weighted_error():
         before = float(w @ model.evaluate(data, old))
         after = float(w @ model.evaluate(data, model.update_theta(data, w)))
         assert after <= before + 1e-10 * abs(before)
+
+
+@pytest.mark.parametrize("evaluate", [gaussian_error, mahalanobis_squared])
+def test_evaluation_after_update_equals_a_fresh_dataset(evaluate):
+    # The first evaluation on the fitted dataset reuses the update's x - mu;
+    # Dataset(data.instances) is another object, so it centers afresh.
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.normal(size=(300, 4)) @ _random_spd(rng, 4))
+    w = rng.dirichlet(np.ones(300))
+    params = weighted_gaussian_mle(data, w)
+    reused = evaluate(data, params)
+    assert np.array_equal(reused, evaluate(Dataset(data.instances), params))
+    assert np.array_equal(reused, evaluate(data, params))
+
+
+def test_update_params_on_another_dataset_match_the_oracle():
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.normal(size=(200, 3)))
+    other = Dataset(rng.normal(loc=2.0, size=(200, 3)))
+    params = weighted_gaussian_mle(data, rng.dirichlet(np.ones(200)))
+    got = gaussian_error(other, params)
+    expected = dense_inverse_gaussian_error(other, params.mu, params.sigma)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+    # Evaluating elsewhere first releases the update's centered matrix.
+    assert np.array_equal(gaussian_error(data, params), gaussian_error(Dataset(data.instances), params))
+
+
+def test_fit_result_holds_no_centered_matrix():
+    rng = np.random.default_rng(7)
+    data = Dataset(rng.normal(size=(100, 3)))
+    result = fit(data, GaussianModel(), EosConfig(alpha=1.0))
+    assert result.theta._centered == (None, None)
+
+
+def test_floor_variance_computed_once_per_dataset(monkeypatch):
+    data, _ = planted_gaussian_2d(seed=11)
+    computed = []
+    mean_variance = Dataset.mean_variance.func
+
+    def counting(dataset):
+        computed.append(dataset)
+        return mean_variance(dataset)
+
+    monkeypatch.setattr(Dataset.mean_variance, "func", counting)
+    calibration = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
+    assert len(calibration.path) > 2
+    assert len(computed) == 1 and computed[0] is data
+    assert covariance_floor(data) == RIDGE_FACTOR * float(data.instances.var(axis=0).mean())
 
 
 # ---------------------------------------------------------------------------
