@@ -8,6 +8,11 @@ classic spherically-symmetric Gaussian affinity
 with sigma^2 = alpha / 2.  The same update applied to arbitrary per-pair
 error values yields affinities for non-Euclidean costs.  The self pair
 (i, i) is excluded from every row.
+
+Perplexity mode picks each anchor's alpha by bisection, as in the
+per-point perplexity search of t-SNE (van der Maaten 2014).  All rows are
+calibrated together: each bisection step evaluates every row still
+searching in one batch.  Error spreads from 1e-300 to 1e300 are supported.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_errors, shannon_entropy, w_step
+from .core import _check_alpha, check_errors, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 
@@ -100,71 +105,147 @@ def generalized_affinity_row(
     return AffinityRow(anchor_index=anchor_index, values=values, sigma_sq=sigma_sq)
 
 
-def calibrate_row_alpha(
-    errors_for_anchor: np.ndarray,
-    target_perplexity: float,
-    *,
-    rel_tol: float = 1e-4,
-    max_steps: int = 256,
-) -> float:
-    """Bisect log(alpha) until exp(row entropy) matches the target perplexity.
+# The batched kernels below repeat, per row, the arithmetic of ``w_step`` and
+# ``shannon_entropy`` on one row, so a row's alpha and values do not depend on
+# which other rows share its batch.
+_REL_TOL = 1e-4
+_MAX_STEPS = 256
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+_SMALLEST = math.ulp(0.0)
 
-    The perplexity of a row is non-decreasing in alpha, ranging from the
-    multiplicity of the smallest error up to the number of neighbors.
-    Targets outside that range raise ``CalibrationError`` naming the
-    achievable interval.
+
+def _softmax(shifted: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``w_step`` on each row of errors shifted to a zero minimum, in place."""
+    shifted /= -alpha[:, None]  # equals -shifted / alpha bit for bit
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted
+
+
+def _perplexity(w: np.ndarray) -> list[float]:
+    """exp(``shannon_entropy``) of each row of ``w``."""
+    pos = w > 0
+    wp = w[pos]
+    terms = np.log(wp)
+    terms *= wp
+    del wp
+    counts = pos.sum(axis=1)
+    first = np.cumsum(counts) - counts
+    # np.sum adds a vector to 0.0, while reduceat starts each segment from its
+    # first element; a leading zero per row makes the two sums bit-identical.
+    terms = np.insert(terms, first, 0.0)
+    sums = np.add.reduceat(terms, first + np.arange(first.size))
+    return [math.exp(max(-s, 0.0)) for s in sums.tolist()]
+
+
+def _geometric_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        prod = lo * hi
+    # lo*hi overflows for spreads above about 1e154 and underflows below
+    # about 1e-154; only there are the square roots taken first.
+    normal = (prod >= _TINY) & (prod <= _HUGE)
+    return np.where(normal, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi))
+
+
+def _calibrate(
+    shifted: np.ndarray, target_perplexity: float, rel_tol: float, max_steps: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Bisect log(alpha) of every row of ``shifted`` (R x n) at once.
+
+    Each row holds finite errors shifted to a zero minimum.  Returns each
+    row's alpha, the row's w-step at that alpha, and the rows that cannot be
+    calibrated, each with the reason.
     """
-    g = check_errors(errors_for_anchor)
-    n = g.size
+    n_rows, n = shifted.shape
     if not (1.0 <= target_perplexity <= n):
         raise InvalidInputError(
             f"target perplexity must lie in [1, {n}] for {n} neighbors, got {target_perplexity!r}"
         )
     target = float(target_perplexity)
     tol = rel_tol * target
+    spread = shifted.max(axis=1)
+    alpha = np.ones(n_rows)
+    values = np.empty_like(shifted)
+    failures: dict[int, str] = {}
 
-    spread = float(g.max() - g.min())
-    if spread == 0.0:
-        if abs(n - target) <= tol:
-            return 1.0
-        raise CalibrationError(
-            f"all neighbor errors are identical; only perplexity {n} is achievable "
-            f"(target {target})"
-        )
+    flat = spread == 0.0
+    if abs(n - target) > tol:
+        for i in np.flatnonzero(flat).tolist():
+            failures[i] = (
+                f"all neighbor errors are identical; only perplexity {n} is achievable "
+                f"(target {target})"
+            )
 
-    def perplexity(alpha: float) -> float:
-        return math.exp(shannon_entropy(w_step(g, alpha)))
-
-    lo, hi = spread * 1e-12, spread * 1e12
-    p_lo, p_hi = perplexity(lo), perplexity(hi)
-    if target < p_lo - tol:
-        raise CalibrationError(
-            f"target perplexity {target} below achievable range [{p_lo:.6g}, {p_hi:.6g}] "
-            "(duplicate smallest errors)"
-        )
-    if target > p_hi + tol:
-        raise CalibrationError(
-            f"target perplexity {target} above achievable range [{p_lo:.6g}, {p_hi:.6g}]"
-        )
-    if abs(p_lo - target) <= tol:
-        return lo
-    if abs(p_hi - target) <= tol:
-        return hi
-
-    achieved = p_lo
-    for _ in range(max_steps):
-        mid = math.sqrt(lo * hi)
-        achieved = perplexity(mid)
-        if abs(achieved - target) <= tol:
-            return mid
-        if achieved < target:
-            lo = mid
+    active = np.flatnonzero(~flat)
+    # The bracket spread*1e-12 .. spread*1e12, kept off 0 and inf.
+    lo = np.maximum(spread[active] * 1e-12, _SMALLEST)
+    with np.errstate(over="ignore"):
+        hi = np.minimum(spread[active] * 1e12, _HUGE)
+    p_lo = _perplexity(_softmax(shifted[active], lo))
+    p_hi = _perplexity(_softmax(shifted[active], hi))
+    searching = []
+    for k, i in enumerate(active.tolist()):
+        achievable = f"achievable range [{p_lo[k]:.6g}, {p_hi[k]:.6g}]"
+        if target < p_lo[k] - tol:
+            failures[i] = (
+                f"target perplexity {target} below {achievable} (duplicate smallest errors)"
+            )
+        elif target > p_hi[k] + tol:
+            failures[i] = f"target perplexity {target} above {achievable}"
+        elif abs(p_lo[k] - target) <= tol:
+            alpha[i] = lo[k]
+        elif abs(p_hi[k] - target) <= tol:
+            alpha[i] = hi[k]
         else:
-            hi = mid
-    raise CalibrationError(
-        f"perplexity calibration did not converge in {max_steps} steps "
-        f"(achieved {achieved:.6g}, target {target})"
-    )
+            searching.append(k)
+    settled = np.setdiff1d(np.arange(n_rows), active[searching])
+    values[settled] = _softmax(shifted[settled], alpha[settled])
+    active, lo, hi = active[searching], lo[searching], hi[searching]
+    achieved = np.asarray(p_lo)[searching]
+
+    for _ in range(max_steps):
+        if active.size == 0:
+            break
+        mid = _geometric_mid(lo, hi)
+        w = _softmax(shifted[active], mid)
+        achieved = np.asarray(_perplexity(w))
+        done = np.abs(achieved - target) <= tol
+        alpha[active[done]], values[active[done]] = mid[done], w[done]
+        below = achieved < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        active, lo, hi, achieved = active[~done], lo[~done], hi[~done], achieved[~done]
+    for i, reached in zip(active.tolist(), achieved.tolist()):
+        failures[i] = (
+            f"perplexity calibration did not converge in {max_steps} steps "
+            f"(achieved {reached:.6g}, target {target})"
+        )
+    return alpha, values, failures
+
+
+def calibrate_row_alpha(
+    errors_for_anchor: np.ndarray,
+    target_perplexity: float,
+    *,
+    rel_tol: float = _REL_TOL,
+    max_steps: int = _MAX_STEPS,
+) -> float:
+    """Bisect log(alpha) until exp(row entropy) matches the target perplexity.
+
+    The perplexity of a row is non-decreasing in alpha, ranging from the
+    multiplicity of the smallest error up to the number of neighbors.
+    Targets outside that range raise ``CalibrationError`` naming the
+    achievable interval.  The bracket is [spread*1e-12, spread*1e12] for the
+    spread max - min of the errors; spreads from 1e-300 to 1e300 calibrate.
+    This is the one-row case of the batched bisection in ``affinity_rows``
+    and returns the same alpha as that row there.
+    """
+    g = check_errors(errors_for_anchor)
+    shifted = (g - g.min())[np.newaxis]
+    alphas, _, failures = _calibrate(shifted, target_perplexity, rel_tol, max_steps)
+    if failures:
+        raise CalibrationError(failures[0])
+    return float(alphas[0])
 
 
 def affinity_rows(
@@ -177,27 +258,42 @@ def affinity_rows(
     """All T rows of the affinity matrix, under exactly one bandwidth mode.
 
     ``sigma_sq`` or ``alpha`` fix a shared bandwidth (alpha = 2*sigma_sq);
-    ``perplexity`` calibrates alpha per anchor.
+    ``perplexity`` calibrates alpha per anchor, all rows in one batched
+    bisection.  Each row equals ``gaussian_affinity_row`` or
+    ``generalized_affinity_row`` at ``calibrate_row_alpha`` of that row, bit
+    for bit.  A row that cannot be calibrated raises ``CalibrationError``
+    naming the lowest such anchor.
     """
     chosen = [v for v in (sigma_sq, alpha, perplexity) if v is not None]
     if len(chosen) != 1:
         raise InvalidConfigError(
             "exactly one of sigma_sq, alpha, or perplexity must be given"
         )
-    if dataset.n_instances < 2:
+    t = dataset.n_instances
+    if t < 2:
         raise InvalidInputError("at least two instances are required for affinities")
+    if perplexity is None:
+        ssq = float(sigma_sq) if sigma_sq is not None else float(alpha) / 2.0
+        if not (math.isfinite(ssq) and ssq > 0):
+            raise InvalidConfigError(f"sigma_sq must be a positive finite real, got {ssq!r}")
 
-    rows: list[AffinityRow] = []
-    for i in range(dataset.n_instances):
-        if perplexity is not None:
-            errors = _squared_distances_from(dataset, i)
-            row_alpha = calibrate_row_alpha(errors, perplexity)
-            rows.append(
-                generalized_affinity_row(
-                    errors, row_alpha, anchor_index=i, squared_euclidean=True
-                )
-            )
-        else:
-            ssq = float(sigma_sq) if sigma_sq is not None else float(alpha) / 2.0
-            rows.append(gaussian_affinity_row(dataset, i, ssq))
-    return rows
+    errors = np.empty((t, t - 1))
+    for i in range(t):
+        errors[i] = _squared_distances_from(dataset, i)
+    finite = np.isfinite(errors).all(axis=1)
+    if not finite.all():
+        check_errors(errors[np.argmin(finite)])  # raises, naming the entry
+    errors -= errors.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
+
+    if perplexity is None:
+        values = _softmax(errors, np.full(t, _check_alpha(2.0 * ssq)))
+        return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=ssq) for i in range(t)]
+
+    alphas, values, failures = _calibrate(errors, perplexity, _REL_TOL, _MAX_STEPS)
+    if failures:
+        first = min(failures)
+        raise CalibrationError(f"anchor {first}: {failures[first]}")
+    return [
+        AffinityRow(anchor_index=i, values=values[i], sigma_sq=float(alphas[i]) / 2.0)
+        for i in range(t)
+    ]

@@ -20,15 +20,15 @@ only when ``robust_train.alpha`` is set.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 import types
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -241,11 +241,12 @@ def _jsonify(obj):
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` into a temp file beside ``path``, then rename it over ``path``."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,20 +254,20 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buffer.getvalue())
+def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write a CSV atomically from ready-made lines, each ending in a newline.
+
+    Cells are numbers and fixed identifiers, so none needs quoting: ints are
+    written with ``str`` and floats with ``repr``, the shortest text that
+    reads back as the same float.
+    """
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_line(*cells) -> str:
+    """One CSV line; None is written as an empty cell."""
+    return ",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
+                    for c in cells) + "\n"
 
 
 def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
@@ -278,7 +279,7 @@ def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
         "config": config.to_dict(),
         "results": _jsonify(results),
     }
-    _atomic_write(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True) + "\n"])
 
 
 def _env_threads() -> int:
@@ -329,7 +330,8 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "weights.csv",
         ["index", "weight", "flag"],
-        [[i, _fmt(float(w)), int(f)] for i, (w, f) in enumerate(zip(report.weights, report.flags))],
+        (f"{i},{w!r},{f:d}\n"
+         for i, (w, f) in enumerate(zip(report.weights.tolist(), report.flags.tolist()))),
     )
     return {
         "T": data.n_instances,
@@ -355,11 +357,13 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     rows = affinity_rows(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
-    csv_rows = []
-    for row in rows:
-        for j, value in zip(row.neighbor_indices(), row.values):
-            csv_rows.append([row.anchor_index, int(j), _fmt(float(value))])
-    _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"], csv_rows)
+    _write_csv(
+        out_dir / "affinity.csv",
+        ["row_index", "col_index", "value"],
+        ("".join([f"{row.anchor_index},{j},{v!r}\n"
+                  for j, v in zip(row.neighbor_indices().tolist(), row.values.tolist())])
+         for row in rows),
+    )
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None
@@ -390,7 +394,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "weights.csv",
         ["index", "weight"],
-        [[i, _fmt(float(w))] for i, w in enumerate(result.weights)],
+        (f"{i},{w!r}\n" for i, w in enumerate(result.weights.tolist())),
     )
     return {
         "T": data.n_instances,
@@ -423,11 +427,13 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         config=config.eos.build(config.seed),
         max_workers=_env_threads(),
     )
-    csv_rows = []
-    for row in outcome["rows"]:
-        for metric in ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha"):
-            csv_rows.append(["synth-bench", row["seed"], metric, _fmt(row[metric])])
-    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], csv_rows)
+    metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["experiment", "seed", "metric", "value"],
+        [_csv_line("synth-bench", row["seed"], metric, row[metric])
+         for row in outcome["rows"] for metric in metrics],
+    )
     return {"spec": spec, "rows": outcome["rows"], "reports": outcome["reports"]}
 
 
@@ -437,7 +443,7 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     threads = _env_threads()
 
     per_p: dict[str, dict] = {}
-    csv_rows: list[list] = []
+    lines: list[str] = []
     for p in section.flip_proportions:
         cfg = MislabelExperimentConfig(
             flip_proportion=p,
@@ -472,10 +478,9 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
         }
         experiment = f"mislabel_p={key}"
         for split, o in enumerate(outcomes):
-            csv_rows.append([experiment, split, "auc_plain", _fmt(o.auc_plain)])
-            csv_rows.append([experiment, split, "auc_robust", _fmt(o.auc_robust)])
-            csv_rows.append([experiment, split, "alpha_selected", _fmt(o.alpha_selected)])
-    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], csv_rows)
+            for metric in ("auc_plain", "auc_robust", "alpha_selected"):
+                lines.append(_csv_line(experiment, split, metric, getattr(o, metric)))
+    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], lines)
     return {"per_p": per_p, "source": "csv" if data is not None else "synthetic"}
 
 
@@ -491,7 +496,7 @@ def _run_timing(config: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "timing.csv",
         ["axis", "T", "D", "median_s", "iqr_s", "repeats"],
-        [[r["axis"], r["T"], _fmt(r["D"]), _fmt(r["median_s"]), _fmt(r["iqr_s"]), r["repeats"]]
+        [_csv_line(r["axis"], r["T"], r["D"], r["median_s"], r["iqr_s"], r["repeats"])
          for r in rows],
     )
     return {"rows": rows, "ratios": timing_ratios(rows)}

@@ -18,6 +18,7 @@ from eos import (
     squared_euclidean_error,
     w_step,
 )
+from eos.affinity import _perplexity
 
 from conftest import grid_objective, simplex_grid
 
@@ -176,3 +177,89 @@ def test_affinity_rows_modes():
         affinity_rows(data, sigma_sq=1.0, alpha=1.0)
     with pytest.raises(InvalidConfigError):
         affinity_rows(data)
+
+
+# ---------------------------------------------------------------------------
+# batched calibration
+# ---------------------------------------------------------------------------
+
+def _row_errors(data: Dataset, i: int) -> np.ndarray:
+    """Anchor i's squared distances, computed as affinity_rows computes them."""
+    diff = data.instances - data.instances[i]
+    return np.delete(np.einsum("ij,ij->i", diff, diff), i)
+
+
+def test_affinity_rows_equal_single_row_results_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        t = int(rng.integers(2, 60))
+        data = Dataset(rng.normal(size=(t, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-3, 3))
+        perplexity = float(rng.uniform(1.0, t - 1))
+        sigma_sq = float(10.0 ** rng.uniform(-2, 2))
+        by_perplexity = affinity_rows(data, perplexity=perplexity)
+        by_sigma = affinity_rows(data, sigma_sq=sigma_sq)
+        by_alpha = affinity_rows(data, alpha=2.0 * sigma_sq)
+        for i in range(t):
+            errors = _row_errors(data, i)
+            single = generalized_affinity_row(
+                errors, calibrate_row_alpha(errors, perplexity), squared_euclidean=True
+            )
+            assert np.array_equal(by_perplexity[i].values, single.values)
+            assert by_perplexity[i].sigma_sq == single.sigma_sq
+            fixed = gaussian_affinity_row(data, i, sigma_sq)
+            assert np.array_equal(by_sigma[i].values, fixed.values)
+            assert np.array_equal(by_alpha[i].values, fixed.values)
+
+
+def test_batched_perplexity_sums_each_row_like_shannon_entropy():
+    # Small alphas underflow most weights to 0, which shannon_entropy skips;
+    # the batched sum must group the remaining terms exactly as it does.
+    rng = np.random.default_rng(41)
+    for n in (1, 7, 130, 999):
+        errors = rng.uniform(0.0, 50.0, size=(20, n))
+        w = np.vstack([w_step(e, a) for e, a in zip(errors, 10.0 ** rng.uniform(-2, 2, 20))])
+        expected = [math.exp(shannon_entropy(row)) for row in w]
+        assert _perplexity(w) == expected
+
+
+def test_affinity_rows_calibration_error_names_the_anchor():
+    # Anchors 4, 5 and 6 coincide, so each has two neighbors at distance 0
+    # and cannot reach perplexity 1.5; the error names the first of them.
+    x = np.random.default_rng(17).normal(size=(10, 2))
+    x[5] = x[6] = x[4]
+    data = Dataset(x)
+    with pytest.raises(CalibrationError) as single:
+        calibrate_row_alpha(_row_errors(data, 4), 1.5)
+    with pytest.raises(CalibrationError) as batched:
+        affinity_rows(data, perplexity=1.5)
+    assert str(batched.value) == f"anchor 4: {single.value}"
+
+
+@pytest.mark.parametrize(
+    "bandwidth",
+    [{"alpha": 0.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"sigma_sq": -1.0}],
+)
+def test_affinity_rows_rejects_bad_bandwidth(bandwidth):
+    with pytest.raises(InvalidConfigError):
+        affinity_rows(Dataset(np.eye(3)), **bandwidth)
+
+
+@pytest.mark.parametrize("spread", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_calibration_at_extreme_magnitudes(spread):
+    errors = np.array([0.0, 1.0, 2.0, 3.0, 5.0]) * spread
+    alpha = calibrate_row_alpha(errors, 3.0)
+    assert math.exp(shannon_entropy(w_step(errors, alpha))) == pytest.approx(3.0, rel=1e-4)
+    # Points whose squared distances span the same magnitude.
+    data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0], [5.0]]) * math.sqrt(spread))
+    for row in affinity_rows(data, perplexity=3.0):
+        assert math.exp(shannon_entropy(row.values)) == pytest.approx(3.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e298, 1e302])
+def test_generalized_row_on_simplex_at_scale(alpha):
+    # 10^6 neighbors with errors up to 1e300; AffinityRow itself rejects a
+    # row whose sum is off by more than 1e-12.
+    errors = np.random.default_rng(8).uniform(0.0, 1e300, size=10**6)
+    row = generalized_affinity_row(errors, alpha)
+    assert np.all(row.values >= 0.0)
+    assert abs(float(row.values.sum()) - 1.0) <= 1e-12

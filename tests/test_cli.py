@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,14 +11,17 @@ import numpy as np
 import pytest
 
 import eos.anomaly
+import eos.cli
 from eos.cli import RunConfig, main
 from eos import (
     EosConfig,
     FlagRule,
     InvalidConfigError,
+    affinity_rows,
     calibrate_alpha,
     detect,
     parse_csv_dataset,
+    robust_fit,
 )
 
 
@@ -420,3 +425,95 @@ def test_cli_imports_no_private_eos_names():
                 if name.startswith("_") and not name.endswith("__"):
                     private.append(f"{module}:{name}")
     assert private == [], f"cli.py imports private eos names: {private}"
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+def _oracle_csv(header, rows):
+    """CSV text from csv.writer, with floats as repr and None as an empty cell."""
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[cell(v) for v in row] for row in rows])
+    return buffer.getvalue().encode("utf-8")
+
+
+def _affinity_config(tmp_path, section):
+    data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(5).standard_normal((15, 3)))
+    return data_path, _write_config(
+        tmp_path / "cfg.json",
+        {
+            "command": "affinity",
+            "input_path": str(data_path),
+            "output_dir": str(tmp_path / "out"),
+            "affinity": section,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "section", [{"perplexity": 5.0}, {"alpha": 0.8}, {"sigma_sq": 0.4}],
+    ids=["perplexity", "alpha", "sigma_sq"],
+)
+def test_affinity_csv_matches_csv_writer(tmp_path, section):
+    data_path, cfg_path = _affinity_config(tmp_path, section)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    rows = affinity_rows(parse_csv_dataset(data_path), **section)
+    expected = _oracle_csv(
+        ["row_index", "col_index", "value"],
+        [[row.anchor_index, int(j), float(v)]
+         for row in rows for j, v in zip(row.neighbor_indices(), row.values)],
+    )
+    assert (tmp_path / "out" / "affinity.csv").read_bytes() == expected
+
+
+def test_detect_csv_matches_csv_writer(detect_setup):
+    tmp_path, cfg_path, config = detect_setup
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    report = detect(
+        parse_csv_dataset(config["input_path"]), EosConfig(alpha=1.0, seed=3), FlagRule.TOP_K, 4
+    )
+    expected = _oracle_csv(
+        ["index", "weight", "flag"],
+        [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(report.weights, report.flags))],
+    )
+    assert (tmp_path / "out" / "weights.csv").read_bytes() == expected
+
+
+def test_robust_train_csv_matches_csv_writer(tmp_path):
+    cfg_path = _robust_train_config(tmp_path, robust_train={"alpha": 1.0})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    data = parse_csv_dataset(tmp_path / "labeled.csv", label_column="label")
+    result = robust_fit(data, EosConfig(alpha=1.0), 1e-4)
+    expected = _oracle_csv(["index", "weight"], [[i, float(w)] for i, w in enumerate(result.weights)])
+    assert (tmp_path / "out" / "weights.csv").read_bytes() == expected
+
+
+def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
+    out = tmp_path / "out"
+    real = eos.cli.affinity_rows
+    open_during_failure = []
+
+    def failing_rows(*args, **kwargs):
+        rows = real(*args, **kwargs)
+
+        def partway():
+            yield from rows[:5]
+            open_during_failure.extend(p.name for p in out.glob("affinity.csv*.tmp"))
+            raise OSError("disk full")
+
+        return partway()
+
+    monkeypatch.setattr(eos.cli, "affinity_rows", failing_rows)
+    with pytest.raises(OSError, match="disk full"):
+        main(["--config", str(cfg_path), "--quiet"])
+    assert open_during_failure, "the failure should strike while the file is being written"
+    assert sorted(p.name for p in out.iterdir()) == []

@@ -24,6 +24,7 @@ from eos import (
     shannon_entropy,
     w_step,
 )
+from eos.core import SIMPLEX_ATOL, check_weights
 
 from conftest import grid_min_objective, grid_objective, planted_gaussian_2d, simplex_grid
 
@@ -89,6 +90,15 @@ def test_w_step_simplex_closure_adversarial(g_list, alpha):
     assert np.all(w >= 0.0)
     assert abs(float(w.sum()) - 1.0) <= 1e-12
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e298, 1e302])
+def test_w_step_simplex_closure_at_scale(alpha):
+    g = np.random.default_rng(5).uniform(-1e300, 1e300, size=10**6)
+    w = w_step(g, alpha)
+    assert np.all(w >= 0.0)
+    assert abs(float(w.sum()) - 1.0) <= SIMPLEX_ATOL
+    check_weights(w, g.size)
 
 
 @settings(deadline=None)
