@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_alpha, check_errors, w_step
+from .core import _check_alpha, _softmax, check_errors, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 
@@ -105,22 +105,15 @@ def generalized_affinity_row(
     return AffinityRow(anchor_index=anchor_index, values=values, sigma_sq=sigma_sq)
 
 
-# The batched kernels below repeat, per row, the arithmetic of ``w_step`` and
-# ``shannon_entropy`` on one row, so a row's alpha and values do not depend on
-# which other rows share its batch.
+# Rows are weighted by ``core._softmax``, the kernel of ``w_step``.  Only the
+# batched entropy ``_perplexity`` repeats ``shannon_entropy``'s arithmetic, as
+# it sums all rows in one ``np.add.reduceat`` call, not one ``np.sum`` each.
+# A row's alpha and values do not depend on which rows share its batch.
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 _SMALLEST = math.ulp(0.0)
-
-
-def _softmax(shifted: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``w_step`` on each row of errors shifted to a zero minimum, in place."""
-    shifted /= -alpha[:, None]  # equals -shifted / alpha bit for bit
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
 
 
 def _perplexity(w: np.ndarray) -> list[float]:
@@ -182,8 +175,8 @@ def _calibrate(
     lo = np.maximum(spread[active] * 1e-12, _SMALLEST)
     with np.errstate(over="ignore"):
         hi = np.minimum(spread[active] * 1e12, _HUGE)
-    p_lo = _perplexity(_softmax(shifted[active], lo))
-    p_hi = _perplexity(_softmax(shifted[active], hi))
+    p_lo = _perplexity(_softmax(shifted[active], lo[:, None]))
+    p_hi = _perplexity(_softmax(shifted[active], hi[:, None]))
     searching = []
     for k, i in enumerate(active.tolist()):
         achievable = f"achievable range [{p_lo[k]:.6g}, {p_hi[k]:.6g}]"
@@ -200,7 +193,7 @@ def _calibrate(
         else:
             searching.append(k)
     settled = np.setdiff1d(np.arange(n_rows), active[searching])
-    values[settled] = _softmax(shifted[settled], alpha[settled])
+    values[settled] = _softmax(shifted[settled], alpha[settled, None])
     active, lo, hi = active[searching], lo[searching], hi[searching]
     achieved = np.asarray(p_lo)[searching]
 
@@ -208,7 +201,7 @@ def _calibrate(
         if active.size == 0:
             break
         mid = _geometric_mid(lo, hi)
-        w = _softmax(shifted[active], mid)
+        w = _softmax(shifted[active], mid[:, None])
         achieved = np.asarray(_perplexity(w))
         done = np.abs(achieved - target) <= tol
         alpha[active[done]], values[active[done]] = mid[done], w[done]
@@ -286,7 +279,7 @@ def affinity_rows(
     errors -= errors.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
 
     if perplexity is None:
-        values = _softmax(errors, np.full(t, _check_alpha(2.0 * ssq)))
+        values = _softmax(errors, _check_alpha(2.0 * ssq))
         return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=ssq) for i in range(t)]
 
     alphas, values, failures = _calibrate(errors, perplexity, _REL_TOL, _MAX_STEPS)

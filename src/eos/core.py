@@ -11,9 +11,10 @@ over the probability simplex.  The minimizer has the closed form
     w_t = exp(-g_t / alpha) / sum_s exp(-g_s / alpha)
 
 computed here with min-subtraction so arbitrarily large error magnitudes
-cannot overflow (``w_step``).  ``fit`` alternates this update with a
-model-specific weighted parameter update and stops once the objective
-decrease drops below tolerance.
+cannot overflow (``w_step``).  ``fit`` alternates this update with an error
+model's ``step`` and stops once the objective decrease drops below
+tolerance.  The public functions check their inputs and call the unchecked
+kernels ``_softmax`` and ``_wlogw``, which ``fit`` calls directly.
 """
 
 from __future__ import annotations
@@ -115,14 +116,13 @@ class FitResult:
 class ErrorModel(Protocol):
     """Behavioral contract for pluggable error models.
 
-    ``update_theta`` must return parameters that do not increase the
-    weighted error sum(w_t * g_t) beyond a 1e-10 relative slack; this is
-    what guarantees the monotone objective trajectory of ``fit``.
+    ``step`` returns ``(theta, errors)``: the parameters updated for the
+    weights and the per-instance errors g_t under them.  theta must not
+    increase the weighted error sum(w_t * g_t) beyond a 1e-10 relative
+    slack; this is what guarantees the monotone objective trajectory of fit.
     """
 
-    def update_theta(self, dataset: Dataset, weights: np.ndarray) -> Any: ...
-
-    def evaluate(self, dataset: Dataset, theta: Any) -> np.ndarray: ...
+    def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[Any, np.ndarray]: ...
 
 
 def check_weights(weights: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -159,6 +159,23 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _softmax(shifted: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """The w-step of a row (T,) or rows (R, T) of errors shifted to a zero
+    minimum, in place; ``alpha`` is a scalar or an (R, 1) column.  Dividing
+    by -alpha equals negating and then dividing, bit for bit.
+    """
+    shifted /= -alpha
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
+def _wlogw(weights: np.ndarray) -> float:
+    """sum(w*log w) over the positive entries, i.e. with 0*log(0) = 0."""
+    pos = weights > 0
+    return float(np.sum(weights[pos] * np.log(weights[pos])))
+
+
 def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
     """Closed-form entropic weight update.
 
@@ -168,27 +185,19 @@ def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
     the normalization) and keeps the largest exponent at zero.
     """
     g = check_errors(errors)
-    a = _check_alpha(alpha)
-    w = np.exp(-(g - g.min()) / a)
-    return w / w.sum()
+    return _softmax(g - g.min(), _check_alpha(alpha))
 
 
 def objective(errors: np.ndarray, weights: np.ndarray, alpha: float) -> float:
     """Evaluate sum(w*g) + alpha*sum(w*log w), with 0*log(0) = 0."""
     g = check_errors(errors)
     w = check_weights(weights, g.size)
-    a = _check_alpha(alpha)
-    pos = w > 0
-    wlogw = float(np.sum(w[pos] * np.log(w[pos])))
-    return float(w @ g) + a * wlogw
+    return float(w @ g) + _check_alpha(alpha) * _wlogw(w)
 
 
 def shannon_entropy(weights: np.ndarray) -> float:
     """Entropy -sum(w*log w) in nats, in [0, log T]."""
-    w = check_weights(weights)
-    pos = w > 0
-    h = -float(np.sum(w[pos] * np.log(w[pos])))
-    return max(h, 0.0)
+    return max(-_wlogw(check_weights(weights)), 0.0)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -204,17 +213,18 @@ def _initial_weights(n: int, config: EosConfig) -> np.ndarray:
 
 
 def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
-    """Alternate weighted parameter updates with the closed-form w-step.
+    """Alternate the error model's ``step`` with the closed-form w-step.
 
-    Each iteration runs ``model.update_theta`` for the current weights, then
-    ``w_step`` on the fresh errors, and records the objective at that point.
-    Stops when the objective decrease is at most ``config.tol`` (absolute)
-    or after ``config.max_iters`` iterations.
+    Each iteration runs ``model.step`` for the current weights, checks the
+    errors it returns, then runs the w-step on them and records the
+    objective at that point.  Stops when the objective decrease is at most
+    ``config.tol`` (absolute) or after ``config.max_iters`` iterations.
 
-    Raises ``ModelError`` if the parameter update fails (the message names
-    the iteration), ``NumericalError`` if errors or the objective become
-    non-finite, and ``ContractViolationError`` if the objective increases
-    beyond the descent slack, which indicates a broken error model.
+    Raises ``ModelError`` if the step fails (the message names the
+    iteration), ``InvalidInputError`` if it returns no ``(theta, errors)``
+    pair of the right shape, ``NumericalError`` if errors or the objective
+    become non-finite, and ``ContractViolationError`` if the objective
+    increases beyond the descent slack, which indicates a broken model.
     """
     n = dataset.n_instances
     w = _initial_weights(n, config)
@@ -226,20 +236,21 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
 
     for iteration in range(1, config.max_iters + 1):
         try:
-            theta = model.update_theta(dataset, w)
+            stepped = model.step(dataset, w)
         except EosError as exc:
             raise ModelError(f"parameter update failed at iteration {iteration}: {exc}") from exc
-
-        g = np.asarray(model.evaluate(dataset, theta), dtype=float)
+        if not (isinstance(stepped, tuple) and len(stepped) == 2):
+            kind = type(stepped).__name__
+            raise InvalidInputError(f"model.step must return a (theta, errors) pair, got {kind}")
+        theta, g = stepped
+        g = np.asarray(g, dtype=float)
         if g.shape != (n,):
-            raise InvalidInputError(
-                f"error model returned shape {g.shape}, expected ({n},)"
-            )
+            raise InvalidInputError(f"error model returned shape {g.shape}, expected ({n},)")
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"error model produced non-finite errors at iteration {iteration}")
 
-        w = w_step(g, config.alpha)
-        value = objective(g, w, config.alpha)
+        w = _softmax(g - g.min(), config.alpha)
+        value = float(w @ g) + config.alpha * _wlogw(w)
         if not math.isfinite(value):
             raise NumericalError(f"objective became non-finite at iteration {iteration}")
         trajectory.append(value)
@@ -250,7 +261,7 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
         if delta < -(slack + DESCENT_ATOL):
             raise ContractViolationError(
                 f"objective increased by {-delta:.6e} at iteration {iteration}; "
-                "the error model's update_theta violates its descent contract"
+                "the error model's step violates its descent contract"
             )
         previous = value
         if delta <= config.tol:

@@ -1,8 +1,9 @@
 """Concrete error models: multivariate Gaussian and squared Euclidean.
 
-Both satisfy the ``ErrorModel`` contract: ``update_theta`` returns the exact
-minimizer of the weighted error (up to a tiny covariance ridge), so the
-alternating fit is guaranteed to descend.
+Both satisfy the ``ErrorModel`` contract: ``step`` returns the exact
+minimizer of the weighted error (up to a tiny covariance floor) and the
+errors under it, so the alternating fit is guaranteed to descend.  Steps
+take ``fit``'s weights unchecked; the public functions check their inputs.
 """
 
 from __future__ import annotations
@@ -69,29 +70,29 @@ class GaussianParams:
         object.__setattr__(self, "ridge", float(self.ridge))
         # Eigenvalues and eigenvectors of sigma, set on first use; see _whiten.
         object.__setattr__(self, "_spectrum", None)
-        # (dataset, x - mu) left by weighted_gaussian_mle for the first
-        # evaluation; see _whiten.
-        object.__setattr__(self, "_centered", (None, None))
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
 
 
-def _whiten(dataset: Dataset, params: GaussianParams) -> tuple[np.ndarray, float]:
-    """Rows (x - mu) V/sqrt(lambda), whose squared norms are the Mahalanobis
-    distances, and 0.5*log det Sigma = 0.5*sum(log lambda).
-
-    lambda and V are the spectrum ``weighted_gaussian_mle`` chose; any other
-    params are eigendecomposed here on first use.  The first evaluation
-    after ``weighted_gaussian_mle`` takes over the x - mu it built when the
-    dataset is the one it was fitted on, and releases it in any case, so the
-    T x D matrix does not outlive one fit iteration.
-    """
+def _center(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     if dataset.n_features != params.dim:
         raise InvalidInputError(
             f"dataset has {dataset.n_features} features, params expect {params.dim}"
         )
+    return dataset.instances - params.mu
+
+
+def _whiten(centered: np.ndarray, params: GaussianParams) -> tuple[np.ndarray, float]:
+    """Rows (x - mu) V/sqrt(lambda), whose squared norms are the Mahalanobis
+    distances, and 0.5*log det Sigma = 0.5*sum(log lambda).
+
+    ``centered`` is x - mu: centered afresh by the public evaluations, and
+    the matrix the update built in ``GaussianModel.step``.  lambda and V are
+    the spectrum ``_gaussian_update`` chose; any other params are
+    eigendecomposed here on first use.
+    """
     if params._spectrum is None:
         eigenvalues, eigenvectors = np.linalg.eigh(params.sigma)
         if not float(eigenvalues[0]) > 0.0:
@@ -100,17 +101,17 @@ def _whiten(dataset: Dataset, params: GaussianParams) -> tuple[np.ndarray, float
             )
         object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
     eigenvalues, eigenvectors = params._spectrum
-    source, centered = params._centered
-    object.__setattr__(params, "_centered", (None, None))
-    if source is not dataset:
-        centered = dataset.instances - params.mu
     z = centered @ (eigenvectors / np.sqrt(eigenvalues))
     return z, 0.5 * float(np.sum(np.log(eigenvalues)))
 
 
+def _negative_log_likelihood(z: np.ndarray, half_logdet: float) -> np.ndarray:
+    return (half_logdet + 0.5 * np.einsum("ij,ij->i", z, z)) / z.shape[1]
+
+
 def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     """(x - mu)^T Sigma^{-1} (x - mu) per row."""
-    z, _ = _whiten(dataset, params)
+    z, _ = _whiten(_center(dataset, params), params)
     return np.einsum("ij,ij->i", z, z)
 
 
@@ -121,8 +122,7 @@ def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     evaluated through the eigendecomposition of Sigma; the covariance is
     never inverted explicitly.
     """
-    z, half_logdet = _whiten(dataset, params)
-    return (half_logdet + 0.5 * np.einsum("ij,ij->i", z, z)) / params.dim
+    return _negative_log_likelihood(*_whiten(_center(dataset, params), params))
 
 
 def covariance_floor(dataset: Dataset) -> float:
@@ -147,11 +147,12 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     minimizer of the weighted Gaussian error over covariances bounded below
     by the floor, so the update never increases the weighted error even for
     one-hot weights, where the unconstrained problem is unbounded.
-
-    The centered matrix x - mu built here is reused by the first evaluation
-    of the returned params on ``dataset`` (see ``_whiten``).
     """
-    w = check_weights(weights, dataset.n_instances)
+    return _gaussian_update(dataset, check_weights(weights, dataset.n_instances))[0]
+
+
+def _gaussian_update(dataset: Dataset, w: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
+    """``weighted_gaussian_mle`` on unchecked weights; also returns x - mu."""
     x = dataset.instances
     mu = w @ x
     centered = x - mu
@@ -171,18 +172,17 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     # moves floored eigenvalues by rounding, and with it the log-determinant
     # by more than fit's descent slack.
     object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
-    object.__setattr__(params, "_centered", (dataset, centered))
-    return params
+    return params, centered
 
 
 class GaussianModel:
     """Gaussian negative log-likelihood with the weighted-MLE update."""
 
-    def update_theta(self, dataset: Dataset, weights: np.ndarray) -> GaussianParams:
-        return weighted_gaussian_mle(dataset, weights)
-
-    def evaluate(self, dataset: Dataset, theta: GaussianParams) -> np.ndarray:
-        return gaussian_error(dataset, theta)
+    def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
+        params, centered = _gaussian_update(dataset, weights)
+        z, half_logdet = _whiten(centered, params)
+        del centered  # before the row norms: at most two T x D arrays at once
+        return params, _negative_log_likelihood(z, half_logdet)
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:
@@ -201,9 +201,6 @@ def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:
 class SquaredEuclideanModel:
     """Squared-distance error; the weighted mean is the exact update."""
 
-    def update_theta(self, dataset: Dataset, weights: np.ndarray) -> np.ndarray:
-        w = check_weights(weights, dataset.n_instances)
-        return w @ dataset.instances
-
-    def evaluate(self, dataset: Dataset, theta: np.ndarray) -> np.ndarray:
-        return squared_euclidean_error(dataset, theta)
+    def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        center = weights @ dataset.instances
+        return center, squared_euclidean_error(dataset, center)

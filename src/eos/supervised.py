@@ -223,18 +223,19 @@ def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndar
 class ClassifierLossModel:
     """Adapter exposing the weighted classifier as a pluggable error model.
 
-    ``evaluate`` adds the l2 penalty (a weight-independent constant) to each
-    per-sample loss.  Since the weights sum to one, the evaluated weighted
-    error then equals exactly what ``update_theta`` minimizes, which makes
-    the descent contract hold; the weight update itself is unchanged because
-    it is invariant to uniform shifts of the error vector.
+    ``step`` trains the classifier on the weights and returns each
+    per-sample loss plus the l2 penalty (a weight-independent constant).
+    Since the weights sum to one, the weighted error then equals exactly
+    what the training minimizes, which makes the descent contract hold; the
+    weight update itself is unchanged because it is invariant to uniform
+    shifts of the error vector.
 
-    Each update warm-starts the solver from the previous parameters, so the
-    weighted objective never increases between updates by more than the
+    Each step warm-starts the solver from the previous parameters, so the
+    weighted objective never increases between steps by more than the
     rounding noise of its value, even though the solver stops at a finite
-    gradient tolerance.  The warm-start cache makes
-    an instance stateful: use one instance per fit, not across concurrent
-    fits.
+    gradient tolerance.  The warm-start cache makes an instance stateful:
+    use one instance per fit, not across concurrent fits.  The step calls
+    the public, checked trainer: its weight check is cheap next to a solve.
     """
 
     l2_strength: float = 1e-4
@@ -242,16 +243,11 @@ class ClassifierLossModel:
     def __post_init__(self) -> None:
         self._warm: ClassifierParams | None = None
 
-    def update_theta(self, dataset: Dataset, weights: np.ndarray) -> ClassifierParams:
-        params = train_weighted_classifier(
-            dataset, weights, self.l2_strength, initial=self._warm
-        )
+    def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
+        params = train_weighted_classifier(dataset, weights, self.l2_strength, initial=self._warm)
         self._warm = params
-        return params
-
-    def evaluate(self, dataset: Dataset, theta: ClassifierParams) -> np.ndarray:
-        penalty = self.l2_strength * float(theta.coefficients @ theta.coefficients)
-        return classifier_loss_error(dataset, theta) + penalty
+        penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
+        return params, classifier_loss_error(dataset, params) + penalty
 
 
 def robust_fit(dataset: Dataset, config: EosConfig, l2_strength: float = 1e-4) -> FitResult:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eos.core
+import eos.models
 from eos import (
     ContractViolationError,
     Dataset,
@@ -99,6 +101,21 @@ def test_w_step_simplex_closure_at_scale(alpha):
     assert np.all(w >= 0.0)
     assert abs(float(w.sum()) - 1.0) <= SIMPLEX_ATOL
     check_weights(w, g.size)
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e100, 1e200, 1e300])
+def test_w_step_shift_and_temperature_invariance_at_scale(magnitude):
+    rng = np.random.default_rng(8)
+    g = rng.uniform(-1.0, 1.0, size=10**6) * magnitude
+    spread = float(g.max() - g.min())
+    for u in (1e-3, 1.0, 1e3):
+        alpha = spread * u
+        base = w_step(g, alpha)
+        for c in (-0.5 * spread, -0.1 * spread, 0.3 * spread, 0.5 * spread):
+            assert np.abs(w_step(g + c, alpha) - base).max() <= 1e-12
+        scaled = g / alpha
+        if np.all(np.isfinite(scaled)):
+            assert np.abs(w_step(scaled, 1.0) - base).max() <= 1e-12
 
 
 @settings(deadline=None)
@@ -250,21 +267,68 @@ def test_fit_squared_euclidean_model():
     assert result.theta.shape == (3,)
 
 
+@pytest.mark.parametrize(
+    "model, scale",
+    [(SquaredEuclideanModel(), 1.0), (SquaredEuclideanModel(), 1e100),
+     (SquaredEuclideanModel(), 1e150), (GaussianModel(), 1.0)],
+    ids=["sq-1", "sq-1e100", "sq-1e150", "gauss-1"],
+)
+def test_fit_monotone_descent_at_scale(model, scale):
+    rng = np.random.default_rng(9)
+    data = Dataset(rng.normal(size=(10**6, 2)) * scale)
+    # The Gaussian error is scale-free; the squared distances grow as scale^2.
+    alpha = 1.0 if isinstance(model, GaussianModel) else 2.0 * scale**2
+    result = fit(data, model, EosConfig(alpha=alpha, tol=1e-12 * scale**2))
+    traj = result.objective_trajectory
+    assert result.termination is Termination.CONVERGED
+    assert np.all(np.diff(traj) <= 1e-10 * np.abs(traj[:-1]) + 1e-15)
+
+
+@pytest.mark.parametrize("model", [GaussianModel(), SquaredEuclideanModel()],
+                         ids=["gaussian", "squared-euclidean"])
+def test_fit_validates_nothing_inside_its_loop(model, monkeypatch):
+    calls = []
+
+    def counting(name, check):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return wrapped
+
+    for module, name in [(eos.core, "check_weights"), (eos.core, "check_errors"),
+                         (eos.models, "check_weights")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    data, _ = planted_gaussian_2d(seed=3)
+    result = fit(data, model, EosConfig(alpha=1.0))
+    assert result.iterations > 1
+    assert calls == []
+
+
+class _NotAPairModel:
+    def step(self, dataset, weights):
+        return np.zeros(dataset.n_instances)
+
+
+def test_fit_requires_step_to_return_a_pair():
+    data = Dataset(np.zeros((5, 1)))
+    with pytest.raises(InvalidInputError, match=r"\(theta, errors\) pair"):
+        fit(data, _NotAPairModel(), EosConfig(alpha=1.0))
+
+
 class _SabotagedModel:
     """Returns a wildly worse center on the second update."""
 
     def __init__(self):
         self.calls = 0
 
-    def update_theta(self, dataset, weights):
+    def step(self, dataset, weights):
         self.calls += 1
         if self.calls >= 2:
-            return np.full(dataset.n_features, 1e6)
-        return weights @ dataset.instances
-
-    def evaluate(self, dataset, theta):
+            theta = np.full(dataset.n_features, 1e6)
+        else:
+            theta = weights @ dataset.instances
         diff = dataset.instances - theta
-        return np.einsum("ij,ij->i", diff, diff)
+        return theta, np.einsum("ij,ij->i", diff, diff)
 
 
 def test_fit_aborts_on_objective_increase():
@@ -275,11 +339,8 @@ def test_fit_aborts_on_objective_increase():
 
 
 class _FailingModel:
-    def update_theta(self, dataset, weights):
+    def step(self, dataset, weights):
         raise ModelError("synthetic failure")
-
-    def evaluate(self, dataset, theta):  # pragma: no cover - never reached
-        return np.zeros(dataset.n_instances)
 
 
 def test_fit_wraps_model_errors_with_iteration():

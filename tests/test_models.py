@@ -12,6 +12,7 @@ from eos import (
     GaussianParams,
     InvalidInputError,
     ModelError,
+    SquaredEuclideanModel,
     calibrate_alpha,
     fit,
     gaussian_error,
@@ -149,15 +150,37 @@ def test_update_never_increases_weighted_error():
         data = Dataset(rng.normal(size=(50, 3)))
         w = rng.dirichlet(np.ones(50))
         old = GaussianParams(mu=rng.normal(size=3), sigma=_random_spd(rng, 3))
-        before = float(w @ model.evaluate(data, old))
-        after = float(w @ model.evaluate(data, model.update_theta(data, w)))
+        before = float(w @ gaussian_error(data, old))
+        _, errors = model.step(data, w)
+        after = float(w @ errors)
         assert after <= before + 1e-10 * abs(before)
+
+
+def test_gaussian_step_equals_the_public_pair():
+    rng = np.random.default_rng(4)
+    for t, d in [(300, 4), (40, 1), (25, 6)]:
+        data = Dataset(rng.normal(size=(t, d)) @ _random_spd(rng, d))
+        for w in (rng.dirichlet(np.ones(t)), np.eye(t)[3]):  # one-hot weights hit the floor
+            params, errors = GaussianModel().step(data, w)
+            public = weighted_gaussian_mle(data, w)
+            assert np.array_equal(params.mu, public.mu)
+            assert np.array_equal(params.sigma, public.sigma)
+            assert params.ridge == public.ridge
+            assert np.array_equal(errors, gaussian_error(data, public))
+
+
+def test_squared_euclidean_step_equals_the_public_pair():
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.normal(size=(200, 3)) * 1e3)
+    w = rng.dirichlet(np.ones(200))
+    center, errors = SquaredEuclideanModel().step(data, w)
+    assert np.array_equal(center, w @ data.instances)
+    assert np.array_equal(errors, squared_euclidean_error(data, w @ data.instances))
 
 
 @pytest.mark.parametrize("evaluate", [gaussian_error, mahalanobis_squared])
 def test_evaluation_after_update_equals_a_fresh_dataset(evaluate):
-    # The first evaluation on the fitted dataset reuses the update's x - mu;
-    # Dataset(data.instances) is another object, so it centers afresh.
+    # Evaluation centers the dataset it is given, the fitted one or a copy.
     rng = np.random.default_rng(5)
     data = Dataset(rng.normal(size=(300, 4)) @ _random_spd(rng, 4))
     w = rng.dirichlet(np.ones(300))
@@ -175,15 +198,24 @@ def test_update_params_on_another_dataset_match_the_oracle():
     got = gaussian_error(other, params)
     expected = dense_inverse_gaussian_error(other, params.mu, params.sigma)
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
-    # Evaluating elsewhere first releases the update's centered matrix.
+    # Evaluating elsewhere first leaves evaluation on the fitted data as it was.
     assert np.array_equal(gaussian_error(data, params), gaussian_error(Dataset(data.instances), params))
 
 
-def test_fit_result_holds_no_centered_matrix():
+def test_fit_result_theta_holds_no_instance_sized_array():
     rng = np.random.default_rng(7)
     data = Dataset(rng.normal(size=(100, 3)))
     result = fit(data, GaussianModel(), EosConfig(alpha=1.0))
-    assert result.theta._centered == (None, None)
+    held = list(vars(result.theta).values())
+    arrays = []
+    while held:
+        value = held.pop()
+        if isinstance(value, tuple):
+            held.extend(value)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    assert len(arrays) >= 3  # mu, sigma and the spectrum
+    assert all(a.shape[:1] != (data.n_instances,) for a in arrays)
 
 
 def test_floor_variance_computed_once_per_dataset(monkeypatch):

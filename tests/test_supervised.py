@@ -171,6 +171,20 @@ def test_flipped_duplicate_has_larger_loss():
     assert losses[-1] > losses[deep]
 
 
+def test_classifier_step_equals_the_public_pair():
+    rng = np.random.default_rng(16)
+    data = two_gaussian_dataset(150, 3, rng)
+    l2 = 1e-3
+    for w in (np.full(150, 1 / 150), rng.dirichlet(np.ones(150))):
+        # A fresh model, so the step trains from the same cold start.
+        params, errors = ClassifierLossModel(l2_strength=l2).step(data, w)
+        public = train_weighted_classifier(data, w, l2)
+        assert np.array_equal(params.coefficients, public.coefficients)
+        assert params.intercept == public.intercept
+        penalty = l2 * float(public.coefficients @ public.coefficients)
+        assert np.array_equal(errors, classifier_loss_error(data, public) + penalty)
+
+
 # ---------------------------------------------------------------------------
 # flips
 # ---------------------------------------------------------------------------
