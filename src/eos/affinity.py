@@ -142,7 +142,7 @@ def _geometric_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _calibrate(
-    shifted: np.ndarray, target_perplexity: float, rel_tol: float, max_steps: int
+    shifted: np.ndarray, target_perplexity: float
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """Bisect log(alpha) of every row of ``shifted`` (R x n) at once.
 
@@ -156,7 +156,7 @@ def _calibrate(
             f"target perplexity must lie in [1, {n}] for {n} neighbors, got {target_perplexity!r}"
         )
     target = float(target_perplexity)
-    tol = rel_tol * target
+    tol = _REL_TOL * target
     spread = shifted.max(axis=1)
     alpha = np.ones(n_rows)
     values = np.empty_like(shifted)
@@ -197,7 +197,7 @@ def _calibrate(
     active, lo, hi = active[searching], lo[searching], hi[searching]
     achieved = np.asarray(p_lo)[searching]
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if active.size == 0:
             break
         mid = _geometric_mid(lo, hi)
@@ -210,19 +210,13 @@ def _calibrate(
         active, lo, hi, achieved = active[~done], lo[~done], hi[~done], achieved[~done]
     for i, reached in zip(active.tolist(), achieved.tolist()):
         failures[i] = (
-            f"perplexity calibration did not converge in {max_steps} steps "
+            f"perplexity calibration did not converge in {_MAX_STEPS} steps "
             f"(achieved {reached:.6g}, target {target})"
         )
     return alpha, values, failures
 
 
-def calibrate_row_alpha(
-    errors_for_anchor: np.ndarray,
-    target_perplexity: float,
-    *,
-    rel_tol: float = _REL_TOL,
-    max_steps: int = _MAX_STEPS,
-) -> float:
+def calibrate_row_alpha(errors_for_anchor: np.ndarray, target_perplexity: float) -> float:
     """Bisect log(alpha) until exp(row entropy) matches the target perplexity.
 
     The perplexity of a row is non-decreasing in alpha, ranging from the
@@ -230,12 +224,14 @@ def calibrate_row_alpha(
     Targets outside that range raise ``CalibrationError`` naming the
     achievable interval.  The bracket is [spread*1e-12, spread*1e12] for the
     spread max - min of the errors; spreads from 1e-300 to 1e300 calibrate.
+    The bisection stops within a relative 1e-4 of the target, or raises
+    ``CalibrationError`` after 256 steps.
     This is the one-row case of the batched bisection in ``affinity_rows``
     and returns the same alpha as that row there.
     """
     g = check_errors(errors_for_anchor)
     shifted = (g - g.min())[np.newaxis]
-    alphas, _, failures = _calibrate(shifted, target_perplexity, rel_tol, max_steps)
+    alphas, _, failures = _calibrate(shifted, target_perplexity)
     if failures:
         raise CalibrationError(failures[0])
     return float(alphas[0])
@@ -282,7 +278,7 @@ def affinity_rows(
         values = _softmax(errors, _check_alpha(2.0 * ssq))
         return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=ssq) for i in range(t)]
 
-    alphas, values, failures = _calibrate(errors, perplexity, _REL_TOL, _MAX_STEPS)
+    alphas, values, failures = _calibrate(errors, perplexity)
     if failures:
         first = min(failures)
         raise CalibrationError(f"anchor {first}: {failures[first]}")

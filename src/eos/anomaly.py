@@ -159,31 +159,30 @@ def flag_outliers(
     )
 
 
+_BRACKET = (1e-6, 1e6)
+_ESS_TOL = 0.01
+_MAX_STEPS = 100
+
+
 def calibrate_alpha(
-    dataset: Dataset,
-    target_ess_fraction: float,
-    config: EosConfig,
-    *,
-    bracket: tuple[float, float] = (1e-6, 1e6),
-    tol: float = 0.01,
-    max_steps: int = 100,
+    dataset: Dataset, target_ess_fraction: float, config: EosConfig
 ) -> AlphaCalibration:
     """Bisect log(alpha) so the fitted ESS fraction matches the target.
 
     The effective sample size exp(entropy(w)) divided by T is assumed
     non-decreasing in alpha, so a monotone bisection applies; the result's
-    ``monotone`` reports whether the probes bore that out.  If even the
-    bracket endpoints cannot reach the target, the nearer endpoint is
-    returned with ``saturated=True``.  The fit at the returned alpha, an
-    endpoint included, is kept in the result.
+    ``monotone`` reports whether the probes bore that out.  The bisection
+    searches alpha in [1e-6, 1e6] and stops within 0.01 of the target, or
+    raises ``CalibrationError`` after 100 steps.  If even the bracket
+    endpoints cannot reach the target, the nearer endpoint is returned with
+    ``saturated=True``.  The fit at the returned alpha, an endpoint
+    included, is kept in the result.
     """
     if not (0.0 < target_ess_fraction <= 1.0):
         raise InvalidInputError(
             f"target ESS fraction must lie in (0, 1], got {target_ess_fraction!r}"
         )
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise InvalidConfigError(f"invalid bracket {bracket!r}")
+    lo, hi = _BRACKET
     n = dataset.n_instances
     model = GaussianModel()
     path: list[tuple[float, float]] = []
@@ -197,21 +196,21 @@ def calibrate_alpha(
     probed = probe(lo)
     excess = probed.attained_fraction - target_ess_fraction
     if excess >= 0.0:
-        return replace(probed, saturated=excess > tol)
+        return replace(probed, saturated=excess > _ESS_TOL)
     probed = probe(hi)
     shortfall = target_ess_fraction - probed.attained_fraction
     if shortfall >= 0.0:
-        return replace(probed, saturated=shortfall > tol)
+        return replace(probed, saturated=shortfall > _ESS_TOL)
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         probed = probe(math.sqrt(lo * hi))
-        if abs(probed.attained_fraction - target_ess_fraction) <= tol:
+        if abs(probed.attained_fraction - target_ess_fraction) <= _ESS_TOL:
             return probed
         if probed.attained_fraction < target_ess_fraction:
             lo = probed.alpha
         else:
             hi = probed.alpha
     raise CalibrationError(
-        f"ESS calibration did not converge in {max_steps} steps "
+        f"ESS calibration did not converge in {_MAX_STEPS} steps "
         f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"
     )

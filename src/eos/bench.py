@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, w_step
@@ -22,8 +23,6 @@ __all__ = [
     "generate",
     "mahalanobis_chi2_baseline",
     "precision",
-    "ci95",
-    "metric_report",
     "timing_probe_wstep",
     "timing_ratios",
     "run_synth_benchmark",
@@ -112,7 +111,7 @@ class MetricReport:
     ci_high: float
 
 
-def ci95(values: np.ndarray) -> tuple[float, float, float]:
+def _ci95(values: np.ndarray) -> tuple[float, float, float]:
     """Mean and mean +- 1.96 * sample std (n-1 denominator) / sqrt(n)."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -122,14 +121,14 @@ def ci95(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
-def metric_report(name: str, values: list[float | None]) -> MetricReport:
+def _metric_report(name: str, values: list[float | None]) -> MetricReport:
     defined = [v for v in values if v is not None]
     if not defined:
         raise InvalidInputError(f"metric {name!r} has no defined values")
     if len(defined) == 1:
         mean = lo = hi = float(defined[0])
     else:
-        mean, lo, hi = ci95(np.asarray(defined))
+        mean, lo, hi = _ci95(np.asarray(defined))
     return MetricReport(
         metric_name=name,
         per_seed_values=tuple(values),
@@ -137,6 +136,14 @@ def metric_report(name: str, values: list[float | None]) -> MetricReport:
         ci_low=lo,
         ci_high=hi,
     )
+
+
+def _map_in_order(fn: Callable, items: Iterable, max_workers: int) -> list:
+    """``[fn(x) for x in items]``, in a thread pool when ``max_workers > 1``."""
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def precision(flags: np.ndarray, truth: frozenset[int]) -> float | None:
@@ -175,7 +182,8 @@ def mahalanobis_chi2_baseline(
     else:
         params = weighted_gaussian_mle(dataset, np.full(n, 1.0 / n))
         maha = mahalanobis_squared(dataset, params)
-    return maha > chi2.ppf(quantile, d)
+    # The chi2(d) quantile, computed as scipy.stats.chi2.ppf computes it.
+    return maha > 2.0 * gammaincinv(d / 2.0, quantile)
 
 
 def timing_probe_wstep(
@@ -280,15 +288,9 @@ def run_synth_benchmark(
     cfg = config if config is not None else EosConfig(alpha=1.0)
     specs = [replace(spec, seed=spec.seed + i) for i in range(n_seeds)]
 
-    def job(s: SyntheticSpec) -> dict:
-        return _synth_seed_row(s, cfg, ess_target, quantile)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(job, specs))
-    else:
-        rows = [job(s) for s in specs]
-
+    rows = _map_in_order(
+        lambda s: _synth_seed_row(s, cfg, ess_target, quantile), specs, max_workers
+    )
     methods = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust")
-    reports = {m: metric_report(m, [r[m] for r in rows]) for m in methods}
+    reports = {m: _metric_report(m, [r[m] for r in rows]) for m in methods}
     return {"rows": rows, "reports": reports}

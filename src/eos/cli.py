@@ -39,13 +39,7 @@ import numpy as np
 from . import __version__
 from .affinity import affinity_rows
 from .anomaly import FlagRule, calibrate_alpha, detect, flag_outliers
-from .bench import (
-    SyntheticSpec,
-    metric_report,
-    run_synth_benchmark,
-    timing_probe_wstep,
-    timing_ratios,
-)
+from .bench import SyntheticSpec, run_synth_benchmark, timing_probe_wstep, timing_ratios
 from .core import EosConfig, InitPolicy
 from .data import Dataset
 from .dataio import parse_csv_dataset
@@ -57,6 +51,7 @@ from .supervised import (
     predict_proba,
     robust_fit,
     select_alpha,
+    summarize_mislabel,
 )
 
 SCHEMA_VERSION = 1
@@ -439,13 +434,15 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
 
 def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     section = config.mislabel_bench
-    data = _load_input(config, require_labels=True) if config.input_path is not None else None
-    threads = _env_threads()
-
-    per_p: dict[str, dict] = {}
-    lines: list[str] = []
+    experiments: dict[str, MislabelExperimentConfig] = {}
     for p in section.flip_proportions:
-        cfg = MislabelExperimentConfig(
+        key = f"{p:g}"
+        if key in experiments:
+            raise InvalidConfigError(
+                f"mislabel_bench.flip_proportions {experiments[key].flip_proportion!r} and "
+                f"{p!r} are both reported as {key!r}; give distinct proportions"
+            )
+        experiments[key] = MislabelExperimentConfig(
             flip_proportion=p,
             n_splits=section.n_splits,
             train_fraction=section.train_fraction,
@@ -453,29 +450,16 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
             alpha_grid=section.alpha_grid,
             l2_strength=section.l2_strength,
         )
+    data = _load_input(config, require_labels=True) if config.input_path is not None else None
+    threads = _env_threads()
+
+    per_p: dict[str, dict] = {}
+    lines: list[str] = []
+    for key, cfg in experiments.items():
         outcomes = mislabel_experiment(
             cfg, data, task_size=section.task_size, task_dim=section.task_dim, max_workers=threads
         )
-
-        plain = [o.auc_plain for o in outcomes]
-        robust = [o.auc_robust for o in outcomes]
-        wins = sum(1 for o in outcomes if o.auc_robust >= o.auc_plain)
-        suppressed = [
-            o.mean_weight_flipped < o.mean_weight_clean
-            for o in outcomes
-            if o.mean_weight_flipped is not None
-        ]
-        key = f"{p:g}"
-        per_p[key] = {
-            "auc_plain": metric_report("auc_plain", list(plain)),
-            "auc_robust": metric_report("auc_robust", list(robust)),
-            "win_fraction": wins / len(outcomes),
-            "mean_improvement": float(np.mean(np.asarray(robust) - np.asarray(plain))),
-            "suppression_fraction": (
-                sum(suppressed) / len(suppressed) if suppressed else None
-            ),
-            "outcomes": outcomes,
-        }
+        per_p[key] = {**summarize_mislabel(outcomes), "outcomes": outcomes}
         experiment = f"mislabel_p={key}"
         for split, o in enumerate(outcomes):
             for metric in ("auc_plain", "auc_robust", "alpha_selected"):

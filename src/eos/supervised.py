@@ -9,13 +9,12 @@ where randomly flipped labels end up.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
+from .bench import _map_in_order, _metric_report
 from .core import EosConfig, FitResult, Termination, check_weights, fit
 from .data import Dataset
 from .exceptions import (
@@ -36,9 +35,9 @@ __all__ = [
     "auc",
     "MislabelExperimentConfig",
     "SplitOutcome",
-    "two_gaussian_dataset",
     "select_alpha",
     "mislabel_experiment",
+    "summarize_mislabel",
 ]
 
 # Predicted probabilities are clamped into this range before taking logs so
@@ -281,9 +280,10 @@ def inject_label_flips(
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve as the Mann-Whitney rank statistic.
+    """Area under the ROC curve as the Mann-Whitney statistic.
 
-    Ties contribute 1/2 through average ranks.
+    Each (positive, negative) pair counts 1 when the positive scores higher
+    and 1/2 when the two scores tie.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -297,8 +297,11 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise InvalidInputError("both classes must be present to compute AUC")
-    ranks = rankdata(s)
-    u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
+    negatives = np.sort(s[y == 0])
+    positives = s[y == 1]
+    below = np.searchsorted(negatives, positives, side="left")
+    below_or_tied = np.searchsorted(negatives, positives, side="right")
+    u = float(below.sum() + below_or_tied.sum()) / 2.0
     return u / (n_pos * n_neg)
 
 
@@ -354,13 +357,11 @@ class SplitOutcome:
     n_flipped: int
 
 
-def two_gaussian_dataset(
-    n: int, dim: int, rng: np.random.Generator, mean_scale: float = 2.0
-) -> Dataset:
-    """Balanced binary task: two unit-covariance Gaussians at +-mean_scale/sqrt(D)."""
+def _two_gaussian_dataset(n: int, dim: int, rng: np.random.Generator) -> Dataset:
+    """Balanced binary task: two unit-covariance Gaussians at +-2/sqrt(D)."""
     n_pos = n // 2
     n_neg = n - n_pos
-    offset = mean_scale / math.sqrt(dim)
+    offset = 2.0 / math.sqrt(dim)
     x = np.vstack(
         [
             rng.standard_normal((n_neg, dim)) - offset,
@@ -500,14 +501,33 @@ def mislabel_experiment(
     in a thread pool); outcomes are returned in split order so they do not
     depend on scheduling.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits)
 
     def job(child: np.random.SeedSequence) -> SplitOutcome:
         rng = np.random.default_rng(child)
-        data = dataset if dataset is not None else two_gaussian_dataset(task_size, task_dim, rng)
+        data = dataset if dataset is not None else _two_gaussian_dataset(task_size, task_dim, rng)
         return _run_split(data, cfg, rng)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(job, children))
-    return [job(child) for child in children]
+    return _map_in_order(job, np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits), max_workers)
+
+
+def summarize_mislabel(outcomes: list[SplitOutcome]) -> dict:
+    """Score the splits of one flip proportion, robust fit against plain fit.
+
+    Returns the test AUCs of both fits as ``MetricReport``s (``auc_plain``,
+    ``auc_robust``); ``win_fraction``, the share of splits where
+    ``auc_robust >= auc_plain`` (a tie is a win); ``mean_improvement``, the
+    mean of ``auc_robust - auc_plain``; and ``suppression_fraction``, the
+    share of splits with flipped labels whose flipped instances got a lower
+    mean weight than the clean ones, or None when no label was flipped.
+    """
+    plain = [o.auc_plain for o in outcomes]
+    robust = [o.auc_robust for o in outcomes]
+    flipped = [o for o in outcomes if o.mean_weight_flipped is not None]
+    suppressed = sum(o.mean_weight_flipped < o.mean_weight_clean for o in flipped)
+    return {
+        "auc_plain": _metric_report("auc_plain", plain),  # raises when outcomes is empty
+        "auc_robust": _metric_report("auc_robust", robust),
+        "win_fraction": sum(b >= a for a, b in zip(plain, robust)) / len(outcomes),
+        "mean_improvement": float(np.mean(np.asarray(robust) - np.asarray(plain))),
+        "suppression_fraction": suppressed / len(flipped) if flipped else None,
+    }

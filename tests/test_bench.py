@@ -8,15 +8,16 @@ from eos import (
     InvalidConfigError,
     InvalidInputError,
     SyntheticSpec,
-    ci95,
     generate,
     mahalanobis_chi2_baseline,
-    metric_report,
+    mahalanobis_squared,
     precision,
     run_synth_benchmark,
     timing_probe_wstep,
     timing_ratios,
+    weighted_gaussian_mle,
 )
+from eos.bench import _ci95, _metric_report
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,18 @@ def test_baseline_extreme_quantile_flags_nothing():
     assert flags.sum() == 0
 
 
+def test_baseline_threshold_is_the_chi2_quantile():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(9)
+    for d in (1, 3, 10):
+        data = Dataset(rng.standard_normal((400, d)))
+        maha = mahalanobis_squared(data, weighted_gaussian_mle(data, np.full(400, 1 / 400)))
+        for q in (0.5, 0.975, 0.999):
+            expected = maha > chi2.ppf(q, d)
+            assert np.array_equal(mahalanobis_chi2_baseline(data, q), expected)
+
+
 def test_robust_baseline_full_recall_on_default_spec():
     # The robustified variant is immune to the masking that a 5% cluster at
     # 15 sigma induces in the classical MLE estimates.
@@ -129,11 +142,11 @@ def test_precision_permutation_invariant():
 
 
 def test_ci95_zero_variance():
-    assert ci95(np.array([2.5, 2.5, 2.5])) == (2.5, 2.5, 2.5)
+    assert _ci95(np.array([2.5, 2.5, 2.5])) == (2.5, 2.5, 2.5)
 
 
 def test_ci95_hand_computed():
-    mean, low, high = ci95(np.array([0.0, 1.0]))
+    mean, low, high = _ci95(np.array([0.0, 1.0]))
     assert mean == pytest.approx(0.5)
     assert low == pytest.approx(-0.48, abs=1e-12)
     assert high == pytest.approx(1.48, abs=1e-12)
@@ -141,22 +154,22 @@ def test_ci95_hand_computed():
 
 def test_ci95_contains_zero_for_standard_normal_draws():
     values = np.random.default_rng(123).standard_normal(50)
-    _, low, high = ci95(values)
+    _, low, high = _ci95(values)
     assert low <= 0.0 <= high
 
 
 def test_ci95_needs_two_values():
     with pytest.raises(InvalidInputError):
-        ci95(np.array([1.0]))
+        _ci95(np.array([1.0]))
 
 
 def test_metric_report_with_absent_values():
-    report = metric_report("m", [0.5, None, 0.7])
+    report = _metric_report("m", [0.5, None, 0.7])
     assert report.per_seed_values == (0.5, None, 0.7)
     assert report.mean == pytest.approx(0.6)
     assert report.ci_low <= report.mean <= report.ci_high
     with pytest.raises(InvalidInputError):
-        metric_report("m", [None, None])
+        _metric_report("m", [None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,11 +20,14 @@ from eos import (
     EosConfig,
     FlagRule,
     InvalidConfigError,
+    MislabelExperimentConfig,
     affinity_rows,
     calibrate_alpha,
     detect,
+    mislabel_experiment,
     parse_csv_dataset,
     robust_fit,
+    summarize_mislabel,
 )
 
 
@@ -285,11 +291,53 @@ def test_mislabel_bench_per_p_reports(tmp_path):
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     per_p = _report(tmp_path / "out")["results"]["per_p"]
     assert set(per_p) == {"0", "0.2"}
-    for block in per_p.values():
-        assert len(block["auc_plain"]["per_seed_values"]) == 3
-        assert len(block["auc_robust"]["per_seed_values"]) == 3
+    for key, p in (("0", 0.0), ("0.2", 0.2)):
+        cfg = MislabelExperimentConfig(flip_proportion=p, n_splits=3, seed=1)
+        outcomes = mislabel_experiment(cfg, task_size=120, task_dim=3)
+        expected = {**summarize_mislabel(outcomes), "outcomes": outcomes}
+        assert per_p[key] == json.loads(json.dumps(eos.cli._jsonify(expected)))
+        assert len(per_p[key]["auc_plain"]["per_seed_values"]) == 3
     assert per_p["0.2"]["suppression_fraction"] is not None
     assert per_p["0"]["suppression_fraction"] is None
+
+
+def _mislabel_config(tmp_path, flip_proportions):
+    return _write_config(
+        tmp_path / "cfg.json",
+        {
+            "command": "mislabel-bench",
+            "output_dir": str(tmp_path / "out"),
+            "mislabel_bench": {"flip_proportions": flip_proportions, "n_splits": 2,
+                               "task_size": 60, "task_dim": 2},
+        },
+    )
+
+
+def _count_mislabel_experiments(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].flip_proportion)
+        return mislabel_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(eos.cli, "mislabel_experiment", counting)
+    return calls
+
+
+def test_mislabel_bench_rejects_invalid_proportion_before_any_split(tmp_path, monkeypatch, capsys):
+    calls = _count_mislabel_experiments(monkeypatch)
+    assert main(["--config", str(_mislabel_config(tmp_path, [0.1, 0.7])), "--quiet"]) == 2
+    assert calls == []
+    assert "0.7" in capsys.readouterr().err
+
+
+def test_mislabel_bench_rejects_colliding_report_keys(tmp_path, monkeypatch, capsys):
+    calls = _count_mislabel_experiments(monkeypatch)
+    cfg_path = _mislabel_config(tmp_path, [0.1, 0.1000001])
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "0.1" in err and "0.1000001" in err
 
 
 def test_mislabel_bench_on_csv_input(tmp_path):
@@ -412,6 +460,17 @@ def test_eos_threads_env(tmp_path, monkeypatch, command, section):
 
     monkeypatch.setenv("EOS_THREADS", "zero")
     assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "bad")]) == 2
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import and the library needs none of it.
+    code = "import sys, eos.cli; print('scipy.stats' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_imports_no_private_eos_names():

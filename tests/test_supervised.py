@@ -21,11 +21,12 @@ from eos import (
     mislabel_experiment,
     predict_proba,
     robust_fit,
+    SplitOutcome,
+    summarize_mislabel,
     train_weighted_classifier,
-    two_gaussian_dataset,
 )
 
-from eos.supervised import _separation, select_alpha
+from eos.supervised import _separation, _two_gaussian_dataset, select_alpha
 
 from conftest import finite_difference_gradient
 
@@ -114,7 +115,7 @@ def test_newton_step_below_value_resolution_is_taken(seed, split):
     # value-only line search rejected it and stopped at gradient norm
     # 1.2e-8 / 1.3e-8, above grad_tol.
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(split + 1)[split])
-    data = two_gaussian_dataset(400, 5, rng)
+    data = _two_gaussian_dataset(400, 5, rng)
     train = data.subset(rng.permutation(400)[:300])
     corrupted, _ = inject_label_flips(train, 0.3, int(rng.integers(0, 2**63 - 1)))
     plain = train_weighted_classifier(corrupted, np.full(300, 1 / 300), 1e-4)
@@ -127,7 +128,7 @@ def test_newton_step_below_value_resolution_is_taken(seed, split):
 
 def test_nonconvergence_advice_matches_l2_strength():
     rng = np.random.default_rng(5)
-    data = two_gaussian_dataset(60, 2, rng)
+    data = _two_gaussian_dataset(60, 2, rng)
     weights = np.full(60, 1 / 60)
     with pytest.raises(NonConvergenceError) as regularized:
         train_weighted_classifier(data, weights, 1e-4, max_iters=1)
@@ -161,7 +162,7 @@ def test_loss_clamped_at_certainty():
 
 def test_flipped_duplicate_has_larger_loss():
     rng = np.random.default_rng(15)
-    data = two_gaussian_dataset(120, 3, rng)
+    data = _two_gaussian_dataset(120, 3, rng)
     deep = int(np.argmax(data.instances.sum(axis=1) * (2 * data.labels - 1)))
     x = np.vstack([data.instances, data.instances[deep]])
     y = np.concatenate([data.labels, [1 - data.labels[deep]]])
@@ -173,7 +174,7 @@ def test_flipped_duplicate_has_larger_loss():
 
 def test_classifier_step_equals_the_public_pair():
     rng = np.random.default_rng(16)
-    data = two_gaussian_dataset(150, 3, rng)
+    data = _two_gaussian_dataset(150, 3, rng)
     l2 = 1e-3
     for w in (np.full(150, 1 / 150), rng.dirichlet(np.ones(150))):
         # A fresh model, so the step trains from the same cold start.
@@ -191,7 +192,7 @@ def test_classifier_step_equals_the_public_pair():
 
 def test_flip_none_is_identity():
     rng = np.random.default_rng(1)
-    data = two_gaussian_dataset(40, 2, rng)
+    data = _two_gaussian_dataset(40, 2, rng)
     corrupted, flipped = inject_label_flips(data, 0.0, seed=5)
     assert flipped == frozenset()
     assert np.array_equal(corrupted.labels, data.labels)
@@ -199,7 +200,7 @@ def test_flip_none_is_identity():
 
 def test_flip_count_and_uniqueness():
     rng = np.random.default_rng(2)
-    data = two_gaussian_dataset(100, 2, rng)
+    data = _two_gaussian_dataset(100, 2, rng)
     corrupted, flipped = inject_label_flips(data, 0.2, seed=5)
     assert len(flipped) == 20
     assert all(0 <= i < 100 for i in flipped)
@@ -209,7 +210,7 @@ def test_flip_count_and_uniqueness():
 
 def test_flip_determinism():
     rng = np.random.default_rng(2)
-    data = two_gaussian_dataset(60, 2, rng)
+    data = _two_gaussian_dataset(60, 2, rng)
     _, first = inject_label_flips(data, 0.3, seed=77)
     _, second = inject_label_flips(data, 0.3, seed=77)
     assert first == second
@@ -217,7 +218,7 @@ def test_flip_determinism():
 
 def test_flip_validation():
     rng = np.random.default_rng(2)
-    data = two_gaussian_dataset(40, 2, rng)
+    data = _two_gaussian_dataset(40, 2, rng)
     with pytest.raises(InvalidInputError):
         inject_label_flips(data, 0.5, seed=1)
     with pytest.raises(InvalidInputError):
@@ -244,6 +245,18 @@ def test_auc_hand_counted_pairs():
     assert value == pytest.approx(0.75, abs=1e-15)
 
 
+def test_auc_equals_pairwise_count_with_ties():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        scores = rng.integers(0, 4, size=n).astype(float)  # heavy ties
+        labels = np.zeros(n, dtype=int)
+        labels[rng.permutation(n)[: int(rng.integers(1, n))]] = 1
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        pairs = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
+        assert auc(scores, labels) == pairs / (pos.size * neg.size)
+
+
 def test_auc_requires_both_classes():
     with pytest.raises(InvalidInputError):
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
@@ -264,7 +277,7 @@ def test_auc_invariant_under_monotone_transforms():
 
 def test_huge_alpha_reduces_to_plain_training():
     rng = np.random.default_rng(25)
-    data = two_gaussian_dataset(150, 3, rng)
+    data = _two_gaussian_dataset(150, 3, rng)
     result = robust_fit(data, EosConfig(alpha=1e8), l2_strength=1e-4)
     assert np.abs(result.weights - 1.0 / 150).max() < 1e-6
     plain = train_weighted_classifier(data, np.full(150, 1 / 150), 1e-4)
@@ -274,7 +287,7 @@ def test_huge_alpha_reduces_to_plain_training():
 
 def test_flipped_points_get_depressed_weights():
     rng = np.random.default_rng(33)
-    data = two_gaussian_dataset(400, 5, rng)
+    data = _two_gaussian_dataset(400, 5, rng)
     corrupted, flipped = inject_label_flips(data, 0.2, seed=8)
     plain = train_weighted_classifier(corrupted, np.full(400, 1 / 400), 1e-4)
     scale = float(classifier_loss_error(corrupted, plain).mean())
@@ -304,6 +317,32 @@ def test_mislabel_experiment_deterministic():
     assert first == second
 
 
+def test_summarize_mislabel_on_hand_built_outcomes():
+    def outcome(plain, robust, flipped, clean):
+        return SplitOutcome(auc_plain=plain, auc_robust=robust, alpha_selected=1.0,
+                            mean_weight_flipped=flipped, mean_weight_clean=clean,
+                            n_flipped=0 if flipped is None else 3)
+
+    split = [
+        outcome(0.75, 0.75, 0.001, 0.003),  # a tie counts as a win
+        outcome(0.875, 0.75, 0.004, 0.002),
+        outcome(0.5, 0.875, 0.001, 0.003),
+    ]
+    summary = summarize_mislabel(split)
+    assert summary["auc_plain"].per_seed_values == (0.75, 0.875, 0.5)
+    assert summary["auc_robust"].per_seed_values == (0.75, 0.75, 0.875)
+    assert summary["win_fraction"] == 2 / 3
+    assert summary["mean_improvement"] == pytest.approx(0.25 / 3, abs=1e-15)
+    assert summary["suppression_fraction"] == 2 / 3
+
+    unflipped = summarize_mislabel([outcome(0.75, 0.75, None, 0.004)] * 2)
+    assert unflipped["win_fraction"] == 1.0
+    assert unflipped["mean_improvement"] == 0.0
+    assert unflipped["suppression_fraction"] is None
+    with pytest.raises(InvalidInputError):
+        summarize_mislabel([])
+
+
 def test_separation_is_the_binormal_auc_argument():
     scores = np.array([1.0, 3.0, -1.0, 1.0])
     labels = np.array([1, 1, 0, 0])
@@ -317,7 +356,7 @@ def test_separation_is_the_binormal_auc_argument():
 
 def _corrupted_task():
     rng = np.random.default_rng(41)
-    data = two_gaussian_dataset(200, 3, rng)
+    data = _two_gaussian_dataset(200, 3, rng)
     corrupted, _ = inject_label_flips(data, 0.2, seed=6)
     return data, corrupted
 
