@@ -69,14 +69,16 @@ class AlphaCalibration:
     the bracket and ``alpha`` is the nearer bracket endpoint.  ``path``
     holds every probed (alpha, attained fraction) pair in probe order: the
     low end of the bracket, then the high end if probed, then each midpoint.
-    ``fit`` is the fit computed at ``alpha``, reused to flag outliers
-    instead of fitting again.
+    ``probe_fits`` holds each probe's (iterations, termination), in the
+    order of ``path``.  ``fit`` is the fit computed at ``alpha``, reused to
+    flag outliers instead of fitting again.
     """
 
     alpha: float
     attained_fraction: float
     saturated: bool
     path: tuple[tuple[float, float], ...]
+    probe_fits: tuple[tuple[int, Termination], ...]
     fit: FitResult = field(repr=False, compare=False)
 
     @property
@@ -186,12 +188,14 @@ def calibrate_alpha(
     n = dataset.n_instances
     model = GaussianModel()
     path: list[tuple[float, float]] = []
+    probe_fits: list[tuple[int, Termination]] = []
 
     def probe(alpha: float) -> AlphaCalibration:
         result = fit(dataset, model, replace(config, alpha=alpha))
         fraction = effective_sample_size(result.weights) / n
         path.append((alpha, fraction))
-        return AlphaCalibration(alpha, fraction, False, tuple(path), result)
+        probe_fits.append((result.iterations, result.termination))
+        return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
 
     probed = probe(lo)
     excess = probed.attained_fraction - target_ess_fraction

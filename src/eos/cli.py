@@ -334,7 +334,7 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
         "alpha_used": report.alpha_used,
         "calibration": None if calibration is None else {
             key: getattr(calibration, key)
-            for key in ("alpha", "attained_fraction", "saturated", "path", "monotone")
+            for key in ("alpha", "attained_fraction", "saturated", "path", "probe_fits", "monotone")
         },
         "rule": report.rule.value,
         "rule_param": report.rule_param,

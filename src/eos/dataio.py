@@ -1,8 +1,15 @@
-"""CSV ingestion with strict cell-level error reporting."""
+"""CSV ingestion with strict cell-level error reporting.
+
+A file whose every column is a feature is parsed at C speed by
+``np.loadtxt``; any file that parse does not accept whole, and every file
+with a label or dropped column, goes through the row-by-row reader, which
+alone words every ``ParseError``.
+"""
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +49,14 @@ def parse_csv_dataset(
                 raise InvalidConfigError(f"{path}: drop column {name!r} not found in header")
         if label_column is not None and label_column not in header:
             raise InvalidConfigError(f"{path}: label column {label_column!r} not found in header")
+
+        if label_column is None and not drop_columns:
+            values = _load_all_numeric(path, handle, reader.line_num, len(header))
+            if values is not None:
+                return Dataset(values, None, tuple(header))
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
 
         dropped = set(drop_columns)
         feature_cols = [
@@ -84,6 +99,33 @@ def parse_csv_dataset(
     )
 
 
+def _load_all_numeric(
+    path: Path, handle: Iterable[str], header_lines: int, n_columns: int
+) -> np.ndarray | None:
+    """Every cell after the header as one float matrix, or None when the
+    row-by-row reader must decide.
+
+    ``handle`` stands just after the header's ``header_lines`` lines.
+    ``np.loadtxt`` rounds like ``float()``, but it skips blank lines and
+    never looks at the header, so its result counts only when no data line
+    is blank and its shape is (data lines, header columns).
+    """
+    n_lines = 0
+    for line in handle:
+        if not line.strip():
+            return None
+        n_lines += 1
+    if n_lines == 0:
+        return None
+    try:
+        values = np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=header_lines, ndmin=2, encoding="utf-8"
+        )
+    except ValueError:
+        return None
+    return values if values.shape == (n_lines, n_columns) else None
+
+
 def _raise_cell_error(
     path: Path, row: list[str], feature_cols: list[tuple[int, str]], line_no: int
 ) -> None:
@@ -112,15 +154,15 @@ def _parse_label(path: Path, cell: str, label_map: dict[str, int] | None, line_n
             )
         return int(label_map[cell])
     try:
-        value = int(float(cell))
+        value = float(cell)
     except ValueError:
         raise ParseError(
             f"{path}: label value {cell!r} at line {line_no} is not numeric; "
             "provide a label map"
         ) from None
-    if value not in (0, 1):
+    if value != 0.0 and value != 1.0:
         raise ParseError(
             f"{path}: label value {cell!r} at line {line_no} is not 0/1; "
             "provide a label map"
         )
-    return value
+    return int(value)

@@ -4,6 +4,10 @@ Both satisfy the ``ErrorModel`` contract: ``step`` returns the exact
 minimizer of the weighted error (up to a tiny covariance floor) and the
 errors under it, so the alternating fit is guaranteed to descend.  Steps
 take ``fit``'s weights unchecked; the public functions check their inputs.
+
+Every Gaussian pass over the instances runs in cache-sized row blocks: one
+kernel accumulates the weighted moments, one writes the quadratic forms into
+a single T-vector, and no call allocates a T x D array.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class GaussianParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "ridge", float(self.ridge))
-        # Eigenvalues and eigenvectors of sigma, set on first use; see _whiten.
+        # Eigenvalues and eigenvectors of sigma, set on first use; see _spectrum.
         object.__setattr__(self, "_spectrum", None)
 
     @property
@@ -76,21 +80,59 @@ class GaussianParams:
         return self.mu.shape[0]
 
 
-def _center(dataset: Dataset, params: GaussianParams) -> np.ndarray:
-    if dataset.n_features != params.dim:
-        raise InvalidInputError(
-            f"dataset has {dataset.n_features} features, params expect {params.dim}"
-        )
-    return dataset.instances - params.mu
+# Row blocks of about 256 KiB (2**15 float64 cells), so that a block and its
+# temporaries stay in cache.
+_BLOCK_CELLS = 2**15
 
 
-def _whiten(centered: np.ndarray, params: GaussianParams) -> tuple[np.ndarray, float]:
-    """Rows (x - mu) V/sqrt(lambda), whose squared norms are the Mahalanobis
-    distances, and 0.5*log det Sigma = 0.5*sum(log lambda).
+def _centered_blocks(x: np.ndarray, mu: np.ndarray):
+    """Yield (rows, x[rows] - mu) block by block, all in one reused buffer."""
+    t, d = x.shape
+    size = min(t, max(1, _BLOCK_CELLS // d))
+    buffer = np.empty((size, d))
+    for start in range(0, t, size):
+        rows = slice(start, min(start + size, t))
+        yield rows, np.subtract(x[rows], mu, out=buffer[: rows.stop - start])
 
-    ``centered`` is x - mu: centered afresh by the public evaluations, and
-    the matrix the update built in ``GaussianModel.step``.  lambda and V are
-    the spectrum ``_gaussian_update`` chose; any other params are
+
+def _weighted_moments(
+    x: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """mu = w @ x and Sigma = sum_t w_t (x_t-mu)(x_t-mu)^T, one block at a time.
+
+    Also returns x - mu when x is a single block, so the evaluation pass can
+    reuse it; None otherwise.
+    """
+    mu = w @ x
+    sigma = None
+    for rows, centered in _centered_blocks(x, mu):
+        term = (centered * w[rows, None]).T @ centered
+        sigma = term if sigma is None else sigma + term
+    return mu, sigma, centered if len(centered) == len(x) else None
+
+
+def _quadratic_form(
+    x: np.ndarray, params: GaussianParams, centered: np.ndarray | None = None
+) -> np.ndarray:
+    """q_t = ||(x_t - mu) V / sqrt(lambda)||^2, the Mahalanobis distance,
+    written block by block into one T-vector.
+
+    ``centered`` is x - mu when the caller already holds it whole.
+    """
+    eigenvalues, eigenvectors = _spectrum(params)
+    whitener = eigenvectors / np.sqrt(eigenvalues)
+    q = np.empty(x.shape[0])
+    blocks = _centered_blocks(x, params.mu) if centered is None else [(slice(None), centered)]
+    for rows, block in blocks:
+        z = block @ whitener
+        np.einsum("ij,ij->i", z, z, out=q[rows])
+    return q
+
+
+def _spectrum(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lambda and eigenvectors V of sigma.
+
+    These are the spectrum ``_floored_params`` chose; any other params are
     eigendecomposed here on first use.
     """
     if params._spectrum is None:
@@ -100,19 +142,32 @@ def _whiten(centered: np.ndarray, params: GaussianParams) -> tuple[np.ndarray, f
                 f"covariance is not positive definite (smallest eigenvalue {eigenvalues[0]:.6e})"
             )
         object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
-    eigenvalues, eigenvectors = params._spectrum
-    z = centered @ (eigenvectors / np.sqrt(eigenvalues))
-    return z, 0.5 * float(np.sum(np.log(eigenvalues)))
+    return params._spectrum
 
 
-def _negative_log_likelihood(z: np.ndarray, half_logdet: float) -> np.ndarray:
-    return (half_logdet + 0.5 * np.einsum("ij,ij->i", z, z)) / z.shape[1]
+def _negative_log_likelihood(
+    x: np.ndarray, params: GaussianParams, centered: np.ndarray | None = None
+) -> np.ndarray:
+    """g_t = (0.5*log det Sigma + 0.5*q_t) / D, computed in place on the
+    quadratic form q; log det Sigma = sum(log lambda)."""
+    g = _quadratic_form(x, params, centered)
+    g *= 0.5
+    g += 0.5 * float(np.sum(np.log(params._spectrum[0])))
+    g /= x.shape[1]
+    return g
+
+
+def _check_dim(dataset: Dataset, params: GaussianParams) -> None:
+    if dataset.n_features != params.dim:
+        raise InvalidInputError(
+            f"dataset has {dataset.n_features} features, params expect {params.dim}"
+        )
 
 
 def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     """(x - mu)^T Sigma^{-1} (x - mu) per row."""
-    z, _ = _whiten(_center(dataset, params), params)
-    return np.einsum("ij,ij->i", z, z)
+    _check_dim(dataset, params)
+    return _quadratic_form(dataset.instances, params)
 
 
 def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
@@ -122,7 +177,8 @@ def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     evaluated through the eigendecomposition of Sigma; the covariance is
     never inverted explicitly.
     """
-    return _negative_log_likelihood(*_whiten(_center(dataset, params), params))
+    _check_dim(dataset, params)
+    return _negative_log_likelihood(dataset.instances, params)
 
 
 def covariance_floor(dataset: Dataset) -> float:
@@ -148,17 +204,14 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     by the floor, so the update never increases the weighted error even for
     one-hot weights, where the unconstrained problem is unbounded.
     """
-    return _gaussian_update(dataset, check_weights(weights, dataset.n_instances))[0]
+    w = check_weights(weights, dataset.n_instances)
+    mu, sigma, _ = _weighted_moments(dataset.instances, w)
+    return _floored_params(dataset, mu, sigma)
 
 
-def _gaussian_update(dataset: Dataset, w: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
-    """``weighted_gaussian_mle`` on unchecked weights; also returns x - mu."""
-    x = dataset.instances
-    mu = w @ x
-    centered = x - mu
-    sigma = (centered * w[:, None]).T @ centered
+def _floored_params(dataset: Dataset, mu: np.ndarray, sigma: np.ndarray) -> GaussianParams:
+    """Symmetrize sigma and raise its eigenvalues to the dataset's floor."""
     sigma = 0.5 * (sigma + sigma.T)
-
     floor = covariance_floor(dataset)
     ridge = 0.0
     eigenvalues, eigenvectors = np.linalg.eigh(sigma)
@@ -172,17 +225,17 @@ def _gaussian_update(dataset: Dataset, w: np.ndarray) -> tuple[GaussianParams, n
     # moves floored eigenvalues by rounding, and with it the log-determinant
     # by more than fit's descent slack.
     object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
-    return params, centered
+    return params
 
 
 class GaussianModel:
     """Gaussian negative log-likelihood with the weighted-MLE update."""
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
-        params, centered = _gaussian_update(dataset, weights)
-        z, half_logdet = _whiten(centered, params)
-        del centered  # before the row norms: at most two T x D arrays at once
-        return params, _negative_log_likelihood(z, half_logdet)
+        x = dataset.instances
+        mu, sigma, centered = _weighted_moments(x, weights)
+        params = _floored_params(dataset, mu, sigma)
+        return params, _negative_log_likelihood(x, params, centered)
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:

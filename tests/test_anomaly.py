@@ -165,9 +165,11 @@ def test_calibration_records_its_bisection_path():
     assert [alpha for alpha, _ in result.path[:2]] == [1e-6, 1e6]
     assert len(result.path) > 2
     assert result.path[-1] == (result.alpha, result.attained_fraction)
-    for alpha, fraction in result.path:
+    assert len(result.probe_fits) == len(result.path)
+    for (alpha, fraction), probe_fit in zip(result.path, result.probe_fits):
         refit = fit(data, GaussianModel(), replace(config, alpha=alpha))
         assert effective_sample_size(refit.weights) / data.n_instances == fraction
+        assert probe_fit == (refit.iterations, refit.termination)
     assert result.monotone
     at_alpha = fit(data, GaussianModel(), replace(config, alpha=result.alpha))
     assert np.array_equal(result.fit.weights, at_alpha.weights)

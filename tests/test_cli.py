@@ -220,6 +220,7 @@ def test_calibrated_detect_flags_from_the_calibration_fit(
         "attained_fraction": calibration.attained_fraction,
         "saturated": calibration.saturated,
         "path": [list(step) for step in calibration.path],
+        "probe_fits": [[iterations, end.value] for iterations, end in calibration.probe_fits],
         "monotone": calibration.monotone,
     }
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from eos import (
     squared_euclidean_error,
     weighted_gaussian_mle,
 )
+from eos import models
 from eos.models import RIDGE_FACTOR, covariance_floor
 
 from conftest import dense_inverse_gaussian_error, planted_gaussian_2d
@@ -252,3 +254,71 @@ def test_squared_euclidean_dimension_mismatch():
     data = Dataset(np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
         squared_euclidean_error(data, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# row-blocked passes
+# ---------------------------------------------------------------------------
+
+def _block_rows(d):
+    return max(1, models._BLOCK_CELLS // d)
+
+
+@pytest.mark.parametrize("d", [1, 10, 200])
+@pytest.mark.parametrize("extra", ["rows-1", "rows", "rows+1", "3*rows+7"])
+def test_blocked_step_equals_the_public_pair_and_the_oracle(d, extra):
+    rows = _block_rows(d)
+    t = {"rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "3*rows+7": 3 * rows + 7}[extra]
+    rng = np.random.default_rng(d + t)
+    data = Dataset(rng.normal(size=(t, d)) @ _random_spd(rng, d) + 3.0)
+    w = rng.dirichlet(np.ones(t))
+    params, errors = GaussianModel().step(data, w)
+    public = weighted_gaussian_mle(data, w)
+    assert np.array_equal(params.mu, public.mu)
+    assert np.array_equal(params.sigma, public.sigma)
+    assert np.array_equal(errors, gaussian_error(data, public))
+    # The explicit-inverse oracle loses digits with the condition number:
+    # at D = 200 the first three T are below D, so Sigma sits on its floor.
+    rtol = 1e-12 + 1e-15 * np.linalg.cond(params.sigma)
+    expected = dense_inverse_gaussian_error(data, params.mu, params.sigma)
+    assert np.abs(errors - expected).max() <= rtol * np.abs(expected).max()
+    diff = data.instances - params.mu
+    maha = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(params.sigma), diff)
+    assert np.abs(mahalanobis_squared(data, params) - maha).max() <= rtol * maha.max()
+
+
+@pytest.mark.parametrize("d", [1, 10, 200])
+def test_single_block_step_is_the_one_shot_formula(d):
+    t = _block_rows(d)
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(t, d)) @ _random_spd(rng, d)
+    data = Dataset(x)
+    one_hot = np.zeros(t)
+    one_hot[3] = 1.0
+    for w in (rng.dirichlet(np.ones(t)), one_hot):  # one-hot weights hit the floor
+        mu = w @ x
+        centered = x - mu
+        sigma = (centered * w[:, None]).T @ centered
+        sigma = 0.5 * (sigma + sigma.T)
+        eigenvalues, eigenvectors = np.linalg.eigh(sigma)
+        eigenvalues = np.maximum(eigenvalues, covariance_floor(data))
+        z = centered @ (eigenvectors / np.sqrt(eigenvalues))
+        expected = (0.5 * np.sum(np.log(eigenvalues)) + 0.5 * np.einsum("ij,ij->i", z, z)) / d
+        params, errors = GaussianModel().step(data, w)
+        assert np.array_equal(params.mu, mu)
+        assert np.array_equal(errors, expected)
+
+
+def test_step_allocates_no_instance_sized_matrix():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(200_000, 10)))
+    w = rng.dirichlet(np.ones(data.n_instances))
+    model = GaussianModel()
+    model.step(data, w)
+    tracemalloc.start()
+    try:
+        model.step(data, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.instances.nbytes / 4
