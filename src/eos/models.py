@@ -86,45 +86,40 @@ _BLOCK_CELLS = 2**15
 
 
 def _centered_blocks(x: np.ndarray, mu: np.ndarray):
-    """Yield (rows, x[rows] - mu) block by block, all in one reused buffer."""
+    """Yield (rows, x[rows] - mu) block by block, all in one reused buffer.
+
+    A block has at least D rows, so the D x D work of the moments pass is
+    spread over at most T / D blocks however wide x is.
+    """
     t, d = x.shape
-    size = min(t, max(1, _BLOCK_CELLS // d))
+    size = min(t, max(d, _BLOCK_CELLS // d))
     buffer = np.empty((size, d))
     for start in range(0, t, size):
         rows = slice(start, min(start + size, t))
         yield rows, np.subtract(x[rows], mu, out=buffer[: rows.stop - start])
 
 
-def _weighted_moments(
-    x: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """mu = w @ x and Sigma = sum_t w_t (x_t-mu)(x_t-mu)^T, one block at a time.
-
-    Also returns x - mu when x is a single block, so the evaluation pass can
-    reuse it; None otherwise.
-    """
+def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu = w @ x and Sigma = sum_t w_t (x_t-mu)(x_t-mu)^T, one block at a time."""
     mu = w @ x
     sigma = None
     for rows, centered in _centered_blocks(x, mu):
         term = (centered * w[rows, None]).T @ centered
-        sigma = term if sigma is None else sigma + term
-    return mu, sigma, centered if len(centered) == len(x) else None
+        if sigma is None:
+            sigma = term
+        else:
+            sigma += term
+    return mu, sigma
 
 
-def _quadratic_form(
-    x: np.ndarray, params: GaussianParams, centered: np.ndarray | None = None
-) -> np.ndarray:
+def _quadratic_form(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     """q_t = ||(x_t - mu) V / sqrt(lambda)||^2, the Mahalanobis distance,
-    written block by block into one T-vector.
-
-    ``centered`` is x - mu when the caller already holds it whole.
-    """
+    written block by block into one T-vector."""
     eigenvalues, eigenvectors = _spectrum(params)
     whitener = eigenvectors / np.sqrt(eigenvalues)
     q = np.empty(x.shape[0])
-    blocks = _centered_blocks(x, params.mu) if centered is None else [(slice(None), centered)]
-    for rows, block in blocks:
-        z = block @ whitener
+    for rows, centered in _centered_blocks(x, params.mu):
+        z = centered @ whitener
         np.einsum("ij,ij->i", z, z, out=q[rows])
     return q
 
@@ -145,14 +140,12 @@ def _spectrum(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
     return params._spectrum
 
 
-def _negative_log_likelihood(
-    x: np.ndarray, params: GaussianParams, centered: np.ndarray | None = None
-) -> np.ndarray:
+def _negative_log_likelihood(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     """g_t = (0.5*log det Sigma + 0.5*q_t) / D, computed in place on the
     quadratic form q; log det Sigma = sum(log lambda)."""
-    g = _quadratic_form(x, params, centered)
+    g = _quadratic_form(x, params)
     g *= 0.5
-    g += 0.5 * float(np.sum(np.log(params._spectrum[0])))
+    g += 0.5 * float(np.sum(np.log(_spectrum(params)[0])))
     g /= x.shape[1]
     return g
 
@@ -205,7 +198,7 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
     one-hot weights, where the unconstrained problem is unbounded.
     """
     w = check_weights(weights, dataset.n_instances)
-    mu, sigma, _ = _weighted_moments(dataset.instances, w)
+    mu, sigma = _weighted_moments(dataset.instances, w)
     return _floored_params(dataset, mu, sigma)
 
 
@@ -232,10 +225,8 @@ class GaussianModel:
     """Gaussian negative log-likelihood with the weighted-MLE update."""
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
-        x = dataset.instances
-        mu, sigma, centered = _weighted_moments(x, weights)
-        params = _floored_params(dataset, mu, sigma)
-        return params, _negative_log_likelihood(x, params, centered)
+        params = _floored_params(dataset, *_weighted_moments(dataset.instances, weights))
+        return params, _negative_log_likelihood(dataset.instances, params)
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:

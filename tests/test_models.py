@@ -261,7 +261,7 @@ def test_squared_euclidean_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def _block_rows(d):
-    return max(1, models._BLOCK_CELLS // d)
+    return max(d, models._BLOCK_CELLS // d)
 
 
 @pytest.mark.parametrize("d", [1, 10, 200])
