@@ -3,147 +3,25 @@
 Robust instance weighting with a closed-form entropy-regularized weight
 update, an alternating weight/parameter fit, a Gaussian anomaly detector,
 Gaussian-affinity rows, and a label-noise-robust training wrapper.
+
+The public API is every name in the ``__all__`` of the modules below.
 """
 
 __version__ = "0.1.0"
 
-from .affinity import (
-    AffinityRow,
-    affinity_rows,
-    calibrate_row_alpha,
-    gaussian_affinity_row,
-    generalized_affinity_row,
-)
-from .anomaly import (
-    AlphaCalibration,
-    FlagRule,
-    OutlierReport,
-    calibrate_alpha,
-    detect,
-    flag_outliers,
-)
-from .bench import (
-    MetricReport,
-    SyntheticSpec,
-    generate,
-    mahalanobis_chi2_baseline,
-    precision,
-    run_synth_benchmark,
-    timing_probe_wstep,
-    timing_ratios,
-)
-from .core import (
-    EosConfig,
-    ErrorModel,
-    FitResult,
-    InitPolicy,
-    Termination,
-    effective_sample_size,
-    fit,
-    objective,
-    shannon_entropy,
-    w_step,
-)
-from .data import Dataset
-from .dataio import parse_csv_dataset
-from .exceptions import (
-    CalibrationError,
-    ContractViolationError,
-    EosError,
-    InvalidConfigError,
-    InvalidInputError,
-    ModelError,
-    NonConvergenceError,
-    NumericalError,
-    ParseError,
-)
-from .models import (
-    GaussianModel,
-    GaussianParams,
-    SquaredEuclideanModel,
-    gaussian_error,
-    mahalanobis_squared,
-    squared_euclidean_error,
-    weighted_gaussian_mle,
-)
-from .supervised import (
-    ClassifierLossModel,
-    ClassifierParams,
-    MislabelExperimentConfig,
-    SplitOutcome,
-    auc,
-    classifier_loss_error,
-    decision_function,
-    inject_label_flips,
-    mislabel_experiment,
-    predict_proba,
-    robust_fit,
-    select_alpha,
-    summarize_mislabel,
-    train_weighted_classifier,
-)
+from . import affinity, anomaly, bench, core, data, dataio, exceptions, models, supervised
+from .affinity import *
+from .anomaly import *
+from .bench import *
+from .core import *
+from .data import *
+from .dataio import *
+from .exceptions import *
+from .models import *
+from .supervised import *
 
-__all__ = [
-    "__version__",
-    "AffinityRow",
-    "AlphaCalibration",
-    "CalibrationError",
-    "ClassifierLossModel",
-    "ClassifierParams",
-    "ContractViolationError",
-    "Dataset",
-    "EosConfig",
-    "EosError",
-    "ErrorModel",
-    "FitResult",
-    "FlagRule",
-    "GaussianModel",
-    "GaussianParams",
-    "InitPolicy",
-    "InvalidConfigError",
-    "InvalidInputError",
-    "MetricReport",
-    "MislabelExperimentConfig",
-    "ModelError",
-    "NonConvergenceError",
-    "NumericalError",
-    "OutlierReport",
-    "ParseError",
-    "SplitOutcome",
-    "SquaredEuclideanModel",
-    "SyntheticSpec",
-    "Termination",
-    "affinity_rows",
-    "auc",
-    "calibrate_alpha",
-    "calibrate_row_alpha",
-    "classifier_loss_error",
-    "decision_function",
-    "detect",
-    "effective_sample_size",
-    "fit",
-    "flag_outliers",
-    "gaussian_affinity_row",
-    "gaussian_error",
-    "generalized_affinity_row",
-    "generate",
-    "inject_label_flips",
-    "mahalanobis_chi2_baseline",
-    "mahalanobis_squared",
-    "mislabel_experiment",
-    "objective",
-    "parse_csv_dataset",
-    "precision",
-    "predict_proba",
-    "robust_fit",
-    "run_synth_benchmark",
-    "select_alpha",
-    "shannon_entropy",
-    "squared_euclidean_error",
-    "summarize_mislabel",
-    "timing_probe_wstep",
-    "timing_ratios",
-    "train_weighted_classifier",
-    "w_step",
-    "weighted_gaussian_mle",
+__all__ = ["__version__"] + [
+    name
+    for module in (affinity, anomaly, bench, core, data, dataio, exceptions, models, supervised)
+    for name in module.__all__
 ]

@@ -42,8 +42,6 @@ __all__ = [
     "EosConfig",
     "FitResult",
     "ErrorModel",
-    "check_weights",
-    "check_errors",
     "w_step",
     "objective",
     "shannon_entropy",

@@ -9,6 +9,8 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 
+__all__ = ["Dataset"]
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -17,6 +19,8 @@ class Dataset:
     ``labels``, when present, must be binary (0/1) and aligned with the rows.
     Arrays are copied and frozen so a Dataset can be shared across threads,
     and statistics of the instances can be computed once and cached on it.
+    A float64 matrix that is already read-only and owns its data (a fresh
+    array its maker froze) is adopted without that copy.
     """
 
     instances: np.ndarray
@@ -24,7 +28,14 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        x = np.array(self.instances, dtype=float, copy=True)
+        x = self.instances
+        if not (
+            type(x) is np.ndarray
+            and x.dtype == np.float64
+            and x.flags.owndata
+            and not x.flags.writeable
+        ):
+            x = np.array(x, dtype=float, copy=True)
         if x.ndim != 2:
             raise InvalidInputError(
                 f"instances must be a 2-D matrix, got ndim={x.ndim}"
@@ -79,8 +90,11 @@ class Dataset:
         """Row-select a new Dataset (labels follow when present)."""
         idx = np.asarray(indices, dtype=np.intp)
         labels = self.labels[idx] if self.labels is not None else None
-        return Dataset(self.instances[idx], labels, self.feature_names)
+        x = self.instances[idx]
+        x.setflags(write=False)
+        return Dataset(x, labels, self.feature_names)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
-        """Return a copy carrying the given label vector."""
+        """Return a Dataset carrying the given label vector; the frozen
+        instance matrix is shared, not copied."""
         return Dataset(self.instances, labels, self.feature_names)

@@ -1,16 +1,18 @@
 """CSV ingestion with strict cell-level error reporting.
 
-A file whose every column is a feature is parsed at C speed by
-``np.loadtxt``; any file that parse does not accept whole, and every file
-with a label or dropped column, goes through the row-by-row reader, which
-alone words every ``ParseError``.
+Every value comes from one ``np.loadtxt`` pass over the whole file, which
+rounds like ``float()``; label and dropped columns go through converters so
+that each row's cells are still counted.  Only when that pass refuses a file
+does a row-by-row scan read it again, to word the ``ParseError`` with its
+line and column; the scan never returns values.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+import functools
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +35,11 @@ def parse_csv_dataset(
     without a map they must already be 0/1.  Every remaining cell must be a
     non-blank number; violations name the file line and column.
     """
+    for key, value in (label_map or {}).items():
+        if value not in (0, 1):
+            raise InvalidConfigError(
+                f"label map value for {key!r} must be 0 or 1, got {value!r}"
+            )
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -44,19 +51,16 @@ def parse_csv_dataset(
         except StopIteration:
             raise ParseError(f"{path}: file is empty, expected a header row") from None
 
-        for name in drop_columns:
+        selected = [("drop column", name) for name in drop_columns]
+        if label_column is not None:
+            selected.append(("label column", label_column))
+        for kind, name in selected:
             if name not in header:
-                raise InvalidConfigError(f"{path}: drop column {name!r} not found in header")
-        if label_column is not None and label_column not in header:
-            raise InvalidConfigError(f"{path}: label column {label_column!r} not found in header")
-
-        if label_column is None and not drop_columns:
-            values = _load_all_numeric(path, handle, reader.line_num, len(header))
-            if values is not None:
-                return Dataset(values, None, tuple(header))
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
+                raise InvalidConfigError(f"{path}: {kind} {name!r} not found in header")
+            if header.count(name) > 1:
+                raise InvalidConfigError(
+                    f"{path}: {kind} {name!r} names {header.count(name)} columns of the header"
+                )
 
         dropped = set(drop_columns)
         feature_cols = [
@@ -64,85 +68,79 @@ def parse_csv_dataset(
             for i, name in enumerate(header)
             if name not in dropped and name != label_column
         ]
-        feature_idx = [i for i, _ in feature_cols]
         label_idx = header.index(label_column) if label_column is not None else None
 
-        labels: list[int] = []
-        n_rows = 0
-
-        def feature_cells():
-            # One row at a time into np.fromiter: no per-row Python lists
-            # outlive their row.
-            nonlocal n_rows
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
-                    )
-                try:
-                    yield from map(float, [row[i] for i in feature_idx])
-                except ValueError:
-                    _raise_cell_error(path, row, feature_cols, line_no)
-                    raise
-                if label_idx is not None:
-                    labels.append(_parse_label(path, row[label_idx].strip(), label_map, line_no))
-                n_rows += 1
-
-        values = np.fromiter(feature_cells(), dtype=float)
-
-    if n_rows == 0:
-        raise ParseError(f"{path}: no data rows")
-    return Dataset(
-        values.reshape(n_rows, len(feature_cols)),
-        np.asarray(labels, dtype=int) if label_idx is not None else None,
-        tuple(name for _, name in feature_cols),
-    )
-
-
-def _load_all_numeric(
-    path: Path, handle: Iterable[str], header_lines: int, n_columns: int
-) -> np.ndarray | None:
-    """Every cell after the header as one float matrix, or None when the
-    row-by-row reader must decide.
-
-    ``handle`` stands just after the header's ``header_lines`` lines.
-    ``np.loadtxt`` rounds like ``float()``, but it skips blank lines and
-    never looks at the header, so its result counts only when no data line
-    is blank and its shape is (data lines, header columns).
-    """
-    n_lines = 0
-    for line in handle:
-        if not line.strip():
-            return None
-        n_lines += 1
+        # np.loadtxt skips blank lines and never looks at the header, so a
+        # blank data line is refused here and the row count checked below.
+        header_lines = reader.line_num
+        n_lines = 0
+        for line in handle:
+            n_lines += 1
+            if not line.strip():
+                _raise_row_error(
+                    path, header, feature_cols, label_idx, label_map,
+                    f"line {header_lines + n_lines} is blank",
+                )
     if n_lines == 0:
-        return None
+        raise ParseError(f"{path}: no data rows")
+
+    converters = {i: (lambda cell: 0.0) for i, name in enumerate(header) if name in dropped}
+    if label_idx is not None:
+        # Decoded once per distinct cell; a bad label is worded by the row scan.
+        converters[label_idx] = functools.cache(
+            lambda cell: _parse_label(path, cell.strip(), label_map, 0)
+        )
     try:
         values = np.loadtxt(
-            path, delimiter=",", comments=None, skiprows=header_lines, ndmin=2, encoding="utf-8"
+            path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
+            ndmin=2, encoding="utf-8", converters=converters or None,
         )
-    except ValueError:
-        return None
-    return values if values.shape == (n_lines, n_columns) else None
+        if values.shape != (n_lines, len(header)):
+            raise ValueError(
+                f"read {values.shape[0]} rows of {values.shape[1]} cells from {n_lines} data lines"
+            )
+    except ValueError as exc:
+        _raise_row_error(path, header, feature_cols, label_idx, label_map, str(exc))
+
+    labels = values[:, label_idx].astype(np.int64) if label_idx is not None else None
+    if len(feature_cols) < len(header):
+        values = values.take([i for i, _ in feature_cols], axis=1)
+    values.setflags(write=False)
+    return Dataset(values, labels, tuple(name for _, name in feature_cols))
 
 
-def _raise_cell_error(
-    path: Path, row: list[str], feature_cols: list[tuple[int, str]], line_no: int
-) -> None:
-    """Raise the ParseError naming the first feature cell of ``row`` that is
-    blank or not a number."""
-    for col_idx, col_name in feature_cols:
-        cell = row[col_idx].strip()
-        if cell == "":
-            raise ParseError(
-                f"{path}: blank cell at line {line_no}, column {col_name!r}"
-            ) from None
-        try:
-            float(cell)
-        except ValueError:
-            raise ParseError(
-                f"{path}: non-numeric cell {cell!r} at line {line_no}, column {col_name!r}"
-            ) from None
+def _raise_row_error(
+    path: Path,
+    header: list[str],
+    feature_cols: list[tuple[int, str]],
+    label_idx: int | None,
+    label_map: dict[str, int] | None,
+    reason: str,
+) -> NoReturn:
+    """Raise the ParseError naming the first row of ``path`` whose cell count
+    differs from the header's, whose feature cell is blank or not a number,
+    or whose label is invalid; when every row reads, raise it for ``reason``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {line_no} has {len(row)} cells, header has {len(header)}"
+                )
+            for col_idx, col_name in feature_cols:
+                cell = row[col_idx].strip()
+                if cell == "":
+                    raise ParseError(f"{path}: blank cell at line {line_no}, column {col_name!r}")
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell {cell!r} at line {line_no}, column {col_name!r}"
+                    ) from None
+            if label_idx is not None:
+                _parse_label(path, row[label_idx].strip(), label_map, line_no)
+    raise ParseError(f"{path}: {reason}")
 
 
 def _parse_label(path: Path, cell: str, label_map: dict[str, int] | None, line_no: int) -> int:

@@ -1,5 +1,17 @@
 """Exception taxonomy shared by every module in the package."""
 
+__all__ = [
+    "EosError",
+    "InvalidInputError",
+    "InvalidConfigError",
+    "ModelError",
+    "NumericalError",
+    "ContractViolationError",
+    "NonConvergenceError",
+    "CalibrationError",
+    "ParseError",
+]
+
 
 class EosError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,7 +22,6 @@ from .exceptions import InvalidInputError, ModelError
 
 __all__ = [
     "GaussianParams",
-    "covariance_floor",
     "gaussian_error",
     "weighted_gaussian_mle",
     "mahalanobis_squared",

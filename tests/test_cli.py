@@ -417,6 +417,16 @@ def test_robust_train_alpha_selection_honours_eos_max_iters(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonConvergenceError"
 
 
+def test_label_map_value_other_than_zero_or_one_exits_2(tmp_path, capsys):
+    cfg_path = _robust_train_config(
+        tmp_path, csv={"label_column": "label", "label_map": {"0": 0, "1": 5}}
+    )
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InvalidConfigError"
+    assert "label map value for '1' must be 0 or 1, got 5" in error["message"]
+
+
 def test_timing_command(tmp_path):
     cfg_path = _write_config(
         tmp_path / "cfg.json",

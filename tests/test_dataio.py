@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import eos.dataio
 from eos import EosError, InvalidConfigError, InvalidInputError, ParseError, parse_csv_dataset
 
 
@@ -105,6 +107,47 @@ def test_unknown_drop_column_is_config_error(tmp_path):
         parse_csv_dataset(path, drop_columns=("id",))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"label_column": "a"}, "label column 'a' names 2 columns of the header"),
+        ({"drop_columns": ("a",)}, "drop column 'a' names 2 columns of the header"),
+    ],
+    ids=["label", "drop"],
+)
+def test_option_naming_a_repeated_column_is_config_error(tmp_path, kwargs, message):
+    path = _write(tmp_path, "data.csv", "a,a,y\n1,2,0\n3,4,1\n")
+    with pytest.raises(InvalidConfigError, match=message):
+        parse_csv_dataset(path, **kwargs)
+    # A repeated name that no option selects still reads.
+    data = parse_csv_dataset(path, label_column="y")
+    assert data.feature_names == ("a", "a")
+    assert data.instances.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("value", [5, -1, 0.5, "1"])
+def test_label_map_value_other_than_zero_or_one_is_config_error(tmp_path, value):
+    path = _write(tmp_path, "data.csv", "a,label\n1,M\n2,B\n")
+    message = f"label map value for 'M' must be 0 or 1, got {value!r}"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        parse_csv_dataset(path, label_column="label", label_map={"M": value, "B": 0})
+
+
+def test_parse_peak_memory_stays_near_the_matrix(tmp_path):
+    # The parsed matrix is handed to Dataset frozen, so it is not copied again.
+    x = np.random.default_rng(5).standard_normal((20_000, 10))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, x, delimiter=",", header=",".join(f"c{j}" for j in range(10)), comments="")
+    tracemalloc.start()
+    try:
+        data = parse_csv_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.instances, x)
+    assert peak < 1.5 * x.nbytes
+
+
 def test_label_value_outside_map(tmp_path):
     path = _write(tmp_path, "data.csv", "a,label\n1,M\n2,X\n")
     with pytest.raises(ParseError, match="'X'"):
@@ -135,89 +178,111 @@ def test_empty_and_missing_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the whole-file parse against the row-by-row reader
+# the whole-file parse keeps the outcomes of the row-by-row reader
 # ---------------------------------------------------------------------------
 
-def _parse_both_ways(path, monkeypatch):
-    """(outcome of the whole-file parse, outcome of the row-by-row reader,
-    whether the whole-file parse was accepted); an outcome is the Dataset or
-    the EosError raised."""
-    accepted = []
-    load = eos.dataio._load_all_numeric
-
-    def spy(*args):
-        values = load(*args)
-        accepted.append(values is not None)
-        return values
-
-    def outcome():
-        try:
-            return parse_csv_dataset(path)
-        except EosError as exc:
-            return exc
-
-    with monkeypatch.context() as patch:
-        patch.setattr(eos.dataio, "_load_all_numeric", spy)
-        fast = outcome()
-    with monkeypatch.context() as patch:
-        patch.setattr(eos.dataio, "_load_all_numeric", lambda *args: None)
-        rowwise = outcome()
-    return fast, rowwise, accepted == [True]
-
-
-def _assert_same_outcome(fast, rowwise):
-    if isinstance(rowwise, Exception):
-        assert type(fast) is type(rowwise)
-        assert str(fast) == str(rowwise)
-    else:
-        assert fast.instances.tobytes() == rowwise.instances.tobytes()
-        assert fast.instances.shape == rowwise.instances.shape
-        assert fast.feature_names == rowwise.feature_names
-        assert fast.labels is None and rowwise.labels is None
+_MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
 
 
 @pytest.mark.parametrize(
-    "text, accepted",
+    "text, kwargs, expected",
     [
-        ("a,b\n1,2\n\n3,4\n", False),
-        ("a,b\n1,2\n3,4\n\n", False),
-        ("a,b\n# note\n1,2\n", False),
-        ("a,b\n#1,2\n", False),
-        ("a,b\n1_0,2\n", False),
-        ('a,b\n"1.5",2\n', False),
-        ("a,b\n 1.5 ,\t2\n3\t, -4e0 \n", True),
-        ("a,b\r\n1,2\r\n3,4\r\n", True),
-        ("a,b\r1,2\r3,4\r", True),
-        ("a,b\n1,2\n3\n5,6\n", False),
-        ("a,b\n1\n3\n", False),
-        ("a,b\n1,2,\n", False),
-        ("a,b\n1,2\n  \n", False),
-        ("a\n1\n \n", False),
-        ("a,b\n1,2\n3,4", True),
-        ("a,b\n", False),
-        ("a,b", False),
-        ("a,b\nnan,1\n", True),
-        ("a,b\n1,1e400\n", True),
-        ("a,b\n4.9e-324,2.2250738585072014e-308\n1e-310,-5e-324\n", True),
-        ("a,b\n+.5,-1.\n", True),
+        ("a,b\n1,2\n\n3,4\n", {}, (ParseError, "<path>: line 3 has 0 cells, header has 2")),
+        ("a,b\n1,2\n3,4\n\n", {}, (ParseError, "<path>: line 4 has 0 cells, header has 2")),
+        ("a,b\n# note\n1,2\n", {}, (ParseError, "<path>: line 2 has 1 cells, header has 2")),
+        ("a,b\n#1,2\n", {}, (ParseError, "<path>: non-numeric cell '#1' at line 2, column 'a'")),
+        (
+            "a,b\n1_0,2\n", {},
+            (ParseError, "<path>: could not convert string '1_0' to float64 at row 0, column 1."),
+        ),
+        (
+            "a,b\n\u0661\u0662,2\n", {},
+            (
+                ParseError,
+                "<path>: could not convert string '\u0661\u0662' to float64 at row 0, column 1.",
+            ),
+        ),
+        ('a,b\n"1.5",2\n', {}, ([[1.5, 2.0]], None, ("a", "b"))),
+        ("a,b\n 1.5 ,\t2\n3\t, -4e0 \n", {}, ([[1.5, 2.0], [3.0, -4.0]], None, ("a", "b"))),
+        ("a,b\r\n1,2\r\n3,4\r\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None, ("a", "b"))),
+        ("a,b\r1,2\r3,4\r", {}, ([[1.0, 2.0], [3.0, 4.0]], None, ("a", "b"))),
+        ("a,b\n1,2\n3\n5,6\n", {}, (ParseError, "<path>: line 3 has 1 cells, header has 2")),
+        ("a,b\n1\n3\n", {}, (ParseError, "<path>: line 2 has 1 cells, header has 2")),
+        ("a,b\n1,2,\n", {}, (ParseError, "<path>: line 2 has 3 cells, header has 2")),
+        ("a,b\n1,2\n  \n", {}, (ParseError, "<path>: line 3 has 1 cells, header has 2")),
+        ("a\n1\n \n", {}, (ParseError, "<path>: blank cell at line 3, column 'a'")),
+        ("a,b\n1,2\n3,4", {}, ([[1.0, 2.0], [3.0, 4.0]], None, ("a", "b"))),
+        ("a,b\n", {}, (ParseError, "<path>: no data rows")),
+        ("a,b", {}, (ParseError, "<path>: no data rows")),
+        (
+            "a,b\nnan,1\n", {},
+            (InvalidInputError, "instances contain a non-finite entry at row 0, column 0"),
+        ),
+        (
+            "a,b\n1,1e400\n", {},
+            (InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
+        ),
+        (
+            "a,b\n4.9e-324,2.2250738585072014e-308\n1e-310,-5e-324\n", {},
+            ([[5e-324, 2.2250738585072014e-308], [1e-310, -5e-324]], None, ("a", "b")),
+        ),
+        ("a,b\n+.5,-1.\n", {}, ([[0.5, -1.0]], None, ("a", "b"))),
+        ('a,y\n1,"M"\n2,B\n', _MB, ([[1.0], [2.0]], [1, 0], ("a",))),
+        (
+            'a,y\n1,"M,B"\n2,B\n', {"label_column": "y", "label_map": {"M,B": 1, "B": 0}},
+            ([[1.0], [2.0]], [1, 0], ("a",)),
+        ),
+        (
+            "id,a,b\n7,1,2\n8,3\n9,5,6\n", {"drop_columns": ("id",)},
+            (ParseError, "<path>: line 3 has 2 cells, header has 3"),
+        ),
+        (
+            "a,y\n1,0\n2,1\n3,2\n4,0\n", {"label_column": "y"},
+            (ParseError, "<path>: label value '2' at line 4 is not 0/1; provide a label map"),
+        ),
+        (
+            "a,y\n1,M\n2,B\n3,X\n", _MB,
+            (ParseError, "<path>: label value 'X' at line 4 not in label map ['B', 'M']"),
+        ),
+        (
+            "id,a,y\nx1,1,M\nx2,2.5,B\n", {**_MB, "drop_columns": ("id",)},
+            ([[1.0], [2.5]], [1, 0], ("a",)),
+        ),
     ],
     ids=[
-        "blank-middle", "blank-end", "comment-line", "comment-cell", "underscore", "quoted",
-        "padded", "crlf", "bare-cr", "one-short-row", "all-rows-short", "trailing-comma",
-        "whitespace-line", "whitespace-line-one-column", "no-final-newline", "header-only",
-        "header-only-no-newline", "nan", "overflow", "subnormal", "signs-and-points",
+        "blank-middle", "blank-end", "comment-line", "comment-cell", "underscore",
+        "arabic-indic-digits", "quoted", "padded", "crlf", "bare-cr", "one-short-row",
+        "all-rows-short", "trailing-comma", "whitespace-line", "whitespace-line-one-column",
+        "no-final-newline", "header-only", "header-only-no-newline", "nan", "overflow",
+        "subnormal", "signs-and-points", "quoted-label", "quoted-label-with-comma",
+        "short-row-with-dropped-id", "bad-label-after-valid-rows", "label-not-in-map",
+        "non-numeric-dropped-id",
     ],
 )
-def test_whole_file_parse_matches_the_row_reader(tmp_path, monkeypatch, text, accepted):
+def test_whole_file_parse_matches_the_row_reader(tmp_path, text, kwargs, expected):
+    """Each outcome is the one the row-by-row reader gave: bit-identical
+    values, labels and names, or the same error type and message.  The two
+    exceptions are ``underscore`` and ``arabic-indic-digits``: ``float()``
+    reads ``1_0`` and non-ASCII digits, but they are not CSV numbers."""
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast, rowwise, fast_accepted = _parse_both_ways(path, monkeypatch)
-    _assert_same_outcome(fast, rowwise)
-    assert fast_accepted is accepted
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(EosError) as info:
+            parse_csv_dataset(path, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message.replace("<path>", str(path))
+    else:
+        values, labels, names = expected
+        data = parse_csv_dataset(path, **kwargs)
+        assert data.instances.tobytes() == np.array(values).tobytes()
+        assert data.instances.shape == np.shape(values)
+        assert (None if data.labels is None else data.labels.tolist()) == labels
+        assert data.feature_names == names
 
 
 @pytest.mark.parametrize("fmt", ["%.17g", "%.6g", "%e"])
-def test_whole_file_parse_rounds_like_float(tmp_path, monkeypatch, fmt):
+def test_whole_file_parse_rounds_like_float(tmp_path, fmt):
     # Random bit patterns reach every exponent, subnormals included.
     rng = np.random.default_rng(2024)
     bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
@@ -225,8 +290,11 @@ def test_whole_file_parse_rounds_like_float(tmp_path, monkeypatch, fmt):
     lines = [",".join(cells[i : i + 10]) for i in range(0, len(cells), 10)]
     header = ",".join(f"c{j}" for j in range(10))
     path = _write(tmp_path, "floats.csv", header + "\n" + "\n".join(lines) + "\n")
-    fast, rowwise, accepted = _parse_both_ways(path, monkeypatch)
-    assert accepted
     expected = np.array([float(cell) for cell in cells]).reshape(-1, 10)
-    assert fast.instances.tobytes() == expected.tobytes()
-    _assert_same_outcome(fast, rowwise)
+    assert parse_csv_dataset(path).instances.tobytes() == expected.tobytes()
+    # The same cells between an id column and a label column.
+    labeled = [f"r{i},{line},{'MB'[i % 2]}" for i, line in enumerate(lines)]
+    path = _write(tmp_path, "labeled.csv", f"id,{header},y\n" + "\n".join(labeled) + "\n")
+    data = parse_csv_dataset(path, drop_columns=("id",), **_MB)
+    assert data.instances.tobytes() == expected.tobytes()
+    assert data.labels.tolist() == [1 - i % 2 for i in range(len(lines))]
