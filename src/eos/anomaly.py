@@ -174,8 +174,10 @@ def calibrate_alpha(
     The effective sample size exp(entropy(w)) divided by T is assumed
     non-decreasing in alpha, so a monotone bisection applies; the result's
     ``monotone`` reports whether the probes bore that out.  The bisection
-    searches alpha in [1e-6, 1e6] and stops within 0.01 of the target, or
-    raises ``CalibrationError`` after 100 steps.  If even the bracket
+    searches alpha in [1e-6, 1e6] and stops within 0.01 of the target.  It
+    raises ``CalibrationError`` after 100 steps, or as soon as the bracket
+    has closed to two neighbouring floats: the fraction then jumps across
+    the target between them, and no alpha reaches it.  If even the bracket
     endpoints cannot reach the target, the nearer endpoint is returned with
     ``saturated=True``.  The fit at the returned alpha, an endpoint
     included, is kept in the result.
@@ -184,7 +186,6 @@ def calibrate_alpha(
         raise InvalidInputError(
             f"target ESS fraction must lie in (0, 1], got {target_ess_fraction!r}"
         )
-    lo, hi = _BRACKET
     n = dataset.n_instances
     model = GaussianModel()
     path: list[tuple[float, float]] = []
@@ -197,23 +198,31 @@ def calibrate_alpha(
         probe_fits.append((result.iterations, result.termination))
         return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
 
-    probed = probe(lo)
-    excess = probed.attained_fraction - target_ess_fraction
+    low = probe(_BRACKET[0])
+    excess = low.attained_fraction - target_ess_fraction
     if excess >= 0.0:
-        return replace(probed, saturated=excess > _ESS_TOL)
-    probed = probe(hi)
-    shortfall = target_ess_fraction - probed.attained_fraction
+        return replace(low, saturated=excess > _ESS_TOL)
+    high = probe(_BRACKET[1])
+    shortfall = target_ess_fraction - high.attained_fraction
     if shortfall >= 0.0:
-        return replace(probed, saturated=shortfall > _ESS_TOL)
+        return replace(high, saturated=shortfall > _ESS_TOL)
 
     for _ in range(_MAX_STEPS):
-        probed = probe(math.sqrt(lo * hi))
+        alpha = math.sqrt(low.alpha * high.alpha)
+        if alpha in (low.alpha, high.alpha):
+            raise CalibrationError(
+                f"ESS fraction jumps from {low.attained_fraction:.4f} at alpha={low.alpha!r} "
+                f"to {high.attained_fraction:.4f} at alpha={high.alpha!r} with no float between "
+                f"them, so no alpha attains the target {target_ess_fraction} within {_ESS_TOL}; "
+                "choose a target outside that jump"
+            )
+        probed = probe(alpha)
         if abs(probed.attained_fraction - target_ess_fraction) <= _ESS_TOL:
             return probed
         if probed.attained_fraction < target_ess_fraction:
-            lo = probed.alpha
+            low = probed
         else:
-            hi = probed.alpha
+            high = probed
     raise CalibrationError(
         f"ESS calibration did not converge in {_MAX_STEPS} steps "
         f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"

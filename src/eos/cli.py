@@ -28,7 +28,7 @@ import sys
 import tempfile
 import types
 import typing
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -259,6 +259,19 @@ def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
+# Rows of weights.csv formatted per chunk, so that no list of all T rows is made.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _weight_lines(weights: np.ndarray, flags: np.ndarray) -> Iterator[str]:
+    """weights.csv's lines, ``index,repr(weight),flag``, one block of rows per chunk."""
+    for start in range(0, weights.shape[0], _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        yield "".join([f"{i},{w!r},{f:d}\n" for i, w, f in zip(
+            range(start, stop), weights[start:stop].tolist(), flags[start:stop].tolist()
+        )])
+
+
 def _csv_line(*cells) -> str:
     """One CSV line; None is written as an empty cell."""
     return ",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
@@ -322,12 +335,8 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
         report = flag_outliers(
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param
         )
-    _write_csv(
-        out_dir / "weights.csv",
-        ["index", "weight", "flag"],
-        (f"{i},{w!r},{f:d}\n"
-         for i, (w, f) in enumerate(zip(report.weights.tolist(), report.flags.tolist()))),
-    )
+    _write_csv(out_dir / "weights.csv", ["index", "weight", "flag"],
+               _weight_lines(report.weights, report.flags))
     return {
         "T": data.n_instances,
         "D": data.n_features,

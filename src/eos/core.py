@@ -13,8 +13,11 @@ over the probability simplex.  The minimizer has the closed form
 computed here with min-subtraction so arbitrarily large error magnitudes
 cannot overflow (``w_step``).  ``fit`` alternates this update with an error
 model's ``step`` and stops once the objective decrease drops below
-tolerance.  The public functions check their inputs and call the unchecked
-kernels ``_softmax`` and ``_wlogw``, which ``fit`` calls directly.
+tolerance.  The alternation is a fixed-point map on the error vector,
+g -> errors(step(w_step(g))), which ``fit`` accelerates with SQUAREM: any
+real error vector gives valid weights, so extrapolated errors are safe to
+step from.  The public functions check their inputs and call the unchecked
+kernels ``_softmax`` and ``_wlogw``; ``fit`` calls ``_softmax`` directly.
 """
 
 from __future__ import annotations
@@ -98,10 +101,12 @@ class EosConfig:
 class FitResult:
     """Outcome of an alternating fit.
 
-    ``objective_trajectory`` holds the objective after each pair of updates,
-    evaluated at the fresh weights and the parameters they were derived
-    from.  It is non-increasing up to a 1e-10 relative slack; a model that
-    breaks this aborts the fit instead of producing a result.
+    ``objective_trajectory`` holds the objective at each kept point: the
+    fresh weights and the parameters they were derived from.  It is
+    non-increasing up to a 1e-10 relative slack; a model that breaks this
+    aborts the fit instead of producing a result.  ``iterations`` counts the
+    calls of the model's ``step``, dropped proposals of the acceleration
+    included, so it can exceed the trajectory's length.
     """
 
     weights: np.ndarray
@@ -118,6 +123,7 @@ class ErrorModel(Protocol):
     weights and the per-instance errors g_t under them.  theta must not
     increase the weighted error sum(w_t * g_t) beyond a 1e-10 relative
     slack; this is what guarantees the monotone objective trajectory of fit.
+    ``fit`` takes the errors array over and may overwrite it.
     """
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[Any, np.ndarray]: ...
@@ -210,58 +216,126 @@ def _initial_weights(n: int, config: EosConfig) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
 
 
+def _extrapolate(
+    g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, step_max: float
+) -> tuple[np.ndarray, bool]:
+    """SQUAREM's proposal g0 + 2*s*r + s^2*v, written over g0, and whether
+    step_max capped s; r = g1 - g0 and v = g2 - 2*g1 + g0 are built in g0
+    and g1, scaled by their largest magnitude so the norms cannot overflow.
+    r is never zero here: the plain steps that made g1 and g2 both lowered
+    the objective.  A proposal that overflows comes back non-finite.
+    """
+    r = np.subtract(g1, g0, out=g0)
+    v = np.subtract(g2, g1, out=g1)
+    v -= r
+    scale = max(float(r.max()), -float(r.min()), float(v.max()), -float(v.min()))
+    r /= scale
+    v /= scale
+    vv = float(v @ v)
+    ratio = math.sqrt(float(r @ r) / vv) if vv > 0.0 else math.inf
+    s = min(max(ratio, 1.0), step_max)
+    # g0 + 2*s*r + s^2*v is g2 + 2*(s-1)*r + (s^2-1)*v.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r *= 2.0 * (s - 1.0) * scale
+        v *= (s * s - 1.0) * scale
+        r += v
+        r += g2
+    return r, ratio >= step_max
+
+
 def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
-    """Alternate the error model's ``step`` with the closed-form w-step.
+    """Alternate the error model's ``step`` with the closed-form w-step,
+    accelerated by SQUAREM on the error vector (Varadhan and Roland 2008).
 
-    Each iteration runs ``model.step`` for the current weights, checks the
-    errors it returns, then runs the w-step on them and records the
-    objective at that point.  Stops when the objective decrease is at most
-    ``config.tol`` (absolute) or after ``config.max_iters`` iterations.
+    A cycle runs two plain steps, g0 -> g1 -> g2, and then one step from the
+    extrapolated errors g0 + 2*s*r + s^2*v, where r = g1 - g0,
+    v = g2 - 2*g1 + g0 and s = ||r||/||v|| is clamped to [1, step_max].  The
+    proposal's step is kept only if its objective lies strictly below g2's;
+    otherwise, or if that step raises ``ModelError`` or ``NumericalError``,
+    the next cycle starts from g2.  step_max starts at 1, grows fourfold
+    after a kept proposal it capped and shrinks fourfold, never below 1,
+    after a dropped one.  Only errors are extrapolated, never parameters.
 
-    Raises ``ModelError`` if the step fails (the message names the
-    iteration), ``InvalidInputError`` if it returns no ``(theta, errors)``
-    pair of the right shape, ``NumericalError`` if errors or the objective
-    become non-finite, and ``ContractViolationError`` if the objective
-    increases beyond the descent slack, which indicates a broken model.
+    A plain step must not raise the objective beyond the descent slack.  The
+    fit stops when a kept point lowers the objective by at most
+    ``config.tol`` (absolute), or after ``config.max_iters`` calls of
+    ``model.step``.  ``iterations`` counts those calls, dropped proposals
+    included; ``objective_trajectory`` holds the kept points only.
+
+    Raises ``ModelError`` if a plain step fails (the message names the
+    iteration), ``InvalidInputError`` if a step returns no ``(theta, errors)``
+    pair of the right shape, ``NumericalError`` if a plain step's errors or
+    objective become non-finite, and ``ContractViolationError`` if a plain
+    step raises the objective beyond the descent slack, which indicates a
+    broken model.
     """
     n = dataset.n_instances
-    w = _initial_weights(n, config)
-    trajectory: list[float] = []
-    theta: Any = None
-    termination = Termination.MAX_ITERS_REACHED
-    previous = math.inf
+    alpha = config.alpha
     iterations = 0
 
-    for iteration in range(1, config.max_iters + 1):
+    def advance(w: np.ndarray) -> tuple[Any, np.ndarray, np.ndarray, float]:
+        """One model step from w: theta, its errors, their w-step and the objective."""
+        nonlocal iterations
+        iterations += 1
         try:
             stepped = model.step(dataset, w)
         except EosError as exc:
-            raise ModelError(f"parameter update failed at iteration {iteration}: {exc}") from exc
+            raise ModelError(f"parameter update failed at iteration {iterations}: {exc}") from exc
         if not (isinstance(stepped, tuple) and len(stepped) == 2):
             kind = type(stepped).__name__
             raise InvalidInputError(f"model.step must return a (theta, errors) pair, got {kind}")
         theta, g = stepped
-        g = np.asarray(g, dtype=float)
+        # The errors are overwritten by the extrapolation; a read-only array is copied.
+        g = np.require(g, dtype=float, requirements="W")
         if g.shape != (n,):
             raise InvalidInputError(f"error model returned shape {g.shape}, expected ({n},)")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"error model produced non-finite errors at iteration {iteration}")
-
-        w = _softmax(g - g.min(), config.alpha)
-        value = float(w @ g) + config.alpha * _wlogw(w)
+        low = float(g.min())
+        if not (math.isfinite(low) and math.isfinite(float(g.max()))):
+            raise NumericalError(f"error model produced non-finite errors at iteration {iterations}")
+        w = _softmax(g - low, alpha)
+        # min_w L = low - alpha*log(sum exp(-(g - low)/alpha)), and the weight
+        # of the smallest error is exactly 1/sum.
+        value = low + alpha * math.log(float(w.max()))
         if not math.isfinite(value):
-            raise NumericalError(f"objective became non-finite at iteration {iteration}")
-        trajectory.append(value)
-        iterations = iteration
+            raise NumericalError(f"objective became non-finite at iteration {iterations}")
+        return theta, g, w, value
 
-        delta = previous - value
-        slack = DESCENT_RTOL * max(abs(value), 0.0 if math.isinf(previous) else abs(previous))
-        if delta < -(slack + DESCENT_ATOL):
-            raise ContractViolationError(
-                f"objective increased by {-delta:.6e} at iteration {iteration}; "
-                "the error model's step violates its descent contract"
-            )
-        previous = value
+    theta, g, w, value = advance(_initial_weights(n, config))
+    trajectory = [value]
+    cycle = [g]
+    step_max = 1.0
+    termination = Termination.MAX_ITERS_REACHED
+
+    while iterations < config.max_iters:
+        if len(cycle) < 3:
+            theta, g, w, latest = advance(w)
+            slack = DESCENT_RTOL * max(abs(latest), abs(value))
+            if latest - value > slack + DESCENT_ATOL:
+                raise ContractViolationError(
+                    f"objective increased by {latest - value:.6e} at iteration {iterations}; "
+                    "the error model's step violates its descent contract"
+                )
+            cycle.append(g)
+        else:
+            proposal, capped = _extrapolate(*cycle, step_max)
+            cycle = [g]
+            stepped = None
+            low = float(proposal.min())
+            if math.isfinite(low) and math.isfinite(float(proposal.max())):
+                try:
+                    stepped = advance(_softmax(np.subtract(proposal, low, out=proposal), alpha))
+                except (ModelError, NumericalError):
+                    pass
+            del proposal
+            if stepped is None or not stepped[3] < value:
+                step_max = max(1.0, step_max / 4.0)
+                continue
+            if capped:
+                step_max *= 4.0
+            theta, g, w, latest = stepped
+            cycle = [g]
+        trajectory.append(latest)
+        delta, value = value - latest, latest
         if delta <= config.tol:
             termination = Termination.CONVERGED
             break

@@ -11,6 +11,24 @@ from .exceptions import InvalidInputError
 
 __all__ = ["Dataset"]
 
+# Row blocks of about 256 KiB (2**15 float64 cells), so that a block and its
+# temporaries stay in cache.
+_BLOCK_CELLS = 2**15
+
+
+def _centered_blocks(x: np.ndarray, mu: np.ndarray):
+    """Yield (rows, x[rows] - mu) block by block, all in one reused buffer.
+
+    A block has at least D rows, so the D x D work of a moments pass is
+    spread over at most T / D blocks however wide x is.
+    """
+    t, d = x.shape
+    size = min(t, max(d, _BLOCK_CELLS // d))
+    buffer = np.empty((size, d))
+    for start in range(0, t, size):
+        rows = slice(start, min(start + size, t))
+        yield rows, np.subtract(x[rows], mu, out=buffer[: rows.stop - start])
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -83,8 +101,18 @@ class Dataset:
 
     @cached_property
     def mean_variance(self) -> float:
-        """Mean per-coordinate variance of the instances, computed on first use."""
-        return float(self.instances.var(axis=0).mean())
+        """Mean per-coordinate variance of the instances, computed on first use.
+
+        It is ``instances.var(axis=0).mean()`` summed one row block at a
+        time, so no T x D temporary is made; below one block it is that
+        expression bit for bit.
+        """
+        x = self.instances
+        squares = np.zeros(x.shape[1])
+        for _, centered in _centered_blocks(x, x.mean(axis=0)):
+            centered *= centered
+            squares += centered.sum(axis=0)
+        return float((squares / x.shape[0]).mean())
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Row-select a new Dataset (labels follow when present)."""

@@ -133,6 +133,9 @@ def _raise_row_error(
                 if cell == "":
                     raise ParseError(f"{path}: blank cell at line {line_no}, column {col_name!r}")
                 try:
+                    # float() also reads '1_0' and non-ASCII digits; np.loadtxt does not.
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
                     float(cell)
                 except ValueError:
                     raise ParseError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_weights
-from .data import Dataset
+from .data import Dataset, _centered_blocks
 from .exceptions import InvalidInputError, ModelError
 
 __all__ = [
@@ -77,25 +77,6 @@ class GaussianParams:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-
-# Row blocks of about 256 KiB (2**15 float64 cells), so that a block and its
-# temporaries stay in cache.
-_BLOCK_CELLS = 2**15
-
-
-def _centered_blocks(x: np.ndarray, mu: np.ndarray):
-    """Yield (rows, x[rows] - mu) block by block, all in one reused buffer.
-
-    A block has at least D rows, so the D x D work of the moments pass is
-    spread over at most T / D blocks however wide x is.
-    """
-    t, d = x.shape
-    size = min(t, max(d, _BLOCK_CELLS // d))
-    buffer = np.empty((size, d))
-    for start in range(0, t, size):
-        rows = slice(start, min(start + size, t))
-        yield rows, np.subtract(x[rows], mu, out=buffer[: rows.stop - start])
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

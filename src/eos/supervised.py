@@ -232,9 +232,11 @@ class ClassifierLossModel:
     Each step warm-starts the solver from the previous parameters, so the
     weighted objective never increases between steps by more than the
     rounding noise of its value, even though the solver stops at a finite
-    gradient tolerance.  The warm-start cache makes an instance stateful:
-    use one instance per fit, not across concurrent fits.  The step calls
-    the public, checked trainer: its weight check is cheap next to a solve.
+    gradient tolerance.  A step whose warm start the solver cannot leave
+    solves again from zero.  The warm-start cache makes an instance
+    stateful: use one instance per fit, not across concurrent fits.  The
+    step calls the public, checked trainer: its weight check is cheap next
+    to a solve.
     """
 
     l2_strength: float = 1e-4
@@ -243,7 +245,17 @@ class ClassifierLossModel:
         self._warm: ClassifierParams | None = None
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
-        params = train_weighted_classifier(dataset, weights, self.l2_strength, initial=self._warm)
+        try:
+            params = train_weighted_classifier(
+                dataset, weights, self.l2_strength, initial=self._warm
+            )
+        except NonConvergenceError:
+            if self._warm is None:
+                raise
+            # A proposal that fit dropped can leave a warm start fitted to
+            # one-hot weights, where every probability saturates and Newton
+            # cannot move.
+            params = train_weighted_classifier(dataset, weights, self.l2_strength)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
         return params, classifier_loss_error(dataset, params) + penalty

@@ -17,6 +17,7 @@ import eos.anomaly
 import eos.cli
 from eos.cli import RunConfig, main
 from eos import (
+    CalibrationError,
     EosConfig,
     FlagRule,
     InvalidConfigError,
@@ -178,7 +179,7 @@ def test_detect_alpha_override(detect_setup):
 
 @pytest.mark.parametrize(
     "target, identical",
-    [(0.95, False), (1.0, False), (0.5, True)],
+    [(0.90, False), (1.0, False), (0.5, True)],
     ids=["bisection", "high-endpoint", "saturated-low-endpoint"],
 )
 def test_calibrated_detect_flags_from_the_calibration_fit(
@@ -223,6 +224,26 @@ def test_calibrated_detect_flags_from_the_calibration_fit(
         "probe_fits": [[iterations, end.value] for iterations, end in calibration.probe_fits],
         "monotone": calibration.monotone,
     }
+
+
+def test_calibration_across_an_ess_jump_fails_cleanly(detect_setup, capsys):
+    """On this data the fitted ESS fraction jumps from about 0.93 to about 0.98
+    between two neighbouring floats near alpha = 5.2556, so no alpha attains
+    0.95 within 0.01: the bisection stops there instead of repeating alpha."""
+    tmp_path, _, config = detect_setup
+    data = parse_csv_dataset(config["input_path"])
+    with pytest.raises(CalibrationError, match="jumps from") as info:
+        calibrate_alpha(data, 0.95, EosConfig(alpha=1.0, seed=config["seed"]))
+    message = str(info.value)
+    low, high = (float(word.removeprefix("alpha=")) for word in message.split()
+                 if word.startswith("alpha="))
+    assert 5.2 < low < high == np.nextafter(low, np.inf) < 5.3
+
+    config = {**config, "detect": {**config["detect"], "calibrate_ess_fraction": 0.95}}
+    cfg_path = _write_config(tmp_path / "jump.json", config)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "CalibrationError", "message": message}
 
 
 def test_detect_too_few_rows_fails_cleanly(tmp_path, capsys):

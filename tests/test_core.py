@@ -18,10 +18,12 @@ from eos import (
     InvalidConfigError,
     InvalidInputError,
     ModelError,
+    NumericalError,
     SquaredEuclideanModel,
     Termination,
     effective_sample_size,
     fit,
+    gaussian_error,
     objective,
     shannon_entropy,
     w_step,
@@ -302,6 +304,116 @@ def test_fit_validates_nothing_inside_its_loop(model, monkeypatch):
     result = fit(data, model, EosConfig(alpha=1.0))
     assert result.iterations > 1
     assert calls == []
+
+
+def _plain_alternation(data, model, config):
+    """The unaccelerated fit, as an oracle: alternate ``step`` with the
+    w-step from uniform weights until the objective falls by at most
+    ``config.tol``.  Returns the final weights, objective and step calls."""
+    w = np.full(data.n_instances, 1.0 / data.n_instances)
+    previous = math.inf
+    for calls in range(1, config.max_iters + 1):
+        _, g = model.step(data, w)
+        w = w_step(g, config.alpha)
+        value = objective(g, w, config.alpha)
+        if previous - value <= config.tol:
+            break
+        previous = value
+    return w, value, calls
+
+
+class _CountingModel:
+    """The Gaussian model, counting its step calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def step(self, dataset, weights):
+        self.calls += 1
+        return GaussianModel().step(dataset, weights)
+
+
+@pytest.mark.parametrize("seed, alpha", [(3, 1.0), (5, 1.0), (7, 3.0), (5, 3.0), (11, 10.0)])
+def test_accelerated_fit_beats_plain_alternation(seed, alpha):
+    """Where the plain alternation needs 12 to 31 steps, the accelerated fit
+    needs fewer and ends no higher (up to the rounding of equal points)."""
+    data, _ = planted_gaussian_2d(seed=seed)
+    config = EosConfig(alpha=alpha)
+    _, plain_value, plain_calls = _plain_alternation(data, GaussianModel(), config)
+    model = _CountingModel()
+    result = fit(data, model, config)
+    assert result.termination is Termination.CONVERGED
+    assert result.iterations == model.calls < plain_calls
+    g = gaussian_error(data, result.theta)
+    assert objective(g, result.weights, alpha) <= plain_value + 1e-15 * abs(plain_value)
+    assert len(result.objective_trajectory) <= result.iterations
+
+
+class _FailingProposalModel:
+    """The Gaussian model, except that every proposal's step fails: it
+    raises, returns a non-finite error, or returns errors one unit worse.
+
+    A cycle of ``fit`` is two plain steps and one step from the
+    extrapolated errors, so the proposals are calls 4, 7, 10, ...
+    """
+
+    def __init__(self, failure):
+        self.calls = 0
+        self.failures = 0
+        self.failure = failure
+
+    def step(self, dataset, weights):
+        self.calls += 1
+        theta, g = GaussianModel().step(dataset, weights)
+        if self.calls > 1 and self.calls % 3 == 1:
+            self.failures += 1
+            if self.failure == "raise":
+                raise ModelError("synthetic failure of a proposal")
+            if self.failure == "worse":
+                g += 1.0
+            else:
+                g[0] = math.nan
+        return theta, g
+
+
+@pytest.mark.parametrize("failure", ["raise", "non-finite", "worse"])
+def test_fit_falls_back_to_plain_steps_when_proposals_fail(failure):
+    data, _ = planted_gaussian_2d(seed=3)
+    config = EosConfig(alpha=1.0)
+    plain_w, _, plain_calls = _plain_alternation(data, GaussianModel(), config)
+    model = _FailingProposalModel(failure)
+    result = fit(data, model, config)
+    assert result.termination is Termination.CONVERGED
+    assert model.failures >= 1
+    assert result.iterations == model.calls
+    # Every proposal was dropped, so the kept points are the plain alternation's.
+    traj = result.objective_trajectory
+    assert np.all(np.diff(traj) <= 1e-10 * np.abs(traj[:-1]) + 1e-15)
+    assert len(traj) == result.iterations - model.failures
+    assert len(traj) == plain_calls
+    np.testing.assert_allclose(result.weights, plain_w, rtol=1e-9)
+
+
+def test_an_overflowing_proposal_is_non_finite_and_silent():
+    # ||r|| / ||v|| = 1e9, so s = step_max = 1e8 and 2*(s-1)*r overflows.
+    g0 = np.array([0.0, 0.0])
+    g1 = np.array([1e300, 0.0])
+    g2 = np.array([2e300 - 1e291, 0.0])
+    proposal, capped = eos.core._extrapolate(g0, g1, g2, step_max=1e8)
+    assert capped
+    assert not np.all(np.isfinite(proposal))
+
+
+def test_a_plain_step_failure_is_not_a_dropped_proposal():
+    class FailsOnThirdCall(_FailingProposalModel):
+        def step(self, dataset, weights):
+            if self.calls == 2:
+                raise NumericalError("synthetic failure of a plain step")
+            return super().step(dataset, weights)
+
+    data, _ = planted_gaussian_2d(seed=3)
+    with pytest.raises(ModelError, match="iteration 3"):
+        fit(data, FailsOnThirdCall("raise"), EosConfig(alpha=1.0))
 
 
 class _NotAPairModel:

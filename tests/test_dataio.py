@@ -191,16 +191,10 @@ _MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
         ("a,b\n1,2\n3,4\n\n", {}, (ParseError, "<path>: line 4 has 0 cells, header has 2")),
         ("a,b\n# note\n1,2\n", {}, (ParseError, "<path>: line 2 has 1 cells, header has 2")),
         ("a,b\n#1,2\n", {}, (ParseError, "<path>: non-numeric cell '#1' at line 2, column 'a'")),
-        (
-            "a,b\n1_0,2\n", {},
-            (ParseError, "<path>: could not convert string '1_0' to float64 at row 0, column 1."),
-        ),
+        ("a,b\n1_0,2\n", {}, (ParseError, "<path>: non-numeric cell '1_0' at line 2, column 'a'")),
         (
             "a,b\n\u0661\u0662,2\n", {},
-            (
-                ParseError,
-                "<path>: could not convert string '\u0661\u0662' to float64 at row 0, column 1.",
-            ),
+            (ParseError, "<path>: non-numeric cell '\u0661\u0662' at line 2, column 'a'"),
         ),
         ('a,b\n"1.5",2\n', {}, ([[1.5, 2.0]], None, ("a", "b"))),
         ("a,b\n 1.5 ,\t2\n3\t, -4e0 \n", {}, ([[1.5, 2.0], [3.0, -4.0]], None, ("a", "b"))),
@@ -263,7 +257,8 @@ def test_whole_file_parse_matches_the_row_reader(tmp_path, text, kwargs, expecte
     """Each outcome is the one the row-by-row reader gave: bit-identical
     values, labels and names, or the same error type and message.  The two
     exceptions are ``underscore`` and ``arabic-indic-digits``: ``float()``
-    reads ``1_0`` and non-ASCII digits, but they are not CSV numbers."""
+    reads ``1_0`` and non-ASCII digits, but they are not CSV numbers, so
+    they are refused as non-numeric cells."""
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     if isinstance(expected[0], type):

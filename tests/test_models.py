@@ -21,7 +21,7 @@ from eos import (
     squared_euclidean_error,
     weighted_gaussian_mle,
 )
-from eos import models
+from eos import data as eos_data, models
 from eos.models import RIDGE_FACTOR, covariance_floor
 
 from conftest import dense_inverse_gaussian_error, planted_gaussian_2d
@@ -261,7 +261,7 @@ def test_squared_euclidean_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def _block_rows(d):
-    return max(d, models._BLOCK_CELLS // d)
+    return max(d, eos_data._BLOCK_CELLS // d)
 
 
 @pytest.mark.parametrize("d", [1, 10, 200])

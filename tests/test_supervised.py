@@ -186,6 +186,26 @@ def test_classifier_step_equals_the_public_pair():
         assert np.array_equal(errors, classifier_loss_error(data, public) + penalty)
 
 
+def test_classifier_step_recovers_from_a_saturated_warm_start():
+    """A step on one-hot weights, such as a proposal of fit's acceleration
+    that fit then drops, can leave a warm start that saturates every
+    probability, from which Newton cannot move; the next step solves from zero."""
+    rng = np.random.default_rng(19)
+    data = _two_gaussian_dataset(150, 3, rng)
+    uniform = np.full(150, 1 / 150)
+    one_hot = np.zeros(150)
+    one_hot[5] = 1.0
+    model = ClassifierLossModel(l2_strength=1e-4)
+    model.step(data, uniform)
+    saturated, _ = model.step(data, one_hot)
+    with pytest.raises(NonConvergenceError):
+        train_weighted_classifier(data, uniform, 1e-4, initial=saturated)
+    params, _ = model.step(data, uniform)
+    cold = train_weighted_classifier(data, uniform, 1e-4)
+    assert np.array_equal(params.coefficients, cold.coefficients)
+    assert params.intercept == cold.intercept
+
+
 # ---------------------------------------------------------------------------
 # flips
 # ---------------------------------------------------------------------------
@@ -366,13 +386,19 @@ def test_select_alpha_skips_unconverged_fits():
     cfg = MislabelExperimentConfig(flip_proportion=0.2, alpha_grid=(0.1, 10.0))
     plain, _, _ = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength)
     scale = float(classifier_loss_error(corrupted, plain).mean())
-    small = robust_fit(corrupted, EosConfig(alpha=0.1 * scale, max_iters=15), l2_strength=1e-4)
-    large = robust_fit(corrupted, EosConfig(alpha=10.0 * scale, max_iters=15), l2_strength=1e-4)
+    # The cap lets the large-alpha fit converge and stops the small one.
+    uncapped = [robust_fit(corrupted, EosConfig(alpha=f * scale), l2_strength=1e-4)
+                for f in cfg.alpha_grid]
+    assert all(r.termination is Termination.CONVERGED for r in uncapped)
+    assert uncapped[0].iterations > uncapped[1].iterations
+    cap = uncapped[1].iterations
+    small = robust_fit(corrupted, EosConfig(alpha=0.1 * scale, max_iters=cap), l2_strength=1e-4)
+    large = robust_fit(corrupted, EosConfig(alpha=10.0 * scale, max_iters=cap), l2_strength=1e-4)
     assert small.termination is Termination.MAX_ITERS_REACHED
     assert large.termination is Termination.CONVERGED
 
     _, alpha, result = select_alpha(
-        corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=15
+        corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=cap
     )
     assert alpha == pytest.approx(10.0 * scale, rel=1e-12)
     assert result.termination is Termination.CONVERGED
