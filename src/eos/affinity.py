@@ -9,10 +9,12 @@ with sigma^2 = alpha / 2.  The same update applied to arbitrary per-pair
 error values yields affinities for non-Euclidean costs.  The self pair
 (i, i) is excluded from every row.
 
-Perplexity mode picks each anchor's alpha by bisection, as in the
-per-point perplexity search of t-SNE (van der Maaten 2014).  All rows are
-calibrated together: each bisection step evaluates every row still
-searching in one batch.  Error spreads from 1e-300 to 1e300 are supported.
+Perplexity mode picks each anchor's alpha so that exp(entropy) of its row
+hits the target, the per-point search of SNE and t-SNE (Hinton and Roweis
+2002; van der Maaten and Hinton 2008), here by safeguarded Newton steps on
+log(alpha).  All rows are calibrated together: each step evaluates every
+row still searching in one batch.  Error spreads from 1e-300 to 1e300 are
+supported.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_alpha, _softmax, check_errors, w_step
+from .core import _check_alpha, _checked_errors, _softmax, check_errors, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 
@@ -105,46 +107,50 @@ def generalized_affinity_row(
     return AffinityRow(anchor_index=anchor_index, values=values, sigma_sq=sigma_sq)
 
 
-# Rows are weighted by ``core._softmax``, the kernel of ``w_step``.  Only the
-# batched entropy ``_perplexity`` repeats ``shannon_entropy``'s arithmetic, as
-# it sums all rows in one ``np.add.reduceat`` call, not one ``np.sum`` each.
-# A row's alpha and values do not depend on which rows share its batch.
+# Each row's log(alpha) is found by Newton's method inside the bracket
+# [spread*1e-12, spread*1e12] (Numerical Recipes' rtsafe): H rises with alpha,
+# and dH/dlog(alpha) is the weighted variance of g/alpha.  A step bisects the
+# log-bracket instead when the Newton point leaves the open bracket, or when
+# it is longer than half the step before the last, so a stalling Newton
+# sequence falls back to bisection.  Every reduction runs along a row, so a
+# row's alpha and values do not depend on which rows share its batch.
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
-_TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 _SMALLEST = math.ulp(0.0)
 
 
-def _perplexity(w: np.ndarray) -> list[float]:
-    """exp(``shannon_entropy``) of each row of ``w``."""
-    pos = w > 0
-    wp = w[pos]
-    terms = np.log(wp)
-    terms *= wp
-    del wp
-    counts = pos.sum(axis=1)
-    first = np.cumsum(counts) - counts
-    # np.sum adds a vector to 0.0, while reduceat starts each segment from its
-    # first element; a leading zero per row makes the two sums bit-identical.
-    terms = np.insert(terms, first, 0.0)
-    sums = np.add.reduceat(terms, first + np.arange(first.size))
-    return [math.exp(max(-s, 0.0)) for s in sums.tolist()]
+def _entropy_pass(rows: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The w-step, entropy H and dH/dlog(alpha) of each row of ``rows``
+    (R x n, errors shifted to a zero minimum) at the (R, 1) column ``alpha``.
 
-
-def _geometric_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        prod = lo * hi
-    # lo*hi overflows for spreads above about 1e154 and underflows below
-    # about 1e-154; only there are the square roots taken first.
-    normal = (prod >= _TINY) & (prod <= _HUGE)
-    return np.where(normal, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi))
+    ``rows`` is overwritten with u = g/alpha.  w = exp(-u)/S with
+    S = sum(exp(-u)) equals ``_softmax`` bit for bit, as dividing by -alpha is
+    exact negation.  H = log(S) + w.u and dH/dlog(alpha) = Var_w(u); u lies in
+    [0, spread/alpha], so neither overflows.  The dot products are summed
+    with ``np.sum``: ``einsum`` buffers rows longer than 8192, and then sums a
+    row differently when it shares a batch.
+    """
+    u = rows
+    u /= alpha
+    w = np.negative(u)
+    np.exp(w, out=w)
+    total = w.sum(axis=1)
+    w /= total[:, None]
+    terms = w * u
+    mean = terms.sum(axis=1)
+    entropy = np.log(total) + mean
+    np.subtract(u, mean[:, None], out=terms)
+    terms *= terms
+    terms *= w
+    return w, entropy, terms.sum(axis=1)
 
 
 def _calibrate(
     shifted: np.ndarray, target_perplexity: float
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Bisect log(alpha) of every row of ``shifted`` (R x n) at once.
+    """Find log(alpha) of every row of ``shifted`` (R x n) at once by
+    safeguarded Newton.
 
     Each row holds finite errors shifted to a zero minimum.  Returns each
     row's alpha, the row's w-step at that alpha, and the rows that cannot be
@@ -157,6 +163,7 @@ def _calibrate(
         )
     target = float(target_perplexity)
     tol = _REL_TOL * target
+    log_target = math.log(target)
     spread = shifted.max(axis=1)
     alpha = np.ones(n_rows)
     values = np.empty_like(shifted)
@@ -175,8 +182,8 @@ def _calibrate(
     lo = np.maximum(spread[active] * 1e-12, _SMALLEST)
     with np.errstate(over="ignore"):
         hi = np.minimum(spread[active] * 1e12, _HUGE)
-    p_lo = _perplexity(_softmax(shifted[active], lo[:, None]))
-    p_hi = _perplexity(_softmax(shifted[active], hi[:, None]))
+    p_lo = np.exp(_entropy_pass(shifted[active], lo[:, None])[1]).tolist()
+    p_hi = np.exp(_entropy_pass(shifted[active], hi[:, None])[1]).tolist()
     searching = []
     for k, i in enumerate(active.tolist()):
         achievable = f"achievable range [{p_lo[k]:.6g}, {p_hi[k]:.6g}]"
@@ -197,17 +204,33 @@ def _calibrate(
     active, lo, hi = active[searching], lo[searching], hi[searching]
     achieved = np.asarray(p_lo)[searching]
 
+    # Start from half the target-th smallest error, where about target
+    # neighbors carry weight; a start outside the open bracket bisects it.
+    kth = min(int(target), n) - 1
+    start = np.partition(shifted[active], kth, axis=1)[:, kth] / 2.0
+    log_lo, log_hi = np.log(lo), np.log(hi)
+    with np.errstate(divide="ignore"):
+        x = np.where((start > lo) & (start < hi), np.log(start), 0.5 * (log_lo + log_hi))
+    last = before = log_hi - log_lo
     for _ in range(_MAX_STEPS):
         if active.size == 0:
             break
-        mid = _geometric_mid(lo, hi)
-        w = _softmax(shifted[active], mid[:, None])
-        achieved = np.asarray(_perplexity(w))
+        a = np.exp(x)
+        w, entropy, slope = _entropy_pass(shifted[active], a[:, None])
+        achieved = np.exp(entropy)
         done = np.abs(achieved - target) <= tol
-        alpha[active[done]], values[active[done]] = mid[done], w[done]
-        below = achieved < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        active, lo, hi, achieved = active[~done], lo[~done], hi[~done], achieved[~done]
+        alpha[active[done]], values[active[done]] = a[done], w[done]
+        below = entropy < log_target
+        log_lo, log_hi = np.where(below, x, log_lo), np.where(below, log_hi, x)
+        with np.errstate(all="ignore"):  # a zero slope gives no Newton point
+            step = (log_target - entropy) / slope
+            newton = (x + step > log_lo) & (x + step < log_hi) & (np.abs(step) <= 0.5 * before)
+        following = np.where(newton, x + step, 0.5 * (log_lo + log_hi))
+        before, last = last, np.abs(following - x)
+        keep = ~done
+        active, x, log_lo, log_hi, before, last, achieved = (
+            v[keep] for v in (active, following, log_lo, log_hi, before, last, achieved)
+        )
     for i, reached in zip(active.tolist(), achieved.tolist()):
         failures[i] = (
             f"perplexity calibration did not converge in {_MAX_STEPS} steps "
@@ -217,20 +240,21 @@ def _calibrate(
 
 
 def calibrate_row_alpha(errors_for_anchor: np.ndarray, target_perplexity: float) -> float:
-    """Bisect log(alpha) until exp(row entropy) matches the target perplexity.
+    """Solve for alpha at which exp(row entropy) matches the target perplexity.
 
     The perplexity of a row is non-decreasing in alpha, ranging from the
     multiplicity of the smallest error up to the number of neighbors.
     Targets outside that range raise ``CalibrationError`` naming the
     achievable interval.  The bracket is [spread*1e-12, spread*1e12] for the
     spread max - min of the errors; spreads from 1e-300 to 1e300 calibrate.
-    The bisection stops within a relative 1e-4 of the target, or raises
+    Newton steps on log(alpha), bisecting the bracket whenever a step would
+    leave it or stalls, stop within a relative 1e-4 of the target, or raise
     ``CalibrationError`` after 256 steps.
-    This is the one-row case of the batched bisection in ``affinity_rows``
-    and returns the same alpha as that row there.
+    This is the one-row case of the batched search in ``affinity_rows`` and
+    returns the same alpha as that row there.
     """
-    g = check_errors(errors_for_anchor)
-    shifted = (g - g.min())[np.newaxis]
+    g, low = _checked_errors(errors_for_anchor)
+    shifted = (g - low)[np.newaxis]
     alphas, _, failures = _calibrate(shifted, target_perplexity)
     if failures:
         raise CalibrationError(failures[0])
@@ -248,7 +272,7 @@ def affinity_rows(
 
     ``sigma_sq`` or ``alpha`` fix a shared bandwidth (alpha = 2*sigma_sq);
     ``perplexity`` calibrates alpha per anchor, all rows in one batched
-    bisection.  Each row equals ``gaussian_affinity_row`` or
+    safeguarded-Newton search.  Each row equals ``gaussian_affinity_row`` or
     ``generalized_affinity_row`` at ``calibrate_row_alpha`` of that row, bit
     for bit.  A row that cannot be calibrated raises ``CalibrationError``
     naming the lowest such anchor.
@@ -269,7 +293,8 @@ def affinity_rows(
     errors = np.empty((t, t - 1))
     for i in range(t):
         errors[i] = _squared_distances_from(dataset, i)
-    finite = np.isfinite(errors).all(axis=1)
+    # Squared distances are >= 0, so a row is finite when its maximum is.
+    finite = np.isfinite(errors.max(axis=1))
     if not finite.all():
         check_errors(errors[np.argmin(finite)])  # raises, naming the entry
     errors -= errors.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0

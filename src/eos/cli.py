@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .affinity import affinity_rows
+from .affinity import AffinityRow, affinity_rows
 from .anomaly import FlagRule, calibrate_alpha, detect, flag_outliers
 from .bench import SyntheticSpec, run_synth_benchmark, timing_probe_wstep, timing_ratios
 from .core import EosConfig, InitPolicy
@@ -272,6 +272,18 @@ def _weight_lines(weights: np.ndarray, flags: np.ndarray) -> Iterator[str]:
         )])
 
 
+def _affinity_lines(rows: Iterable[AffinityRow], t: int) -> Iterator[str]:
+    """affinity.csv's lines, ``anchor,neighbor,repr(value)``, one anchor per chunk.
+
+    Each anchor's chunk is one ``%`` template of cached cells; ``%r`` is ``repr``.
+    """
+    cells = [f"{j},%r\n" for j in range(t)]
+    for row in rows:
+        i = row.anchor_index
+        prefix = f"{i},"
+        yield (prefix + prefix.join(cells[:i] + cells[i + 1:])) % tuple(row.values.tolist())
+
+
 def _csv_line(*cells) -> str:
     """One CSV line; None is written as an empty cell."""
     return ",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
@@ -361,13 +373,8 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     rows = affinity_rows(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
-    _write_csv(
-        out_dir / "affinity.csv",
-        ["row_index", "col_index", "value"],
-        ("".join([f"{row.anchor_index},{j},{v!r}\n"
-                  for j, v in zip(row.neighbor_indices().tolist(), row.values.tolist())])
-         for row in rows),
-    )
+    _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
+               _affinity_lines(rows, data.n_instances))
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None

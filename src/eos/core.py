@@ -146,15 +146,23 @@ def check_weights(weights: np.ndarray, n: int | None = None) -> np.ndarray:
     return w
 
 
-def check_errors(errors: np.ndarray) -> np.ndarray:
-    """Validate an error vector: 1-D, non-empty, every entry finite."""
+def _checked_errors(errors: np.ndarray) -> tuple[np.ndarray, float]:
+    """``check_errors``, also returning the smallest error, which the
+    finiteness test reads anyway."""
     g = np.asarray(errors, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise InvalidInputError(f"errors must be a non-empty 1-D vector, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    low = float(g.min())
+    # NaN propagates through min and max, so finite extremes clear every entry.
+    if not (math.isfinite(low) and math.isfinite(float(g.max()))):
         bad = int(np.flatnonzero(~np.isfinite(g))[0])
         raise InvalidInputError(f"errors contain a non-finite entry at index {bad}")
-    return g
+    return g, low
+
+
+def check_errors(errors: np.ndarray) -> np.ndarray:
+    """Validate an error vector: 1-D, non-empty, every entry finite."""
+    return _checked_errors(errors)[0]
 
 
 def _check_alpha(alpha: float) -> float:
@@ -188,8 +196,8 @@ def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
     exponentiating, which leaves the result unchanged (the shift cancels in
     the normalization) and keeps the largest exponent at zero.
     """
-    g = check_errors(errors)
-    return _softmax(g - g.min(), _check_alpha(alpha))
+    g, low = _checked_errors(errors)
+    return _softmax(g - low, _check_alpha(alpha))
 
 
 def objective(errors: np.ndarray, weights: np.ndarray, alpha: float) -> float:

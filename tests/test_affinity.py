@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import eos.affinity
 from eos import (
     CalibrationError,
     Dataset,
@@ -18,7 +19,6 @@ from eos import (
     squared_euclidean_error,
     w_step,
 )
-from eos.affinity import _perplexity
 
 from conftest import grid_objective, simplex_grid
 
@@ -211,15 +211,42 @@ def test_affinity_rows_equal_single_row_results_bit_for_bit():
             assert np.array_equal(by_alpha[i].values, fixed.values)
 
 
-def test_batched_perplexity_sums_each_row_like_shannon_entropy():
-    # Small alphas underflow most weights to 0, which shannon_entropy skips;
-    # the batched sum must group the remaining terms exactly as it does.
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_entropy_pass_matches_w_step_and_shannon_entropy(scale):
+    # Small alphas underflow most weights to 0; the closed-form entropy must
+    # still match the w log w sum, and the weights the w-step, bit for bit.
+    # Rows longer than 8192 must also come out the same alone as in a batch.
     rng = np.random.default_rng(41)
-    for n in (1, 7, 130, 999):
-        errors = rng.uniform(0.0, 50.0, size=(20, n))
-        w = np.vstack([w_step(e, a) for e, a in zip(errors, 10.0 ** rng.uniform(-2, 2, 20))])
-        expected = [math.exp(shannon_entropy(row)) for row in w]
-        assert _perplexity(w) == expected
+    for n in (1, 7, 130, 999, 9000):
+        errors = rng.uniform(0.0, 50.0, size=(20, n)) * scale
+        alphas = 10.0 ** rng.uniform(-2, 2, 20) * scale
+        shifted = errors - errors.min(axis=1, keepdims=True)
+        w, entropy, slope = eos.affinity._entropy_pass(shifted.copy(), alphas[:, None])
+        for k in range(20):
+            assert np.array_equal(w[k], w_step(errors[k], alphas[k]))
+            expected = shannon_entropy(w[k])
+            assert abs(entropy[k] - expected) <= 1e-10 * max(1.0, expected)
+            alone = eos.affinity._entropy_pass(shifted[k:k + 1], alphas[k:k + 1, None])
+            assert (alone[1][0], alone[2][0]) == (entropy[k], slope[k])
+        assert np.all(slope >= 0.0)
+
+
+def test_perplexity_search_takes_few_steps_per_row(monkeypatch):
+    # Bisection needed 22.5 row evaluations per row here; the two bracket
+    # endpoints count towards the 8.
+    data = Dataset(np.random.default_rng(5).standard_normal((1000, 10)))
+    real = eos.affinity._entropy_pass
+    evaluated = []
+
+    def counting(rows, alpha):
+        evaluated.append(rows.shape[0])
+        return real(rows, alpha)
+
+    monkeypatch.setattr(eos.affinity, "_entropy_pass", counting)
+    rows = affinity_rows(data, perplexity=30.0)
+    assert sum(evaluated) <= 8 * 1000
+    for row in rows:
+        assert math.exp(shannon_entropy(row.values)) == pytest.approx(30.0, rel=1e-4)
 
 
 def test_affinity_rows_calibration_error_names_the_anchor():
