@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EosConfig, FitResult, Termination, effective_sample_size, fit
+from .core import EosConfig, FitResult, Termination, effective_sample_size, fit, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams, gaussian_error
@@ -67,11 +67,13 @@ class AlphaCalibration:
 
     ``saturated`` is the warning flag: the target was unattainable inside
     the bracket and ``alpha`` is the nearer bracket endpoint.  ``path``
-    holds every probed (alpha, attained fraction) pair in probe order: the
-    low end of the bracket, then the high end if probed, then each midpoint.
-    ``probe_fits`` holds each probe's (iterations, termination), in the
-    order of ``path``.  ``fit`` is the fit computed at ``alpha``, reused to
-    flag outliers instead of fitting again.
+    holds every probed (alpha, attained fraction) pair in probe order.  The
+    probes are nodes of the bisection, its first midpoint first: the nodes
+    that decided the result, the returned alpha among them, not every node
+    the bisection passed.  ``probe_fits`` holds each probe's
+    (iterations, termination), in the order of ``path``.  ``fit`` is the
+    fit computed at ``alpha``, reused to flag outliers instead of fitting
+    again.
     """
 
     alpha: float
@@ -87,7 +89,8 @@ class AlphaCalibration:
 
         The bisection assumes the ESS fraction of the fitted weights is
         non-decreasing in alpha.  That holds for a fixed theta, not in
-        general, so it is checked along the path.
+        general, so it is checked along the path.  Only the probes are
+        checked: nodes the search settled without a fit are not.
         """
         fractions = [fraction for _, fraction in sorted(self.path)]
         return all(a <= b for a, b in zip(fractions, fractions[1:]))
@@ -165,65 +168,157 @@ _BRACKET = (1e-6, 1e6)
 _ESS_TOL = 0.01
 _MAX_STEPS = 100
 
+# Verdicts at a node of the bisection: raise the low end, stop, or lower the
+# high end.  An endpoint that does not stop leaves the bracket as it is.
+_LOW, _STOP, _HIGH = -1, 0, 1
+
+
+def _probe(dataset: Dataset, config: EosConfig) -> tuple[float, FitResult]:
+    """One cold Gaussian fit at ``config.alpha`` and its ESS fraction."""
+    result = fit(dataset, GaussianModel(), config)
+    return effective_sample_size(result.weights) / dataset.n_instances, result
+
 
 def calibrate_alpha(
     dataset: Dataset, target_ess_fraction: float, config: EosConfig
 ) -> AlphaCalibration:
     """Bisect log(alpha) so the fitted ESS fraction matches the target.
 
+    The bisection searches alpha in [1e-6, 1e6] and stops within 0.01 of the
+    target.  It raises ``CalibrationError`` after 100 steps, or as soon as
+    the bracket has closed to two neighbouring floats: the fraction then
+    jumps across the target between them, and no alpha reaches it.  If even
+    the bracket endpoints cannot reach the target, the nearer endpoint is
+    returned with ``saturated=True``.  The fit at the returned alpha, an
+    endpoint included, is kept in the result.
+
     The effective sample size exp(entropy(w)) divided by T is assumed
-    non-decreasing in alpha, so a monotone bisection applies; the result's
-    ``monotone`` reports whether the probes bore that out.  The bisection
-    searches alpha in [1e-6, 1e6] and stops within 0.01 of the target.  It
-    raises ``CalibrationError`` after 100 steps, or as soon as the bracket
-    has closed to two neighbouring floats: the fraction then jumps across
-    the target between them, and no alpha reaches it.  If even the bracket
-    endpoints cannot reach the target, the nearer endpoint is returned with
-    ``saturated=True``.  The fit at the returned alpha, an endpoint
-    included, is kept in the result.
+    non-decreasing in alpha; the result's ``monotone`` reports whether the
+    probes bore that out.  Under that assumption the fractions fitted so far
+    bound the fraction at every other node, and where both bounds give the
+    bisection the same verdict the node needs no fit.  The search replays
+    the bisection, guessing each unsettled verdict from a surrogate (the ESS
+    fraction of ``w_step`` on the latest fit's errors, theta held fixed),
+    and fits one guessed node per round until the replay guesses none.  So
+    with monotone fractions it returns exactly what fitting every node
+    returns, the same alpha, fraction, flag and fit or the same error, from
+    fewer fits.
     """
     if not (0.0 < target_ess_fraction <= 1.0):
         raise InvalidInputError(
             f"target ESS fraction must lie in (0, 1], got {target_ess_fraction!r}"
         )
-    n = dataset.n_instances
-    model = GaussianModel()
+    target = target_ess_fraction
     path: list[tuple[float, float]] = []
     probe_fits: list[tuple[int, Termination]] = []
+    fractions: dict[float, float] = {}
+    # Only fits that could be returned are kept: within the band, or at an endpoint.
+    returnable: dict[float, FitResult] = {}
+    errors = None
 
-    def probe(alpha: float) -> AlphaCalibration:
-        result = fit(dataset, model, replace(config, alpha=alpha))
-        fraction = effective_sample_size(result.weights) / n
+    def probe(alpha: float) -> None:
+        nonlocal errors
+        fraction, result = _probe(dataset, replace(config, alpha=alpha))
         path.append((alpha, fraction))
         probe_fits.append((result.iterations, result.termination))
-        return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
+        fractions[alpha] = fraction
+        if alpha in _BRACKET or abs(fraction - target) <= _ESS_TOL:
+            returnable[alpha] = result
+        errors = gaussian_error(dataset, result.theta)
 
-    low = probe(_BRACKET[0])
-    excess = low.attained_fraction - target_ess_fraction
-    if excess >= 0.0:
-        return replace(low, saturated=excess > _ESS_TOL)
-    high = probe(_BRACKET[1])
-    shortfall = target_ess_fraction - high.attained_fraction
-    if shortfall >= 0.0:
-        return replace(high, saturated=shortfall > _ESS_TOL)
+    def verdict(alpha: float, fraction: float) -> int:
+        """The bisection's verdict at a node; it never falls as the fraction rises."""
+        if alpha == _BRACKET[0]:
+            return _STOP if fraction >= target else _LOW
+        if alpha == _BRACKET[1]:
+            return _STOP if fraction <= target else _HIGH
+        if abs(fraction - target) <= _ESS_TOL:
+            return _STOP
+        return _LOW if fraction < target else _HIGH
 
-    for _ in range(_MAX_STEPS):
-        alpha = math.sqrt(low.alpha * high.alpha)
-        if alpha in (low.alpha, high.alpha):
-            raise CalibrationError(
-                f"ESS fraction jumps from {low.attained_fraction:.4f} at alpha={low.alpha!r} "
-                f"to {high.attained_fraction:.4f} at alpha={high.alpha!r} with no float between "
-                f"them, so no alpha attains the target {target_ess_fraction} within {_ESS_TOL}; "
-                "choose a target outside that jump"
-            )
-        probed = probe(alpha)
-        if abs(probed.attained_fraction - target_ess_fraction) <= _ESS_TOL:
-            return probed
-        if probed.attained_fraction < target_ess_fraction:
-            low = probed
+    def settled(alpha: float) -> int | None:
+        """The verdict at a node if the fits made so far settle it, else None."""
+        if alpha in fractions:
+            return verdict(alpha, fractions[alpha])
+        floor = max((f for a, f in fractions.items() if a < alpha), default=-math.inf)
+        ceiling = min((f for a, f in fractions.items() if a > alpha), default=math.inf)
+        low, high = verdict(alpha, floor), verdict(alpha, ceiling)
+        return low if low == high else None
+
+    def replay() -> tuple[list[tuple[float, int]], tuple[float, ...]]:
+        """The bisection walked on settled verdicts and surrogate guesses.
+
+        Returns the guessed (alpha, verdict) nodes in walk order and the
+        nodes the walk ends on: the node that stops it, the two neighbouring
+        floats of a jump, or the last node of an exhausted walk.
+        """
+        guesses = []
+
+        def judge(alpha: float) -> int:
+            known = settled(alpha)
+            if known is not None:
+                return known
+            guess = verdict(alpha, effective_sample_size(w_step(errors, alpha)) / len(errors))
+            guesses.append((alpha, guess))
+            return guess
+
+        for end in _BRACKET:
+            if judge(end) == _STOP:
+                return guesses, (end,)
+        low, high = _BRACKET
+        for _ in range(_MAX_STEPS):
+            alpha = math.sqrt(low * high)
+            if alpha in (low, high):
+                return guesses, (low, high)
+            side = judge(alpha)
+            if side == _STOP:
+                return guesses, (alpha,)
+            if side == _LOW:
+                low = alpha
+            else:
+                high = alpha
+        return guesses, (alpha,)
+
+    def next_probe(guesses: list[tuple[float, int]]) -> tuple[float, int]:
+        """The smallest guessed high node, else the largest guessed low node,
+        else the guessed stop, else a guessed endpoint."""
+        midpoints = [g for g in guesses if g[0] not in _BRACKET]
+        highs = [g for g in midpoints if g[1] == _HIGH]
+        lows = [g for g in midpoints if g[1] == _LOW]
+        return min(highs) if highs else max(lows) if lows else (midpoints or guesses)[-1]
+
+    probe(math.sqrt(_BRACKET[0] * _BRACKET[1]))
+    mispredicted = False
+    while True:
+        guesses, end = replay()
+        if guesses:
+            # Once the surrogate has misled, probe in the bisection's own order:
+            # guessing on would probe ever closer floats around one node.
+            alpha, guess = guesses[0] if mispredicted else next_probe(guesses)
+            probe(alpha)
+            mispredicted = mispredicted or verdict(alpha, fractions[alpha]) != guess
+        elif missing := [alpha for alpha in end if alpha not in fractions]:
+            probe(missing[0])
         else:
-            high = probed
-    raise CalibrationError(
-        f"ESS calibration did not converge in {_MAX_STEPS} steps "
-        f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"
+            break
+
+    if len(end) == 2:
+        low, high = end
+        raise CalibrationError(
+            f"ESS fraction jumps from {fractions[low]:.4f} at alpha={low!r} "
+            f"to {fractions[high]:.4f} at alpha={high!r} with no float between "
+            f"them, so no alpha attains the target {target_ess_fraction} within {_ESS_TOL}; "
+            "choose a target outside that jump"
+        )
+    (alpha,) = end
+    fraction = fractions[alpha]
+    if verdict(alpha, fraction) != _STOP:
+        raise CalibrationError(
+            f"ESS calibration did not converge in {_MAX_STEPS} steps "
+            f"(achieved fraction {fraction:.4f}, target {target_ess_fraction})"
+        )
+    # An endpoint stops on the far side of the target, a midpoint within the band.
+    saturated = abs(fraction - target) > _ESS_TOL
+    return AlphaCalibration(
+        alpha, fraction, saturated, tuple(path), tuple(probe_fits), returnable[alpha]
     )

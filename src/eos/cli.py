@@ -264,12 +264,18 @@ _WRITE_BLOCK_ROWS = 4096
 
 
 def _weight_lines(weights: np.ndarray, flags: np.ndarray) -> Iterator[str]:
-    """weights.csv's lines, ``index,repr(weight),flag``, one block of rows per chunk."""
+    """weights.csv's lines, ``index,repr(weight),flag``, one block of rows per chunk.
+
+    Each block is one ``%`` template; ``%r`` is ``repr`` and ``%d`` writes a flag as 0 or 1.
+    """
+    template = "%d,%r,%d\n" * _WRITE_BLOCK_ROWS
     for start in range(0, weights.shape[0], _WRITE_BLOCK_ROWS):
-        stop = start + _WRITE_BLOCK_ROWS
-        yield "".join([f"{i},{w!r},{f:d}\n" for i, w, f in zip(
-            range(start, stop), weights[start:stop].tolist(), flags[start:stop].tolist()
-        )])
+        stop = min(start + _WRITE_BLOCK_ROWS, weights.shape[0])
+        cells = [None] * (3 * (stop - start))
+        cells[0::3] = range(start, stop)
+        cells[1::3] = weights[start:stop].tolist()
+        cells[2::3] = flags[start:stop].tolist()
+        yield template[:len(cells) * 3] % tuple(cells)
 
 
 def _affinity_lines(rows: Iterable[AffinityRow], t: int) -> Iterator[str]:

@@ -74,6 +74,26 @@ class GaussianParams:
         # Eigenvalues and eigenvectors of sigma, set on first use; see _spectrum.
         object.__setattr__(self, "_spectrum", None)
 
+    @classmethod
+    def _unchecked(
+        cls,
+        mu: np.ndarray,
+        sigma: np.ndarray,
+        ridge: float,
+        spectrum: tuple[np.ndarray, np.ndarray],
+    ) -> GaussianParams:
+        """Params from arrays the caller owns and has already made valid:
+        finite, sigma symmetric, and its spectrum computed.  The checks of
+        the public constructor cost a tenth of a Gaussian ``step``."""
+        params = object.__new__(cls)
+        mu.setflags(write=False)
+        sigma.setflags(write=False)
+        object.__setattr__(params, "mu", mu)
+        object.__setattr__(params, "sigma", sigma)
+        object.__setattr__(params, "ridge", ridge)
+        object.__setattr__(params, "_spectrum", spectrum)
+        return params
+
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
@@ -193,12 +213,11 @@ def _floored_params(dataset: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Gaus
         sigma = (eigenvectors * eigenvalues) @ eigenvectors.T
         sigma = 0.5 * (sigma + sigma.T)
         ridge = floor
-    params = GaussianParams(mu=mu, sigma=sigma, ridge=ridge)
     # Evaluate with the spectrum chosen here: re-factoring the rebuilt sigma
     # moves floored eigenvalues by rounding, and with it the log-determinant
-    # by more than fit's descent slack.
-    object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
-    return params
+    # by more than fit's descent slack.  eigh has already rejected a
+    # non-finite sigma, so the constructor's checks are skipped.
+    return GaussianParams._unchecked(mu, sigma, float(ridge), (eigenvalues, eigenvectors))
 
 
 class GaussianModel:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 import eos.anomaly
 
 from eos import (
+    AlphaCalibration,
+    CalibrationError,
     Dataset,
     EosConfig,
     FlagRule,
@@ -162,7 +165,8 @@ def test_calibration_records_its_bisection_path():
     data, _ = planted_gaussian_2d(seed=11)
     config = EosConfig(alpha=1.0)
     result = calibrate_alpha(data, 0.95, config)
-    assert [alpha for alpha, _ in result.path[:2]] == [1e-6, 1e6]
+    # The first probe is the bisection's first midpoint.
+    assert result.path[0][0] == math.sqrt(1e-6 * 1e6)
     assert len(result.path) > 2
     assert result.path[-1] == (result.alpha, result.attained_fraction)
     assert len(result.probe_fits) == len(result.path)
@@ -176,17 +180,134 @@ def test_calibration_records_its_bisection_path():
 
 
 def test_calibration_reports_a_non_monotone_path(monkeypatch):
-    # Probes at 1e-6, 1e6, 1, 1e-3, then 10**-4.5: the fraction at 1e-3 is
-    # above the one at 1, which the bisection's monotonicity assumption rules out.
+    # Fractions by alpha, with a bump: 0.98 on [1e-4, 0.5) lies above the
+    # 0.97 of [0.5, 1e3), which the bisection's monotonicity assumption rules
+    # out.  Bisecting probes 1e-6, 1e6, 1, 1e-3 and lands on 10**-4.5.
+    def fraction(alpha):
+        for edge, value in ((3e-5, 0.1), (1e-4, 0.95), (0.5, 0.98), (1e3, 0.97)):
+            if alpha < edge:
+                return value
+        return 0.99
+
+    probe = eos.anomaly._probe
+
+    def faked(dataset, config):
+        return fraction(config.alpha), probe(dataset, config)[1]
+
+    monkeypatch.setattr(eos.anomaly, "_probe", faked)
     data, _ = planted_gaussian_2d(seed=11)
-    fractions = iter([0.1, 0.99, 0.97, 0.98, 0.95])
-    monkeypatch.setattr(
-        eos.anomaly, "effective_sample_size", lambda w: next(fractions) * len(w)
-    )
     result = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
-    assert [fraction for _, fraction in result.path] == pytest.approx([0.1, 0.99, 0.97, 0.98, 0.95])
-    assert result.alpha == pytest.approx(10**-4.5)
+    assert all(f == fraction(alpha) for alpha, f in result.path)
+    assert result.alpha == math.sqrt(1e-6 * 1e-3)
+    assert result.attained_fraction == 0.95
     assert not result.monotone
+
+
+def _bisect_alpha(dataset, target_ess_fraction, config):
+    """calibrate_alpha as plain bisection: a cold fit at every node, in order."""
+    n = dataset.n_instances
+    model = GaussianModel()
+    path = []
+    probe_fits = []
+
+    def probe(alpha):
+        result = fit(dataset, model, replace(config, alpha=alpha))
+        fraction = effective_sample_size(result.weights) / n
+        path.append((alpha, fraction))
+        probe_fits.append((result.iterations, result.termination))
+        return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
+
+    low = probe(1e-6)
+    excess = low.attained_fraction - target_ess_fraction
+    if excess >= 0.0:
+        return replace(low, saturated=excess > 0.01)
+    high = probe(1e6)
+    shortfall = target_ess_fraction - high.attained_fraction
+    if shortfall >= 0.0:
+        return replace(high, saturated=shortfall > 0.01)
+
+    for _ in range(100):
+        alpha = math.sqrt(low.alpha * high.alpha)
+        if alpha in (low.alpha, high.alpha):
+            raise CalibrationError(
+                f"ESS fraction jumps from {low.attained_fraction:.4f} at alpha={low.alpha!r} "
+                f"to {high.attained_fraction:.4f} at alpha={high.alpha!r} with no float between "
+                f"them, so no alpha attains the target {target_ess_fraction} within 0.01; "
+                "choose a target outside that jump"
+            )
+        probed = probe(alpha)
+        if abs(probed.attained_fraction - target_ess_fraction) <= 0.01:
+            return probed
+        if probed.attained_fraction < target_ess_fraction:
+            low = probed
+        else:
+            high = probed
+    raise CalibrationError(
+        f"ESS calibration did not converge in 100 steps "
+        f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"
+    )
+
+
+def _synthetic(seed, t=1000):
+    spec = SyntheticSpec(
+        T=t, D=10, outlier_fraction=0.05, outlier_box_low=1.0, outlier_box_high=3.0, seed=seed
+    )
+    return generate(spec)[0]
+
+
+def _jump_data():
+    # The data of test_cli.py's detect_setup: the ESS fraction jumps across
+    # 0.95 between two neighbouring floats, and a target of 0.5 takes 27
+    # bisection probes over a non-monotone path.
+    x = np.random.default_rng(0).standard_normal((60, 3))
+    x[:4] += 9.0
+    return Dataset(x)
+
+
+_EQUIVALENCE_CASES = [
+    *((f"planted-{seed}-{target}", lambda seed=seed: planted_gaussian_2d(seed=seed)[0], target)
+      for seed in (7, 11) for target in (0.5, 0.9, 0.95, 1.0)),
+    *((f"synthetic-{seed}", lambda seed=seed: _synthetic(seed), 0.95) for seed in (9103, 9287)),
+    ("identical-points", lambda: Dataset(np.tile([0.5, 1.0], (20, 1))), 0.5),
+    ("ess-jump", _jump_data, 0.95),
+    ("ess-jump-0.5", _jump_data, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "make_data, target",
+    [case[1:] for case in _EQUIVALENCE_CASES],
+    ids=[case[0] for case in _EQUIVALENCE_CASES],
+)
+def test_calibration_returns_what_plain_bisection_returns(make_data, target):
+    data = make_data()
+    config = EosConfig(alpha=1.0, seed=3)
+    try:
+        expected = _bisect_alpha(data, target, config)
+    except CalibrationError as error:
+        with pytest.raises(CalibrationError) as info:
+            calibrate_alpha(data, target, config)
+        assert str(info.value) == str(error)
+        return
+    result = calibrate_alpha(data, target, config)
+    assert result.alpha == expected.alpha
+    assert result.attained_fraction == expected.attained_fraction
+    assert result.saturated is expected.saturated
+    assert np.array_equal(result.fit.weights, expected.fit.weights)
+
+
+def test_calibration_probes_at_most_half_of_the_bisection():
+    probes, bisected = [], []
+    for seed in range(9000, 9020):
+        data = _synthetic(seed)
+        config = EosConfig(alpha=1.0)
+        result = calibrate_alpha(data, 0.95, config)
+        expected = _bisect_alpha(data, 0.95, config)
+        assert result.alpha == expected.alpha
+        probes.append(len(result.path))
+        bisected.append(len(expected.path))
+    assert all(p <= b for p, b in zip(probes, bisected))
+    assert 2 * sum(probes) <= sum(bisected)
 
 
 @pytest.mark.parametrize("seed", [9103, 9287])
