@@ -3,7 +3,9 @@
 The base learner is an L2-regularized logistic model trained by damped
 Newton steps on the weighted log-loss.  Wrapping it in the alternating fit
 downweights training instances the classifier cannot explain, which is
-where randomly flipped labels end up.
+where randomly flipped labels end up.  Training and the per-sample error
+share one log-loss kernel computed from the log-odds, with no probability
+clamp, and the solver takes one path from any start, cold or warm.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ __all__ = [
     "mislabel_experiment",
     "summarize_mislabel",
 ]
-
-# Predicted probabilities are clamped into this range before taking logs so
-# per-sample losses stay finite for any parameter vector.
-PROB_CLAMP = 1e-12
 
 # Rounding noise of the computed weighted log-loss, relative to its value.
 # A Newton step whose predicted decrease is below this cannot be ranked by
@@ -87,6 +85,11 @@ def _require_labels(dataset: Dataset) -> np.ndarray:
     return dataset.labels
 
 
+def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-log p(y | z) of 0/1 labels y at log-odds z: log(1 + e^z) - y*z."""
+    return np.logaddexp(0.0, z) - y * z
+
+
 def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
     damping = 0.0
     base = max(1.0, float(np.abs(np.diag(hessian)).max()))
@@ -116,17 +119,20 @@ def train_weighted_classifier(
     until the gradient norm drops to ``grad_tol``.  ``initial`` warm-starts
     the solver.  Near the optimum the decrease a Newton step predicts can
     fall below the rounding noise of the computed value, so the value can
-    no longer rank two points; the full step is then accepted when it lowers
+    no longer rank two points; the step is then accepted when it lowers
     the gradient norm and its value lies within that noise.  The returned
     parameters therefore never score worse than the starting point by more
     than the rounding noise (a few ulps of the value), far inside the
     descent slack of ``fit``.
 
-    Raises ``NonConvergenceError`` if the gradient norm stays above
-    ``grad_tol`` after ``max_iters`` Newton steps, or once no step makes
-    float-representable progress.  With ``l2_strength=0`` and separable
-    classes the optimum is at infinity; the error then advises a positive
-    l2 strength.
+    The line search halves the step, with no cap, until a rule accepts it,
+    so it also leaves a saturated start, where p(1 - p) vanishes and the
+    Newton step is huge.  Raises ``NonConvergenceError`` if the gradient
+    norm stays above ``grad_tol`` after ``max_iters`` Newton steps, or once
+    the halved step no longer moves the parameters (no float-representable
+    progress), the line search's only way to give up.  With
+    ``l2_strength=0`` and separable classes the optimum is at infinity; the
+    error then advises a positive l2 strength.
     """
     y = _require_labels(dataset).astype(float)
     w = check_weights(weights, dataset.n_instances)
@@ -150,8 +156,7 @@ def train_weighted_classifier(
     def value_grad(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         z = design @ t
         p = expit(z)
-        nll = np.logaddexp(0.0, z) - y * z
-        val = float(w @ nll + l2_strength * (t[:d] @ t[:d]))
+        val = float(w @ _log_loss(z, y) + l2_strength * (t[:d] @ t[:d]))
         grad = design.T @ (w * (p - y)) + penalty * t
         return val, grad, p
 
@@ -167,8 +172,8 @@ def train_weighted_classifier(
         slope = float(grad @ step)
         noise = VALUE_NOISE_EPS * val
         stepsize = 1.0
-        for _ in range(60):
-            cand = theta - stepsize * step
+        cand = theta - step
+        while not np.array_equal(cand, theta):
             cval, cgrad, cp = value_grad(cand)
             cgnorm = float(np.linalg.norm(cgrad))
             if cval <= val - 1e-4 * stepsize * slope or (
@@ -176,10 +181,9 @@ def train_weighted_classifier(
             ):
                 break
             stepsize *= 0.5
+            cand = theta - stepsize * step
         else:
-            break  # no step is accepted
-        if np.array_equal(cand, theta):
-            break  # the accepted step no longer moves theta
+            break  # no step makes float-representable progress
         theta, val, grad, p, gnorm = cand, cval, cgrad, cp, cgnorm
 
     if l2_strength == 0.0:
@@ -209,13 +213,12 @@ def train_weighted_classifier(
 def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
     """Per-sample negative log-likelihood of the observed label.
 
-    Probabilities are clamped to [1e-12, 1 - 1e-12] so every loss is finite.
+    The loss is the one ``train_weighted_classifier`` minimizes, computed
+    from the log-odds without forming probabilities, so it is finite for
+    any parameters and unclamped: a certainly-wrong point costs its full
+    margin.
     """
-    y = _require_labels(dataset)
-    p = predict_proba(params, dataset.instances)
-    p_true = np.where(y == 1, p, 1.0 - p)
-    p_true = np.clip(p_true, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -np.log(p_true)
+    return _log_loss(decision_function(params, dataset.instances), _require_labels(dataset))
 
 
 @dataclass
@@ -223,20 +226,21 @@ class ClassifierLossModel:
     """Adapter exposing the weighted classifier as a pluggable error model.
 
     ``step`` trains the classifier on the weights and returns each
-    per-sample loss plus the l2 penalty (a weight-independent constant).
-    Since the weights sum to one, the weighted error then equals exactly
-    what the training minimizes, which makes the descent contract hold; the
-    weight update itself is unchanged because it is invariant to uniform
-    shifts of the error vector.
+    per-sample loss (the training loss, unclamped) plus the l2 penalty (a
+    weight-independent constant).  Since the weights sum to one, the
+    weighted error then equals what the training minimizes up to rounding,
+    which makes the descent contract hold; the weight update itself is
+    unchanged because it is invariant to uniform shifts of the error vector.
 
     Each step warm-starts the solver from the previous parameters, so the
     weighted objective never increases between steps by more than the
     rounding noise of its value, even though the solver stops at a finite
-    gradient tolerance.  A step whose warm start the solver cannot leave
-    solves again from zero.  The warm-start cache makes an instance
-    stateful: use one instance per fit, not across concurrent fits.  The
-    step calls the public, checked trainer: its weight check is cheap next
-    to a solve.
+    gradient tolerance.  There is no second, cold solve: the solver leaves
+    any warm start, even one fitted to one-hot weights that saturates every
+    probability (a proposal that ``fit`` then dropped).  The warm-start
+    cache makes an instance stateful: use one instance per fit, not across
+    concurrent fits.  The step calls the public, checked trainer: its
+    weight check is cheap next to a solve.
     """
 
     l2_strength: float = 1e-4
@@ -245,17 +249,7 @@ class ClassifierLossModel:
         self._warm: ClassifierParams | None = None
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
-        try:
-            params = train_weighted_classifier(
-                dataset, weights, self.l2_strength, initial=self._warm
-            )
-        except NonConvergenceError:
-            if self._warm is None:
-                raise
-            # A proposal that fit dropped can leave a warm start fitted to
-            # one-hot weights, where every probability saturates and Newton
-            # cannot move.
-            params = train_weighted_classifier(dataset, weights, self.l2_strength)
+        params = train_weighted_classifier(dataset, weights, self.l2_strength, initial=self._warm)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
         return params, classifier_loss_error(dataset, params) + penalty

@@ -17,6 +17,7 @@ from eos import (
     Termination,
     auc,
     classifier_loss_error,
+    decision_function,
     inject_label_flips,
     mislabel_experiment,
     predict_proba,
@@ -40,6 +41,10 @@ def _weighted_objective(data: Dataset, weights: np.ndarray, l2: float):
         return float(weights @ nll + l2 * (theta[:-1] @ theta[:-1]))
 
     return value
+
+
+def _theta(params: ClassifierParams) -> np.ndarray:
+    return np.concatenate([params.coefficients, [params.intercept]])
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +131,29 @@ def test_newton_step_below_value_resolution_is_taken(seed, split):
     assert result.termination is Termination.CONVERGED
 
 
+@pytest.mark.parametrize("coef", [0.0, 50.0])
+@pytest.mark.parametrize("intercept", [-60.0, -200.0, -700.0, -745.0, -1e5, 191340.0])
+def test_training_converges_from_a_saturated_start(coef, intercept):
+    # Every probability is 0 or 1 at these starts, so p(1-p) vanishes and the
+    # first Newton step is about 1e28 or larger; a line search capped at 60
+    # halvings could not shrink it to an acceptable size.
+    data = _two_gaussian_dataset(150, 3, np.random.default_rng(19))
+    weights = np.full(150, 1 / 150)
+    start = ClassifierParams(coefficients=np.full(3, coef), intercept=intercept, l2_strength=1e-4)
+
+    params = train_weighted_classifier(data, weights, 1e-4, initial=start)
+
+    x, y = data.instances, data.labels.astype(float)
+    p = 1.0 / (1.0 + np.exp(-(x @ params.coefficients + params.intercept)))
+    grad = np.concatenate(
+        [x.T @ (weights * (p - y)) + 2e-4 * params.coefficients, [float(weights @ (p - y))]]
+    )
+    assert np.linalg.norm(grad) <= 1e-8  # the default grad_tol
+    cold = train_weighted_classifier(data, weights, 1e-4)
+    value = _weighted_objective(data, weights, 1e-4)
+    assert value(_theta(params)) == pytest.approx(value(_theta(cold)), rel=1e-10)
+
+
 def test_nonconvergence_advice_matches_l2_strength():
     rng = np.random.default_rng(5)
     data = _two_gaussian_dataset(60, 2, rng)
@@ -152,12 +180,12 @@ def test_loss_half_probability_is_log_two():
     assert classifier_loss_error(data, params)[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-def test_loss_clamped_at_certainty():
-    data = Dataset(np.array([[1.0]]), np.array([1]))
+def test_loss_is_not_clamped_at_certainty():
+    data = Dataset(np.array([[1.0], [1.0]]), np.array([1, 0]))
     params = ClassifierParams(coefficients=np.array([1e4]), intercept=0.0, l2_strength=0.0)
-    loss = classifier_loss_error(data, params)[0]
-    assert loss == pytest.approx(-math.log1p(-1e-12), rel=1e-6)
-    assert 0.0 < loss < 1.1e-12
+    right, wrong = classifier_loss_error(data, params)
+    assert right == 0.0
+    assert wrong == 1e4  # the full log-odds z
 
 
 def test_flipped_duplicate_has_larger_loss():
@@ -186,10 +214,10 @@ def test_classifier_step_equals_the_public_pair():
         assert np.array_equal(errors, classifier_loss_error(data, public) + penalty)
 
 
-def test_classifier_step_recovers_from_a_saturated_warm_start():
+def test_classifier_step_converges_from_a_saturated_warm_start():
     """A step on one-hot weights, such as a proposal of fit's acceleration
-    that fit then drops, can leave a warm start that saturates every
-    probability, from which Newton cannot move; the next step solves from zero."""
+    that fit then drops, leaves a warm start that saturates every
+    probability; the next step still converges from it, to the cold optimum."""
     rng = np.random.default_rng(19)
     data = _two_gaussian_dataset(150, 3, rng)
     uniform = np.full(150, 1 / 150)
@@ -198,12 +226,35 @@ def test_classifier_step_recovers_from_a_saturated_warm_start():
     model = ClassifierLossModel(l2_strength=1e-4)
     model.step(data, uniform)
     saturated, _ = model.step(data, one_hot)
-    with pytest.raises(NonConvergenceError):
-        train_weighted_classifier(data, uniform, 1e-4, initial=saturated)
+    z = decision_function(saturated, data.instances)
+    assert np.all(np.abs(z) > 40.0)  # p(1-p) < 1e-17 at every point
+
     params, _ = model.step(data, uniform)
+
+    direct = train_weighted_classifier(data, uniform, 1e-4, initial=saturated)
+    assert np.array_equal(_theta(params), _theta(direct))
     cold = train_weighted_classifier(data, uniform, 1e-4)
-    assert np.array_equal(params.coefficients, cold.coefficients)
-    assert params.intercept == cold.intercept
+    value = _weighted_objective(data, uniform, 1e-4)
+    assert value(_theta(params)) == pytest.approx(value(_theta(cold)), rel=1e-10)
+
+
+def test_weighted_step_error_is_the_training_objective():
+    # A label-0 point deep in the class-1 region: its loss (its log-odds,
+    # about 59) lies far above -log(1e-12) = 27.6, where a loss computed from
+    # clamped probabilities would stop.
+    base = _two_gaussian_dataset(150, 3, np.random.default_rng(19))
+    data = Dataset(
+        np.vstack([base.instances, np.full((1, 3), 6.0)]), np.concatenate([base.labels, [0]])
+    )
+    weights = np.random.default_rng(5).dirichlet(np.ones(151))
+    l2 = 1e-4
+
+    params, errors = ClassifierLossModel(l2_strength=l2).step(data, weights)
+
+    penalty = l2 * float(params.coefficients @ params.coefficients)
+    assert (errors - penalty).max() > -math.log(1e-12)
+    objective = _weighted_objective(data, weights, l2)(_theta(params))
+    assert float(weights @ errors) == pytest.approx(objective, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
