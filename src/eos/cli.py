@@ -9,7 +9,9 @@ layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
 and timestamps excluded).  ``EOS_THREADS`` sets the thread count of the
-synth-bench and mislabel-bench commands.
+synth-bench and mislabel-bench commands, and caps the worker processes that
+format a large CSV (one per usable CPU without it); the CSVs are
+byte-identical at any worker count.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -20,6 +22,7 @@ only when ``robust_train.alpha`` is set.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import json
@@ -249,51 +252,108 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], lines: Iterable[str]) -> None:
-    """Write a CSV atomically from ready-made lines, each ending in a newline.
+# A block of CSV rows is ``template % cells``: ``%r`` (``repr``, the shortest
+# text that reads back as the same float) for a float cell and ``%s`` or ``%d``
+# for the rest.  Cells are numbers and fixed identifiers, so none needs quoting.
+_Block = tuple[str, tuple]
 
-    Cells are numbers and fixed identifiers, so none needs quoting: ints are
-    written with ``str`` and floats with ``repr``, the shortest text that
-    reads back as the same float.
+# Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
+# values per anchor times anchors per block (at least one).
+_BLOCK_FLOATS = 4096
+# Starting and stopping a pool of worker processes costs about 20 ms.  On two
+# cores, two workers formatted 50,000 float cells in the same time as one
+# process, 20,000 in 28 ms more and 100,000 in 30-45 ms less, so a CSV with
+# fewer float cells than this is formatted in the process itself.
+_POOL_MIN_FLOATS = 50_000
+
+
+def _format_block(block: _Block) -> str:
+    template, cells = block
+    return template % cells
+
+
+def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], floats: int) -> None:
+    """Write a CSV atomically from blocks of rows, formatting each as ``template % cells``.
+
+    ``floats`` is the number of float cells.  From ``_POOL_MIN_FLOATS`` on,
+    the blocks are formatted in one worker process per usable CPU, capped by
+    ``EOS_THREADS``; the output is byte-identical at any worker count.  An
+    invalid ``EOS_THREADS`` is rejected whatever the size.
     """
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(cpus, _env_threads(default=cpus))
+    _write_blocks(path, header, blocks, processes if floats >= _POOL_MIN_FLOATS else 1)
 
 
-# Rows of weights.csv formatted per chunk, so that no list of all T rows is made.
-_WRITE_BLOCK_ROWS = 4096
+def _write_blocks(path: Path, header: list[str], blocks: Iterable[_Block], processes: int) -> None:
+    """``_write_csv`` with ``processes`` formatting the blocks; 1, or no fork, formats in-process.
 
-
-def _weight_lines(weights: np.ndarray, flags: np.ndarray) -> Iterator[str]:
-    """weights.csv's lines, ``index,repr(weight),flag``, one block of rows per chunk.
-
-    Each block is one ``%`` template; ``%r`` is ``repr`` and ``%d`` writes a flag as 0 or 1.
+    Blocks are drawn from ``blocks`` lazily, while the temp file is open.  A
+    pool keeps at most two blocks per worker in flight and writes each block
+    as soon as it is next.  Its workers are forked: they inherit the imported
+    modules and only format strings, where spawned ones would import numpy
+    again first.
     """
-    template = "%d,%r,%d\n" * _WRITE_BLOCK_ROWS
-    for start in range(0, weights.shape[0], _WRITE_BLOCK_ROWS):
-        stop = min(start + _WRITE_BLOCK_ROWS, weights.shape[0])
-        cells = [None] * (3 * (stop - start))
-        cells[0::3] = range(start, stop)
-        cells[1::3] = weights[start:stop].tolist()
-        cells[2::3] = flags[start:stop].tolist()
-        yield template[:len(cells) * 3] % tuple(cells)
+    head = [",".join(header) + "\n"]
+    if processes > 1:
+        import multiprocessing  # here, not at the top: only a large CSV starts a pool
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(processes, mp_context=fork) as pool:
+                _atomic_write(path, itertools.chain(head, _in_order(pool, blocks, 2 * processes)))
+            return
+    _atomic_write(path, itertools.chain(head, map(_format_block, blocks)))
 
 
-def _affinity_lines(rows: Iterable[AffinityRow], t: int) -> Iterator[str]:
-    """affinity.csv's lines, ``anchor,neighbor,repr(value)``, one anchor per chunk.
+def _in_order(pool, blocks: Iterable[_Block], window: int) -> Iterator[str]:
+    """The formatted blocks in order, with at most ``window`` submitted and not yet yielded."""
+    pending: collections.deque = collections.deque()
+    for block in blocks:
+        pending.append(pool.submit(_format_block, block))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
-    Each anchor's chunk is one ``%`` template of cached cells; ``%r`` is ``repr``.
+
+def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[_Block]:
+    """Blocks of ``_BLOCK_FLOATS`` rows ``index,column...``, each row formatted by ``row``.
+
+    ``row`` is the one-row template: ``"%d,%r,%d\n"`` writes a weight and a
+    flag as 0 or 1, ``"%d,%r\n"`` a weight alone.
     """
+    width = 1 + len(columns)
+    template = row * _BLOCK_FLOATS
+    t = columns[0].shape[0]
+    for start in range(0, t, _BLOCK_FLOATS):
+        stop = min(start + _BLOCK_FLOATS, t)
+        cells = [None] * (width * (stop - start))
+        cells[0::width] = range(start, stop)
+        for k, column in enumerate(columns, 1):
+            cells[k::width] = column[start:stop].tolist()
+        yield template[:len(row) * (stop - start)], tuple(cells)
+
+
+def _affinity_blocks(rows: Iterable[AffinityRow], t: int) -> Iterator[_Block]:
+    """affinity.csv's blocks of whole anchors, rows ``anchor,neighbor,repr(value)``."""
     cells = [f"{j},%r\n" for j in range(t)]
-    for row in rows:
-        i = row.anchor_index
+
+    def anchor_template(i: int) -> str:
         prefix = f"{i},"
-        yield (prefix + prefix.join(cells[:i] + cells[i + 1:])) % tuple(row.values.tolist())
+        return prefix + prefix.join(cells[:i] + cells[i + 1:])
+
+    rows = iter(rows)
+    while group := list(itertools.islice(rows, max(1, _BLOCK_FLOATS // (t - 1)))):
+        yield ("".join(anchor_template(row.anchor_index) for row in group),
+               tuple(itertools.chain.from_iterable(row.values.tolist() for row in group)))
 
 
-def _csv_line(*cells) -> str:
-    """One CSV line; None is written as an empty cell."""
-    return ",".join("" if c is None else repr(c) if isinstance(c, float) else str(c)
-                    for c in cells) + "\n"
+def _csv_row(*cells) -> _Block:
+    """One CSV row as a block; None is written as an empty cell."""
+    template = ",".join("" if c is None else "%r" if isinstance(c, float) else "%s" for c in cells)
+    return template + "\n", tuple(c for c in cells if c is not None)
 
 
 def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
@@ -308,10 +368,10 @@ def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
     _atomic_write(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True) + "\n"])
 
 
-def _env_threads() -> int:
+def _env_threads(default: int = 1) -> int:
     raw = os.environ.get("EOS_THREADS")
     if raw is None:
-        return 1
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -354,7 +414,7 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param
         )
     _write_csv(out_dir / "weights.csv", ["index", "weight", "flag"],
-               _weight_lines(report.weights, report.flags))
+               _weight_blocks("%d,%r,%d\n", report.weights, report.flags), data.n_instances)
     return {
         "T": data.n_instances,
         "D": data.n_features,
@@ -379,8 +439,9 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     rows = affinity_rows(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
+    t = data.n_instances
     _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
-               _affinity_lines(rows, data.n_instances))
+               _affinity_blocks(rows, t), t * (t - 1))
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None
@@ -408,11 +469,8 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
         )
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
-    _write_csv(
-        out_dir / "weights.csv",
-        ["index", "weight"],
-        (f"{i},{w!r}\n" for i, w in enumerate(result.weights.tolist())),
-    )
+    _write_csv(out_dir / "weights.csv", ["index", "weight"],
+               _weight_blocks("%d,%r\n", result.weights), data.n_instances)
     return {
         "T": data.n_instances,
         "D": data.n_features,
@@ -445,12 +503,9 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         max_workers=_env_threads(),
     )
     metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["experiment", "seed", "metric", "value"],
-        [_csv_line("synth-bench", row["seed"], metric, row[metric])
-         for row in outcome["rows"] for metric in metrics],
-    )
+    rows = [_csv_row("synth-bench", row["seed"], metric, row[metric])
+            for row in outcome["rows"] for metric in metrics]
+    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows, len(rows))
     return {"spec": spec, "rows": outcome["rows"], "reports": outcome["reports"]}
 
 
@@ -476,7 +531,7 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     threads = _env_threads()
 
     per_p: dict[str, dict] = {}
-    lines: list[str] = []
+    rows: list[_Block] = []
     for key, cfg in experiments.items():
         outcomes = mislabel_experiment(
             cfg, data, task_size=section.task_size, task_dim=section.task_dim, max_workers=threads
@@ -485,8 +540,8 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
         experiment = f"mislabel_p={key}"
         for split, o in enumerate(outcomes):
             for metric in ("auc_plain", "auc_robust", "alpha_selected"):
-                lines.append(_csv_line(experiment, split, metric, getattr(o, metric)))
-    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], lines)
+                rows.append(_csv_row(experiment, split, metric, getattr(o, metric)))
+    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows, len(rows))
     return {"per_p": per_p, "source": "csv" if data is not None else "synthetic"}
 
 
@@ -502,8 +557,9 @@ def _run_timing(config: RunConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "timing.csv",
         ["axis", "T", "D", "median_s", "iqr_s", "repeats"],
-        [_csv_line(r["axis"], r["T"], r["D"], r["median_s"], r["iqr_s"], r["repeats"])
+        [_csv_row(r["axis"], r["T"], r["D"], r["median_s"], r["iqr_s"], r["repeats"])
          for r in rows],
+        2 * len(rows),
     )
     return {"rows": rows, "ratios": timing_ratios(rows)}
 
@@ -520,6 +576,7 @@ _RUNNERS = {
 
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute the configured command, writing report.json and CSVs."""
+    _env_threads()  # every CSV writer reads it: reject a bad value before any work
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not quiet:

@@ -608,3 +608,126 @@ def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
         main(["--config", str(cfg_path), "--quiet"])
     assert open_during_failure, "the failure should strike while the file is being written"
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def _spy_on_pool(monkeypatch):
+    """Record each pooled write: ``_in_order`` runs only on the pool path."""
+    calls = []
+    real = eos.cli._in_order
+
+    def spy(pool, blocks, window):
+        calls.append(window)
+        return real(pool, blocks, window)
+
+    monkeypatch.setattr(eos.cli, "_in_order", spy)
+    return calls
+
+
+def _weight_data(t):
+    rng = np.random.default_rng(t)
+    return rng.dirichlet(np.ones(t)), rng.random(t) < 0.1
+
+
+@pytest.mark.parametrize("t", [1, 4096, 4097, 10_001])
+def test_weights_csv_identical_at_any_worker_count(tmp_path, monkeypatch, t):
+    weights, flags = _weight_data(t)
+    pooled = _spy_on_pool(monkeypatch)
+    written = []
+    for processes in (1, 2, 3):
+        path = tmp_path / f"weights-{processes}.csv"
+        eos.cli._write_blocks(path, ["index", "weight", "flag"],
+                              eos.cli._weight_blocks("%d,%r,%d\n", weights, flags), processes)
+        written.append(path.read_bytes())
+    assert pooled == [4, 6]
+    expected = _oracle_csv(["index", "weight", "flag"],
+                           [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(weights, flags))])
+    assert written == [expected] * 3
+
+
+def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
+    data_path, _ = _affinity_config(tmp_path, {})
+    rows = affinity_rows(parse_csv_dataset(data_path), perplexity=5.0)
+    # Four anchors per block: 15 anchors make three full blocks and one of three.
+    monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
+    assert [len(cells) for _, cells in eos.cli._affinity_blocks(rows, 15)] == [56, 56, 56, 42]
+    pooled = _spy_on_pool(monkeypatch)
+    written = []
+    for processes in (1, 2, 3):
+        path = tmp_path / f"affinity-{processes}.csv"
+        eos.cli._write_blocks(path, ["row_index", "col_index", "value"],
+                              eos.cli._affinity_blocks(rows, 15), processes)
+        written.append(path.read_bytes())
+    assert pooled == [4, 6]
+    expected = _oracle_csv(
+        ["row_index", "col_index", "value"],
+        [[row.anchor_index, int(j), float(v)]
+         for row in rows for j, v in zip(row.neighbor_indices(), row.values)],
+    )
+    assert written == [expected] * 3
+
+
+def _failing_blocks(tmp_path, last):
+    """Three weights.csv blocks, then ``last``: a block, or an exception to raise."""
+    weights, flags = _weight_data(3 * 4096)
+    yield from eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
+    assert list(tmp_path.glob("*.tmp")), "the failure should strike while the file is being written"
+    if isinstance(last, Exception):
+        raise last
+    yield last
+
+
+@pytest.mark.parametrize(
+    "last, error, match",
+    [(OSError("disk full"), OSError, "disk full"),
+     (("%r,%r\n", (0.5,)), TypeError, "not enough arguments for format string")],
+    ids=["rows-raise", "worker-raises"],
+)
+def test_failed_pooled_write_leaves_no_file_and_no_process(tmp_path, monkeypatch, last, error,
+                                                          match):
+    import multiprocessing
+
+    pooled = _spy_on_pool(monkeypatch)
+    with pytest.raises(error, match=match):
+        eos.cli._write_blocks(tmp_path / "weights.csv", ["index", "weight", "flag"],
+                              _failing_blocks(tmp_path, last), 2)
+    assert pooled == [4]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkeypatch):
+    import multiprocessing
+
+    weights, flags = _weight_data(100)
+    pooled = _spy_on_pool(monkeypatch)
+    monkeypatch.delenv("EOS_THREADS", raising=False)
+
+    def write(processes=None):
+        path = tmp_path / "weights.csv"
+        blocks = eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
+        if processes is None:  # as the commands write: a large CSV, workers from the CPUs
+            eos.cli._write_csv(path, ["index", "weight", "flag"], blocks, 10**9)
+        else:
+            eos.cli._write_blocks(path, ["index", "weight", "flag"], blocks, processes)
+        return path.read_bytes()
+
+    serial = write(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert write() == serial and pooled == [4]
+    monkeypatch.setenv("EOS_THREADS", "1")
+    assert write() == serial and pooled == [4]
+    monkeypatch.delenv("EOS_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert write() == serial and pooled == [4]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert write(2) == serial and pooled == [4]
+
+
+def test_eos_threads_zero_rejected_by_affinity_before_any_work(tmp_path, monkeypatch, capsys):
+    _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
+    monkeypatch.setenv("EOS_THREADS", "0")
+    monkeypatch.setattr(eos.cli, "affinity_rows", None)  # calling it would be a TypeError
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError", "message": "EOS_THREADS must be >= 1, got 0"}
+    assert not (tmp_path / "out").exists()
