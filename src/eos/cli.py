@@ -8,10 +8,11 @@ the wrong type are rejected with the key path.  Each command is a thin
 layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
-and timestamps excluded).  ``EOS_THREADS`` sets the thread count of the
-synth-bench and mislabel-bench commands, and caps the worker processes that
-format a large CSV (one per usable CPU without it); the CSVs are
-byte-identical at any worker count.
+and timestamps excluded).  ``EOS_THREADS``, an integer >= 1, caps the
+threads or processes a command runs at once; every CSV write checks it, so
+a bad value fails any command.  Unset, synth-bench and mislabel-bench run on
+one thread and a large CSV is formatted in up to two processes, one per
+usable CPU.  Reports and CSVs are byte-identical at any value.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -260,11 +261,15 @@ _Block = tuple[str, tuple]
 # Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
 # values per anchor times anchors per block (at least one).
 _BLOCK_FLOATS = 4096
-# Starting and stopping a pool of worker processes costs about 20 ms.  On two
-# cores, two workers formatted 50,000 float cells in the same time as one
-# process, 20,000 in 28 ms more and 100,000 in 30-45 ms less, so a CSV with
-# fewer float cells than this is formatted in the process itself.
-_POOL_MIN_FLOATS = 50_000
+# A CSV with fewer float cells than this is formatted in the process itself.
+# Whole CLI runs on two cores, two workers against none: affinity with
+# 202,000 floats in affinity.csv was faster in 9 of 10 pairs, with 122,000 in
+# 6 of 10; detect with 100,000 to 400,000 floats in weights.csv was faster in
+# 9 of 22 pairs, that is, not faster.
+_POOL_MIN_FLOATS = 200_000
+# Worker processes at most: only two, on two cores, have been measured.  The
+# cut-off gives them at least 48 blocks between them.
+_POOL_MAX_PROCESSES = 2
 
 
 def _format_block(block: _Block) -> str:
@@ -276,12 +281,13 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], floats: 
     """Write a CSV atomically from blocks of rows, formatting each as ``template % cells``.
 
     ``floats`` is the number of float cells.  From ``_POOL_MIN_FLOATS`` on,
-    the blocks are formatted in one worker process per usable CPU, capped by
-    ``EOS_THREADS``; the output is byte-identical at any worker count.  An
-    invalid ``EOS_THREADS`` is rejected whatever the size.
+    the blocks are formatted in one worker process per usable CPU, at most
+    ``_POOL_MAX_PROCESSES`` and capped by ``EOS_THREADS``; the output is
+    byte-identical at any worker count.  An invalid ``EOS_THREADS`` is
+    rejected whatever the size.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(cpus, _env_threads(default=cpus))
+    processes = min(cpus, _POOL_MAX_PROCESSES, _env_threads() or cpus)
     _write_blocks(path, header, blocks, processes if floats >= _POOL_MIN_FLOATS else 1)
 
 
@@ -368,10 +374,11 @@ def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
     _atomic_write(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True) + "\n"])
 
 
-def _env_threads(default: int = 1) -> int:
+def _env_threads() -> int | None:
+    """``EOS_THREADS`` as an integer >= 1, or None when it is unset."""
     raw = os.environ.get("EOS_THREADS")
     if raw is None:
-        return default
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -500,7 +507,7 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         ess_target=section.ess_target,
         quantile=section.quantile,
         config=config.eos.build(config.seed),
-        max_workers=_env_threads(),
+        max_workers=_env_threads() or 1,
     )
     metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
     rows = [_csv_row("synth-bench", row["seed"], metric, row[metric])
@@ -528,7 +535,7 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
             l2_strength=section.l2_strength,
         )
     data = _load_input(config, require_labels=True) if config.input_path is not None else None
-    threads = _env_threads()
+    threads = _env_threads() or 1
 
     per_p: dict[str, dict] = {}
     rows: list[_Block] = []
@@ -576,7 +583,6 @@ _RUNNERS = {
 
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute the configured command, writing report.json and CSVs."""
-    _env_threads()  # every CSV writer reads it: reject a bad value before any work
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not quiet:

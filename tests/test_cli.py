@@ -714,20 +714,25 @@ def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkey
     serial = write(1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert write() == serial and pooled == [4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert write() == serial and pooled == [4, 4]  # two workers at most
+    eos.cli._write_csv(tmp_path / "small.csv", ["index", "weight", "flag"],
+                       eos.cli._weight_blocks("%d,%r,%d\n", weights, flags),
+                       eos.cli._POOL_MIN_FLOATS - 1)
+    assert pooled == [4, 4]
     monkeypatch.setenv("EOS_THREADS", "1")
-    assert write() == serial and pooled == [4]
+    assert write() == serial and pooled == [4, 4]
     monkeypatch.delenv("EOS_THREADS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert write() == serial and pooled == [4]
+    assert write() == serial and pooled == [4, 4]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert write(2) == serial and pooled == [4]
+    assert write(2) == serial and pooled == [4, 4]
 
 
-def test_eos_threads_zero_rejected_by_affinity_before_any_work(tmp_path, monkeypatch, capsys):
+def test_eos_threads_zero_rejected_by_affinity(tmp_path, monkeypatch, capsys):
     _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
     monkeypatch.setenv("EOS_THREADS", "0")
-    monkeypatch.setattr(eos.cli, "affinity_rows", None)  # calling it would be a TypeError
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidConfigError", "message": "EOS_THREADS must be >= 1, got 0"}
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
