@@ -27,6 +27,7 @@ import numpy as np
 from .core import _check_alpha, _checked_errors, _softmax, check_errors, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
+from .models import _squared_distances
 
 __all__ = [
     "AffinityRow",
@@ -67,10 +68,11 @@ class AffinityRow:
         return np.delete(np.arange(n), self.anchor_index)
 
 
-def _squared_distances_from(dataset: Dataset, i: int) -> np.ndarray:
-    diff = dataset.instances - dataset.instances[i]
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return np.delete(sq, i)
+def _check_sigma_sq(sigma_sq: float) -> float:
+    """sigma_sq as a float: a positive real whose alpha = 2*sigma_sq is finite."""
+    if not (isinstance(sigma_sq, (int, float)) and 0 < sigma_sq <= _HUGE / 2):
+        raise InvalidConfigError(f"sigma_sq must be a real in (0, {_HUGE / 2!r}], got {sigma_sq!r}")
+    return float(sigma_sq)
 
 
 def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> AffinityRow:
@@ -83,10 +85,10 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> Affinity
         raise InvalidInputError("at least two instances are required for an affinity row")
     if not 0 <= i < dataset.n_instances:
         raise InvalidInputError(f"anchor index {i} out of range for T={dataset.n_instances}")
-    if not (isinstance(sigma_sq, (int, float)) and math.isfinite(sigma_sq) and sigma_sq > 0):
-        raise InvalidConfigError(f"sigma_sq must be a positive finite real, got {sigma_sq!r}")
-    values = w_step(_squared_distances_from(dataset, i), 2.0 * float(sigma_sq))
-    return AffinityRow(anchor_index=i, values=values, sigma_sq=float(sigma_sq))
+    ssq = _check_sigma_sq(sigma_sq)
+    x = dataset.instances
+    values = w_step(np.delete(_squared_distances(x, x[i]), i), 2.0 * ssq)
+    return AffinityRow(anchor_index=i, values=values, sigma_sq=ssq)
 
 
 def generalized_affinity_row(
@@ -116,7 +118,7 @@ def generalized_affinity_row(
 # row's alpha and values do not depend on which rows share its batch.
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
-_HUGE = np.finfo(float).max
+_HUGE = float(np.finfo(float).max)
 _SMALLEST = math.ulp(0.0)
 
 
@@ -286,13 +288,11 @@ def affinity_rows(
     if t < 2:
         raise InvalidInputError("at least two instances are required for affinities")
     if perplexity is None:
-        ssq = float(sigma_sq) if sigma_sq is not None else float(alpha) / 2.0
-        if not (math.isfinite(ssq) and ssq > 0):
-            raise InvalidConfigError(f"sigma_sq must be a positive finite real, got {ssq!r}")
+        alpha = _check_alpha(alpha) if sigma_sq is None else 2.0 * _check_sigma_sq(sigma_sq)
 
     errors = np.empty((t, t - 1))
     for i in range(t):
-        errors[i] = _squared_distances_from(dataset, i)
+        errors[i] = np.delete(_squared_distances(dataset.instances, dataset.instances[i]), i)
     # Squared distances are >= 0, so a row is finite when its maximum is.
     finite = np.isfinite(errors.max(axis=1))
     if not finite.all():
@@ -300,8 +300,9 @@ def affinity_rows(
     errors -= errors.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
 
     if perplexity is None:
-        values = _softmax(errors, _check_alpha(2.0 * ssq))
-        return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=ssq) for i in range(t)]
+        values = _softmax(errors, alpha)
+        return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=alpha / 2.0)
+                for i in range(t)]
 
     alphas, values, failures = _calibrate(errors, perplexity)
     if failures:

@@ -15,7 +15,7 @@ from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, w_step
 from .data import Dataset
 from .exceptions import InvalidConfigError, InvalidInputError
-from .models import mahalanobis_squared, weighted_gaussian_mle
+from .models import GaussianParams, mahalanobis_squared, weighted_gaussian_mle
 
 __all__ = [
     "SyntheticSpec",
@@ -177,11 +177,10 @@ def mahalanobis_chi2_baseline(
         mad = np.median(np.abs(x - center), axis=0) * 1.4826
         var = mad**2
         floor = 1e-8 * max(float(var.mean()), float(x.var()), 1e-8)
-        var = np.maximum(var, floor)
-        maha = np.sum((x - center) ** 2 / var, axis=1)
+        params = GaussianParams(center, np.diag(np.maximum(var, floor)))
     else:
         params = weighted_gaussian_mle(dataset, np.full(n, 1.0 / n))
-        maha = mahalanobis_squared(dataset, params)
+    maha = mahalanobis_squared(dataset, params)
     # The chi2(d) quantile, computed as scipy.stats.chi2.ppf computes it.
     return maha > 2.0 * gammaincinv(d / 2.0, quantile)
 

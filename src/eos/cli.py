@@ -9,10 +9,11 @@ layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
 and timestamps excluded).  ``EOS_THREADS``, an integer >= 1, caps the
-threads or processes a command runs at once; every CSV write checks it, so
-a bad value fails any command.  Unset, synth-bench and mislabel-bench run on
-one thread and a large CSV is formatted in up to two processes, one per
-usable CPU.  Reports and CSVs are byte-identical at any value.
+workers of synth-bench and mislabel-bench (threads, one if unset) and of
+affinity (processes formatting a large ``affinity.csv``, at most two, one
+per usable CPU if unset).  These three read it before any work and exit 2
+on a bad value; detect, robust-train and timing start no workers and do not
+read it.  Reports and CSVs are byte-identical at any value.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -261,11 +262,12 @@ _Block = tuple[str, tuple]
 # Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
 # values per anchor times anchors per block (at least one).
 _BLOCK_FLOATS = 4096
-# A CSV with fewer float cells than this is formatted in the process itself.
-# Whole CLI runs on two cores, two workers against none: affinity with
-# 202,000 floats in affinity.csv was faster in 9 of 10 pairs, with 122,000 in
-# 6 of 10; detect with 100,000 to 400,000 floats in weights.csv was faster in
-# 9 of 22 pairs, that is, not faster.
+# Only affinity.csv is formatted in worker processes, from this many float
+# cells on.  Whole runs on two cores, two workers against none: affinity with
+# 202,000 floats was faster in 9 of 10 pairs, with 122,000 in 6 of 10.
+# weights.csv is formatted in-process at any size: detect with 100,000 to
+# 400,000 rows was faster pooled in only 9 of 22 pairs (medians of 6 pairs at
+# 200,000 rows: 2.12 s pooled, 2.10 s in-process).
 _POOL_MIN_FLOATS = 200_000
 # Worker processes at most: only two, on two cores, have been measured.  The
 # cut-off gives them at least 48 blocks between them.
@@ -277,32 +279,28 @@ def _format_block(block: _Block) -> str:
     return template % cells
 
 
-def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], floats: int) -> None:
+def _affinity_processes(t: int) -> int:
+    """Worker processes for affinity.csv of ``t`` anchors: 1 below ``_POOL_MIN_FLOATS``
+    floats, else the usable CPUs capped by ``_POOL_MAX_PROCESSES`` and ``EOS_THREADS``."""
+    threads = _env_threads()  # read first, so a bad value fails at any t
+    if t * (t - 1) < _POOL_MIN_FLOATS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _POOL_MAX_PROCESSES, threads or cpus)
+
+
+def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], *, processes=1) -> None:
     """Write a CSV atomically from blocks of rows, formatting each as ``template % cells``.
 
-    ``floats`` is the number of float cells.  From ``_POOL_MIN_FLOATS`` on,
-    the blocks are formatted in one worker process per usable CPU, at most
-    ``_POOL_MAX_PROCESSES`` and capped by ``EOS_THREADS``; the output is
-    byte-identical at any worker count.  An invalid ``EOS_THREADS`` is
-    rejected whatever the size.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(cpus, _POOL_MAX_PROCESSES, _env_threads() or cpus)
-    _write_blocks(path, header, blocks, processes if floats >= _POOL_MIN_FLOATS else 1)
-
-
-def _write_blocks(path: Path, header: list[str], blocks: Iterable[_Block], processes: int) -> None:
-    """``_write_csv`` with ``processes`` formatting the blocks; 1, or no fork, formats in-process.
-
-    Blocks are drawn from ``blocks`` lazily, while the temp file is open.  A
-    pool keeps at most two blocks per worker in flight and writes each block
-    as soon as it is next.  Its workers are forked: they inherit the imported
-    modules and only format strings, where spawned ones would import numpy
-    again first.
+    Blocks are drawn from ``blocks`` lazily, while the temp file is open.
+    ``processes`` > 1 forked workers, where fork exists, format the blocks
+    with the same bytes: they inherit the imported modules, where spawned
+    ones would import numpy again.  At most two blocks per worker are in
+    flight, and each is written as soon as it is next.
     """
     head = [",".join(header) + "\n"]
     if processes > 1:
-        import multiprocessing  # here, not at the top: only a large CSV starts a pool
+        import multiprocessing  # here, not at the top: only a large affinity.csv starts a pool
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
@@ -421,7 +419,7 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param
         )
     _write_csv(out_dir / "weights.csv", ["index", "weight", "flag"],
-               _weight_blocks("%d,%r,%d\n", report.weights, report.flags), data.n_instances)
+               _weight_blocks("%d,%r,%d\n", report.weights, report.flags))
     return {
         "T": data.n_instances,
         "D": data.n_features,
@@ -443,12 +441,13 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
 def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=False)
     section = config.affinity
+    t = data.n_instances
+    processes = _affinity_processes(t)
     rows = affinity_rows(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
-    t = data.n_instances
     _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
-               _affinity_blocks(rows, t), t * (t - 1))
+               _affinity_blocks(rows, t), processes=processes)
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None
@@ -477,7 +476,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
     _write_csv(out_dir / "weights.csv", ["index", "weight"],
-               _weight_blocks("%d,%r\n", result.weights), data.n_instances)
+               _weight_blocks("%d,%r\n", result.weights))
     return {
         "T": data.n_instances,
         "D": data.n_features,
@@ -512,12 +511,13 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
     metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
     rows = [_csv_row("synth-bench", row["seed"], metric, row[metric])
             for row in outcome["rows"] for metric in metrics]
-    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows, len(rows))
+    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows)
     return {"spec": spec, "rows": outcome["rows"], "reports": outcome["reports"]}
 
 
 def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     section = config.mislabel_bench
+    threads = _env_threads() or 1
     experiments: dict[str, MislabelExperimentConfig] = {}
     for p in section.flip_proportions:
         key = f"{p:g}"
@@ -535,7 +535,6 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
             l2_strength=section.l2_strength,
         )
     data = _load_input(config, require_labels=True) if config.input_path is not None else None
-    threads = _env_threads() or 1
 
     per_p: dict[str, dict] = {}
     rows: list[_Block] = []
@@ -548,7 +547,7 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
         for split, o in enumerate(outcomes):
             for metric in ("auc_plain", "auc_robust", "alpha_selected"):
                 rows.append(_csv_row(experiment, split, metric, getattr(o, metric)))
-    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows, len(rows))
+    _write_csv(out_dir / "metrics.csv", ["experiment", "seed", "metric", "value"], rows)
     return {"per_p": per_p, "source": "csv" if data is not None else "synthetic"}
 
 
@@ -561,13 +560,9 @@ def _run_timing(config: RunConfig, out_dir: Path) -> dict:
         fixed_t=section.fixed_t,
         seed=config.seed,
     )
-    _write_csv(
-        out_dir / "timing.csv",
-        ["axis", "T", "D", "median_s", "iqr_s", "repeats"],
-        [_csv_row(r["axis"], r["T"], r["D"], r["median_s"], r["iqr_s"], r["repeats"])
-         for r in rows],
-        2 * len(rows),
-    )
+    _write_csv(out_dir / "timing.csv", ["axis", "T", "D", "median_s", "iqr_s", "repeats"],
+               [_csv_row(r["axis"], r["T"], r["D"], r["median_s"], r["iqr_s"], r["repeats"])
+                for r in rows])
     return {"rows": rows, "ratios": timing_ratios(rows)}
 
 

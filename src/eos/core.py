@@ -176,7 +176,8 @@ def _softmax(shifted: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
     minimum, in place; ``alpha`` is a scalar or an (R, 1) column.  Dividing
     by -alpha equals negating and then dividing, bit for bit.
     """
-    shifted /= -alpha
+    with np.errstate(over="ignore"):  # a quotient past -max gives its limit, weight 0
+        shifted /= -alpha
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted

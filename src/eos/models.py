@@ -232,12 +232,15 @@ def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:
     """g_t = ||x_t - center||^2."""
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or c.shape[0] != dataset.n_features:
-        raise InvalidInputError(
-            f"center must have length {dataset.n_features}, got shape {c.shape}"
-        )
+        raise InvalidInputError(f"center must have length {dataset.n_features}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("center must be finite")
-    diff = dataset.instances - c
+    return _squared_distances(dataset.instances, c)
+
+
+def _squared_distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """||x_t - center||^2 per row, unchecked."""
+    diff = x - center
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -246,4 +249,4 @@ class SquaredEuclideanModel:
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         center = weights @ dataset.instances
-        return center, squared_euclidean_error(dataset, center)
+        return center, _squared_distances(dataset.instances, center)

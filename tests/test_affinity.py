@@ -271,6 +271,27 @@ def test_affinity_rows_rejects_bad_bandwidth(bandwidth):
         affinity_rows(Dataset(np.eye(3)), **bandwidth)
 
 
+_SIGMA_SQ_MESSAGE = "sigma_sq must be a real in (0, 8.988465674311579e+307], got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: affinity_rows(d, alpha=-1.0), "alpha must be a positive finite real, got -1.0"),
+        (lambda d: affinity_rows(d, alpha="2"), "alpha must be a positive finite real, got '2'"),
+        (lambda d: affinity_rows(d, sigma_sq=1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
+        (lambda d: affinity_rows(d, sigma_sq="2"), _SIGMA_SQ_MESSAGE + "'2'"),
+        (lambda d: gaussian_affinity_row(d, 0, 1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
+    ],
+    ids=["rows-alpha-negative", "rows-alpha-string", "rows-sigma-sq-huge", "rows-sigma-sq-string",
+         "row-sigma-sq-huge"],
+)
+def test_bad_bandwidth_is_named_as_given(call, message):
+    with pytest.raises(InvalidConfigError) as error:
+        call(Dataset(np.array([[0.0], [1.0], [3.0]])))
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("spread", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
 def test_calibration_at_extreme_magnitudes(spread):
     errors = np.array([0.0, 1.0, 2.0, 3.0, 5.0]) * spread

@@ -495,14 +495,16 @@ def test_eos_threads_env(tmp_path, monkeypatch, command, section):
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import and the library needs none of it.
-    code = "import sys, eos.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats takes most of a second to import and the library needs none of it;
+    # multiprocessing is imported only by a CSV write that starts worker processes.
+    code = ("import sys, eos.cli; "
+            "print(sorted({'scipy.stats', 'multiprocessing'} & set(sys.modules)))")
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_imports_no_private_eos_names():
@@ -635,8 +637,8 @@ def test_weights_csv_identical_at_any_worker_count(tmp_path, monkeypatch, t):
     written = []
     for processes in (1, 2, 3):
         path = tmp_path / f"weights-{processes}.csv"
-        eos.cli._write_blocks(path, ["index", "weight", "flag"],
-                              eos.cli._weight_blocks("%d,%r,%d\n", weights, flags), processes)
+        blocks = eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
+        eos.cli._write_csv(path, ["index", "weight", "flag"], blocks, processes=processes)
         written.append(path.read_bytes())
     assert pooled == [4, 6]
     expected = _oracle_csv(["index", "weight", "flag"],
@@ -654,8 +656,8 @@ def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
     written = []
     for processes in (1, 2, 3):
         path = tmp_path / f"affinity-{processes}.csv"
-        eos.cli._write_blocks(path, ["row_index", "col_index", "value"],
-                              eos.cli._affinity_blocks(rows, 15), processes)
+        eos.cli._write_csv(path, ["row_index", "col_index", "value"],
+                           eos.cli._affinity_blocks(rows, 15), processes=processes)
         written.append(path.read_bytes())
     assert pooled == [4, 6]
     expected = _oracle_csv(
@@ -688,8 +690,8 @@ def test_failed_pooled_write_leaves_no_file_and_no_process(tmp_path, monkeypatch
 
     pooled = _spy_on_pool(monkeypatch)
     with pytest.raises(error, match=match):
-        eos.cli._write_blocks(tmp_path / "weights.csv", ["index", "weight", "flag"],
-                              _failing_blocks(tmp_path, last), 2)
+        eos.cli._write_csv(tmp_path / "weights.csv", ["index", "weight", "flag"],
+                           _failing_blocks(tmp_path, last), processes=2)
     assert pooled == [4]
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
@@ -701,38 +703,84 @@ def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkey
     weights, flags = _weight_data(100)
     pooled = _spy_on_pool(monkeypatch)
     monkeypatch.delenv("EOS_THREADS", raising=False)
+    # The fewest anchors whose affinity.csv reaches the cut-off, and one fewer.
+    large = next(t for t in range(2, 10**4) if t * (t - 1) >= eos.cli._POOL_MIN_FLOATS)
+    small = large - 1
 
-    def write(processes=None):
+    def write(processes):
         path = tmp_path / "weights.csv"
-        blocks = eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
-        if processes is None:  # as the commands write: a large CSV, workers from the CPUs
-            eos.cli._write_csv(path, ["index", "weight", "flag"], blocks, 10**9)
-        else:
-            eos.cli._write_blocks(path, ["index", "weight", "flag"], blocks, processes)
+        eos.cli._write_csv(path, ["index", "weight", "flag"],
+                           eos.cli._weight_blocks("%d,%r,%d\n", weights, flags),
+                           processes=processes)
         return path.read_bytes()
 
+    with pytest.raises(TypeError):  # a size passed positionally cannot become a worker count
+        eos.cli._write_csv(tmp_path / "no.csv", ["index"], [], 10**9)
     serial = write(1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert write() == serial and pooled == [4]
+    assert eos.cli._affinity_processes(large) == 2
+    assert eos.cli._affinity_processes(small) == 1
+    assert write(eos.cli._affinity_processes(large)) == serial and pooled == [4]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert write() == serial and pooled == [4, 4]  # two workers at most
-    eos.cli._write_csv(tmp_path / "small.csv", ["index", "weight", "flag"],
-                       eos.cli._weight_blocks("%d,%r,%d\n", weights, flags),
-                       eos.cli._POOL_MIN_FLOATS - 1)
-    assert pooled == [4, 4]
+    assert eos.cli._affinity_processes(10**6) == 2  # two workers at most
+    assert write(eos.cli._affinity_processes(10**6)) == serial and pooled == [4, 4]
     monkeypatch.setenv("EOS_THREADS", "1")
-    assert write() == serial and pooled == [4, 4]
+    assert eos.cli._affinity_processes(10**6) == 1
     monkeypatch.delenv("EOS_THREADS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert write() == serial and pooled == [4, 4]
+    assert eos.cli._affinity_processes(10**6) == 1
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert write(2) == serial and pooled == [4, 4]
+    assert multiprocessing.active_children() == []
 
 
 def test_eos_threads_zero_rejected_by_affinity(tmp_path, monkeypatch, capsys):
     _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
+    calls = []
+    monkeypatch.setattr(eos.cli, "affinity_rows", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setenv("EOS_THREADS", "0")
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidConfigError", "message": "EOS_THREADS must be >= 1, got 0"}
+    assert calls == []
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+
+def _policy_config(tmp_path, command):
+    if command == "affinity":
+        return _affinity_config(tmp_path, {"perplexity": 5.0})[1]
+    if command == "robust-train":
+        return _robust_train_config(tmp_path, robust_train={"alpha": 1.0})
+    if command == "synth-bench":
+        return _write_config(tmp_path / "cfg.json", {
+            "command": command, "output_dir": str(tmp_path / "out"),
+            "synth_bench": {"t": 150, "d": 3, "n_seeds": 2},
+        })
+    data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(6).standard_normal((40, 3)))
+    return _write_config(tmp_path / "cfg.json", {
+        "command": command, "input_path": str(data_path), "output_dir": str(tmp_path / "out"),
+    })
+
+
+@pytest.mark.parametrize(
+    "command, pools",
+    [("affinity", True), ("detect", False), ("robust-train", False), ("synth-bench", False)],
+)
+def test_only_affinity_csv_is_formatted_by_workers(tmp_path, monkeypatch, command, pools):
+    import multiprocessing
+
+    cfg_path = _policy_config(tmp_path, command)
+    monkeypatch.delenv("EOS_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", 1)
+    pooled = _spy_on_pool(monkeypatch)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    assert pooled == ([4] if pools else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["detect", "robust-train"])
+def test_commands_without_workers_do_not_read_eos_threads(tmp_path, monkeypatch, command):
+    cfg_path = _policy_config(tmp_path, command)
+    monkeypatch.setenv("EOS_THREADS", "0")
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0

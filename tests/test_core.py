@@ -21,6 +21,7 @@ from eos import (
     NumericalError,
     SquaredEuclideanModel,
     Termination,
+    affinity_rows,
     effective_sample_size,
     fit,
     gaussian_error,
@@ -118,6 +119,18 @@ def test_w_step_shift_and_temperature_invariance_at_scale(magnitude):
         scaled = g / alpha
         if np.all(np.isfinite(scaled)):
             assert np.abs(w_step(scaled, 1.0) - base).max() <= 1e-12
+
+
+def test_w_step_quotient_beyond_the_float_range_is_weight_zero():
+    # g / alpha overflows to -inf in the exponent; the one-hot limit is the
+    # answer, and no overflow warning escapes.
+    assert np.array_equal(w_step(np.array([0.0, 1e300]), 1e-10), [1.0, 0.0])
+    data = Dataset(np.array([[0.0], [1.0], [1e150]]))
+    result = fit(data, SquaredEuclideanModel(), EosConfig(alpha=1e-10))
+    assert result.termination is Termination.CONVERGED
+    assert np.array_equal(result.weights, [0.5, 0.5, 0.0])
+    rows = affinity_rows(Dataset(np.array([[0.0], [1.0], [3.0]])), alpha=1e-320)
+    assert [row.values.tolist() for row in rows] == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 @settings(deadline=None)
