@@ -12,14 +12,17 @@ error values yields affinities for non-Euclidean costs.  The self pair
 Perplexity mode picks each anchor's alpha so that exp(entropy) of its row
 hits the target, the per-point search of SNE and t-SNE (Hinton and Roweis
 2002; van der Maaten and Hinton 2008), here by safeguarded Newton steps on
-log(alpha).  All rows are calibrated together: each step evaluates every
-row still searching in one batch.  Error spreads from 1e-300 to 1e300 are
-supported.
+log(alpha).  ``affinity_blocks`` computes the rows one block of anchors at
+a time, a fixed number of floats per block, and each step evaluates every
+row of the block still searching in one batch.  A row's alpha and values
+do not depend on its block, and memory does not grow with T^2.  Error
+spreads from 1e-300 to 1e300 are supported.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "gaussian_affinity_row",
     "generalized_affinity_row",
     "calibrate_row_alpha",
+    "affinity_blocks",
     "affinity_rows",
 ]
 
@@ -62,6 +66,19 @@ class AffinityRow:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _unchecked(
+        cls, anchor_index: int, values: np.ndarray, sigma_sq: float | None
+    ) -> AffinityRow:
+        """A row from a w-step row the caller owns, and a sigma_sq that is None
+        or positive; ``values`` is frozen in place, not copied and summed again."""
+        row = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(row, "anchor_index", anchor_index)
+        object.__setattr__(row, "values", values)
+        object.__setattr__(row, "sigma_sq", sigma_sq)
+        return row
+
     def neighbor_indices(self) -> np.ndarray:
         """Dataset indices the entries of ``values`` refer to."""
         n = self.values.size + 1
@@ -75,20 +92,35 @@ def _check_sigma_sq(sigma_sq: float) -> float:
     return float(sigma_sq)
 
 
+def _check_row_alpha(alpha: float) -> float:
+    """alpha as a float: a positive finite real whose half, sigma_sq, is positive."""
+    if _check_alpha(alpha) < _LEAST_ALPHA:
+        raise InvalidConfigError(f"alpha must be at least {_LEAST_ALPHA!r}, so that "
+                                 f"sigma_sq = alpha / 2 is positive, got {alpha!r}")
+    return float(alpha)
+
+
+def _check_perplexity(target_perplexity: float, n: int) -> float:
+    if not (1.0 <= target_perplexity <= n):
+        raise InvalidInputError(
+            f"target perplexity must lie in [1, {n}] for {n} neighbors, got {target_perplexity!r}"
+        )
+    return float(target_perplexity)
+
+
 def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> AffinityRow:
     """Gaussian affinity row for anchor i with bandwidth sigma^2.
 
     Identical to ``w_step`` on the squared distances with alpha = 2*sigma^2,
-    including the stabilization.
+    including the stabilization: the one-anchor block of ``affinity_blocks``.
     """
     if dataset.n_instances < 2:
         raise InvalidInputError("at least two instances are required for an affinity row")
     if not 0 <= i < dataset.n_instances:
         raise InvalidInputError(f"anchor index {i} out of range for T={dataset.n_instances}")
     ssq = _check_sigma_sq(sigma_sq)
-    x = dataset.instances
-    values = w_step(np.delete(_squared_distances(x, x[i]), i), 2.0 * ssq)
-    return AffinityRow(anchor_index=i, values=values, sigma_sq=ssq)
+    values, _ = _anchor_block(dataset.instances, [i], 2.0 * ssq, None)
+    return AffinityRow._unchecked(i, values[0], ssq)
 
 
 def generalized_affinity_row(
@@ -102,11 +134,13 @@ def generalized_affinity_row(
 
     ``sigma_sq`` is reported as alpha/2 only when the caller declares the
     errors to be squared Euclidean distances; for other costs there is no
-    bandwidth interpretation.
+    bandwidth interpretation.  Such an alpha must then be at least 1e-323,
+    so that alpha/2 does not round to 0.
     """
+    if squared_euclidean:
+        alpha = _check_row_alpha(alpha)
     values = w_step(errors_for_anchor, alpha)
-    sigma_sq = float(alpha) / 2.0 if squared_euclidean else None
-    return AffinityRow(anchor_index=anchor_index, values=values, sigma_sq=sigma_sq)
+    return AffinityRow._unchecked(anchor_index, values, alpha / 2.0 if squared_euclidean else None)
 
 
 # Each row's log(alpha) is found by Newton's method inside the bracket
@@ -119,7 +153,8 @@ def generalized_affinity_row(
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
 _HUGE = float(np.finfo(float).max)
-_SMALLEST = math.ulp(0.0)
+# The least alpha whose half, sigma_sq, is positive: half of 5e-324 rounds to 0.
+_LEAST_ALPHA = 2 * math.ulp(0.0)
 
 
 def _entropy_pass(rows: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,21 +184,17 @@ def _entropy_pass(rows: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _calibrate(
-    shifted: np.ndarray, target_perplexity: float
+    shifted: np.ndarray, target: float
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """Find log(alpha) of every row of ``shifted`` (R x n) at once by
     safeguarded Newton.
 
-    Each row holds finite errors shifted to a zero minimum.  Returns each
+    Each row holds finite errors shifted to a zero minimum, and ``target``
+    is a perplexity in [1, n].  Returns each
     row's alpha, the row's w-step at that alpha, and the rows that cannot be
     calibrated, each with the reason.
     """
     n_rows, n = shifted.shape
-    if not (1.0 <= target_perplexity <= n):
-        raise InvalidInputError(
-            f"target perplexity must lie in [1, {n}] for {n} neighbors, got {target_perplexity!r}"
-        )
-    target = float(target_perplexity)
     tol = _REL_TOL * target
     log_target = math.log(target)
     spread = shifted.max(axis=1)
@@ -181,7 +212,7 @@ def _calibrate(
 
     active = np.flatnonzero(~flat)
     # The bracket spread*1e-12 .. spread*1e12, kept off 0 and inf.
-    lo = np.maximum(spread[active] * 1e-12, _SMALLEST)
+    lo = np.maximum(spread[active] * 1e-12, _LEAST_ALPHA)
     with np.errstate(over="ignore"):
         hi = np.minimum(spread[active] * 1e12, _HUGE)
     p_lo = np.exp(_entropy_pass(shifted[active], lo[:, None])[1]).tolist()
@@ -252,32 +283,75 @@ def calibrate_row_alpha(errors_for_anchor: np.ndarray, target_perplexity: float)
     Newton steps on log(alpha), bisecting the bracket whenever a step would
     leave it or stalls, stop within a relative 1e-4 of the target, or raise
     ``CalibrationError`` after 256 steps.
-    This is the one-row case of the batched search in ``affinity_rows`` and
-    returns the same alpha as that row there.
+    This is the one-row case of the batched search in ``affinity_blocks``
+    and returns the same alpha as that row there.
     """
     g, low = _checked_errors(errors_for_anchor)
-    shifted = (g - low)[np.newaxis]
-    alphas, _, failures = _calibrate(shifted, target_perplexity)
+    target = _check_perplexity(target_perplexity, g.size)
+    alphas, _, failures = _calibrate((g - low)[np.newaxis], target)
     if failures:
         raise CalibrationError(failures[0])
     return float(alphas[0])
 
 
-def affinity_rows(
+# Floats per anchor block: rows of T - 1 errors, at least one row.  Drawing
+# every block at T = 1000 and 3000 (perplexity 30, D = 10, one BLAS thread
+# on 2 cores) took a median 0.14 and 1.24 s in blocks of 2**14 floats, 0.12
+# and 1.03 s in blocks of 2**16, 0.24 and 1.38 s in blocks of 4 anchors and
+# 0.16 and 2.12 s in one batch.  Whole `eos affinity` runs at T = 3000 were
+# no faster with 2**16, whose peak RSS was 2.6 MB higher.
+_BLOCK_FLOATS = 2**14
+
+
+def _anchor_block(
+    x: np.ndarray, anchors: Sequence[int], alpha: float | None, perplexity: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values (R x T-1) and sigma_sq (R,) of the rows of ``anchors`` over
+    the instances ``x``, at the shared ``alpha`` or, when it is None,
+    calibrated to ``perplexity``.  The rows before the first non-finite one
+    are computed first, so the lowest anchor at fault raises."""
+    errors = np.empty((len(anchors), x.shape[0] - 1))
+    for k, i in enumerate(anchors):
+        errors[k] = np.delete(_squared_distances(x, x[i]), i)
+    # Squared distances are >= 0, so a row is finite when its maximum is.
+    finite = np.isfinite(errors.max(axis=1))
+    ok = len(anchors) if finite.all() else int(np.argmin(finite))
+    shifted = errors[:ok]
+    shifted -= shifted.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
+    if perplexity is None:
+        values, alphas = _softmax(shifted, alpha), np.full(ok, alpha)
+    else:
+        alphas, values, failures = _calibrate(shifted, perplexity)
+        if failures:
+            first = min(failures)
+            raise CalibrationError(f"anchor {anchors[first]}: {failures[first]}")
+    if ok < len(anchors):
+        check_errors(errors[ok])  # raises, naming the entry
+    return values, alphas / 2.0
+
+
+def affinity_blocks(
     dataset: Dataset,
     *,
     sigma_sq: float | None = None,
     alpha: float | None = None,
     perplexity: float | None = None,
-) -> list[AffinityRow]:
-    """All T rows of the affinity matrix, under exactly one bandwidth mode.
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The affinity matrix one block of anchors at a time, in anchor order.
 
-    ``sigma_sq`` or ``alpha`` fix a shared bandwidth (alpha = 2*sigma_sq);
-    ``perplexity`` calibrates alpha per anchor, all rows in one batched
-    safeguarded-Newton search.  Each row equals ``gaussian_affinity_row`` or
+    Exactly one bandwidth mode is given: ``sigma_sq`` or ``alpha`` fix a
+    shared bandwidth (alpha = 2*sigma_sq, at least 1e-323), ``perplexity``
+    calibrates alpha per anchor by safeguarded Newton.  The arguments are
+    checked at the call; the rows are computed as blocks are drawn.  A block
+    is ``(anchors, values, sigma_sq)``: a range of anchors, their rows
+    (R x T-1, neighbors ascending, the anchor left out) and each row's
+    sigma_sq.  It holds about 2**14 values, at least one row, so memory does
+    not grow with T^2.  Each row equals ``gaussian_affinity_row`` or
     ``generalized_affinity_row`` at ``calibrate_row_alpha`` of that row, bit
-    for bit.  A row that cannot be calibrated raises ``CalibrationError``
-    naming the lowest such anchor.
+    for bit.  Drawing a block with a row that has a non-finite squared
+    distance raises ``InvalidInputError``, and with one that cannot be
+    calibrated ``CalibrationError`` naming its anchor.  When rows of both
+    kinds fail, the lowest anchor at fault raises.
     """
     chosen = [v for v in (sigma_sq, alpha, perplexity) if v is not None]
     if len(chosen) != 1:
@@ -287,28 +361,28 @@ def affinity_rows(
     t = dataset.n_instances
     if t < 2:
         raise InvalidInputError("at least two instances are required for affinities")
-    if perplexity is None:
-        alpha = _check_alpha(alpha) if sigma_sq is None else 2.0 * _check_sigma_sq(sigma_sq)
+    if perplexity is not None:
+        perplexity = _check_perplexity(perplexity, t - 1)
+    elif sigma_sq is not None:
+        alpha = 2.0 * _check_sigma_sq(sigma_sq)
+    else:
+        alpha = _check_row_alpha(alpha)
+    x = dataset.instances
+    size = max(1, _BLOCK_FLOATS // (t - 1))
+    blocks = (range(start, min(start + size, t)) for start in range(0, t, size))
+    return ((anchors, *_anchor_block(x, anchors, alpha, perplexity)) for anchors in blocks)
 
-    errors = np.empty((t, t - 1))
-    for i in range(t):
-        errors[i] = np.delete(_squared_distances(dataset.instances, dataset.instances[i]), i)
-    # Squared distances are >= 0, so a row is finite when its maximum is.
-    finite = np.isfinite(errors.max(axis=1))
-    if not finite.all():
-        check_errors(errors[np.argmin(finite)])  # raises, naming the entry
-    errors -= errors.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
 
-    if perplexity is None:
-        values = _softmax(errors, alpha)
-        return [AffinityRow(anchor_index=i, values=values[i], sigma_sq=alpha / 2.0)
-                for i in range(t)]
-
-    alphas, values, failures = _calibrate(errors, perplexity)
-    if failures:
-        first = min(failures)
-        raise CalibrationError(f"anchor {first}: {failures[first]}")
-    return [
-        AffinityRow(anchor_index=i, values=values[i], sigma_sq=float(alphas[i]) / 2.0)
-        for i in range(t)
-    ]
+def affinity_rows(
+    dataset: Dataset,
+    *,
+    sigma_sq: float | None = None,
+    alpha: float | None = None,
+    perplexity: float | None = None,
+) -> list[AffinityRow]:
+    """All T rows of the affinity matrix: the rows of ``affinity_blocks``
+    under the same bandwidth mode, which that function describes."""
+    blocks = affinity_blocks(dataset, sigma_sq=sigma_sq, alpha=alpha, perplexity=perplexity)
+    return [AffinityRow._unchecked(i, row, s)
+            for anchors, values, sigma in blocks
+            for i, row, s in zip(anchors, values, sigma.tolist())]

@@ -8,12 +8,14 @@ the wrong type are rejected with the key path.  Each command is a thin
 layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
-and timestamps excluded).  ``EOS_THREADS``, an integer >= 1, caps the
-workers of synth-bench and mislabel-bench (threads, one if unset) and of
-affinity (processes formatting a large ``affinity.csv``, at most two, one
-per usable CPU if unset).  These three read it before any work and exit 2
-on a bad value; detect, robust-train and timing start no workers and do not
-read it.  Reports and CSVs are byte-identical at any value.
+and timestamps excluded).  affinity streams its rows into ``affinity.csv``
+one block of anchors at a time, so no T x (T-1) matrix is held; a row that
+fails leaves no ``affinity.csv``.  ``EOS_THREADS``, an integer >= 1, caps
+the workers of synth-bench and mislabel-bench (threads, one if unset) and
+of affinity (processes formatting a large ``affinity.csv``, at most two,
+one per usable CPU if unset).  These three read it before any work and
+exit 2 on a bad value; detect, robust-train and timing start no workers
+and do not read it.  Reports and CSVs are byte-identical at any value.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .affinity import AffinityRow, affinity_rows
+from .affinity import affinity_blocks
 from .anomaly import FlagRule, calibrate_alpha, detect, flag_outliers
 from .bench import SyntheticSpec, run_synth_benchmark, timing_probe_wstep, timing_ratios
 from .core import EosConfig, InitPolicy
@@ -340,18 +342,23 @@ def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[_Block]:
         yield template[:len(row) * (stop - start)], tuple(cells)
 
 
-def _affinity_blocks(rows: Iterable[AffinityRow], t: int) -> Iterator[_Block]:
-    """affinity.csv's blocks of whole anchors, rows ``anchor,neighbor,repr(value)``."""
+def _affinity_blocks(blocks: Iterable[tuple[range, np.ndarray, np.ndarray]], t: int,
+                     row_sigma_sq: list[float]) -> Iterator[_Block]:
+    """affinity.csv's blocks of whole anchors, rows ``anchor,neighbor,repr(value)``,
+    cut from the anchor blocks of ``affinity_blocks``.  Each anchor's sigma_sq
+    is appended to ``row_sigma_sq`` as its block is drawn."""
     cells = [f"{j},%r\n" for j in range(t)]
 
     def anchor_template(i: int) -> str:
         prefix = f"{i},"
         return prefix + prefix.join(cells[:i] + cells[i + 1:])
 
-    rows = iter(rows)
-    while group := list(itertools.islice(rows, max(1, _BLOCK_FLOATS // (t - 1)))):
-        yield ("".join(anchor_template(row.anchor_index) for row in group),
-               tuple(itertools.chain.from_iterable(row.values.tolist() for row in group)))
+    size = max(1, _BLOCK_FLOATS // (t - 1))
+    for anchors, values, sigma_sq in blocks:
+        row_sigma_sq.extend(sigma_sq.tolist())
+        for start in range(0, len(anchors), size):
+            yield ("".join(map(anchor_template, anchors[start:start + size])),
+                   tuple(values[start:start + size].ravel().tolist()))
 
 
 def _csv_row(*cells) -> _Block:
@@ -443,11 +450,12 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     section = config.affinity
     t = data.n_instances
     processes = _affinity_processes(t)
-    rows = affinity_rows(
+    blocks = affinity_blocks(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
+    row_sigma_sq: list[float] = []
     _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
-               _affinity_blocks(rows, t), processes=processes)
+               _affinity_blocks(blocks, t, row_sigma_sq), processes=processes)
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None
@@ -456,7 +464,7 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     return {
         "T": data.n_instances,
         "mode": mode,
-        "row_sigma_sq": [row.sigma_sq for row in rows],
+        "row_sigma_sq": row_sigma_sq,
     }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eos import (
     Dataset,
     InvalidConfigError,
     InvalidInputError,
+    affinity_blocks,
     affinity_rows,
     calibrate_row_alpha,
     gaussian_affinity_row,
@@ -177,6 +179,11 @@ def test_affinity_rows_modes():
         affinity_rows(data, sigma_sq=1.0, alpha=1.0)
     with pytest.raises(InvalidConfigError):
         affinity_rows(data)
+    # The generator checks its arguments when called, before any block is drawn.
+    with pytest.raises(InvalidConfigError):
+        affinity_blocks(data)
+    with pytest.raises(InvalidInputError, match="target perplexity"):
+        affinity_blocks(data, perplexity=8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +256,23 @@ def test_perplexity_search_takes_few_steps_per_row(monkeypatch):
         assert math.exp(shannon_entropy(row.values)) == pytest.approx(30.0, rel=1e-4)
 
 
+def test_affinity_blocks_memory_is_bounded_by_the_block_not_by_t_squared():
+    def peak(t):
+        blocks = affinity_blocks(Dataset(np.random.default_rng(t).standard_normal((t, 10))),
+                                 perplexity=30.0)
+        tracemalloc.start()
+        try:
+            for anchors, values, sigma_sq in blocks:
+                assert values.shape == (len(anchors), t - 1) and sigma_sq.shape == (len(anchors),)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(2000)
+    assert large <= 1.5 * small
+    assert large <= 8 * 2000 * 1999 / 16  # a sixteenth of the T x (T-1) matrix
+
+
 def test_affinity_rows_calibration_error_names_the_anchor():
     # Anchors 4, 5 and 6 coincide, so each has two neighbors at distance 0
     # and cannot reach perplexity 1.5; the error names the first of them.
@@ -263,6 +287,20 @@ def test_affinity_rows_calibration_error_names_the_anchor():
 
 
 @pytest.mark.parametrize(
+    "points, error, match",
+    [([0.0, 0.0, 0.0, 5.0, -1e154, 1e154], CalibrationError, "^anchor 0: "),
+     ([-1e154, 1e154, 0.0, 0.0, 0.0, 5.0], InvalidInputError, "non-finite entry")],
+    ids=["uncalibratable-first", "non-finite-first"],
+)
+def test_lowest_anchor_at_fault_raises(points, error, match):
+    # Only the squared distance between -1e154 and 1e154 overflows, so their
+    # two rows are the non-finite ones; the three coinciding points cannot
+    # reach perplexity 1.5.
+    with pytest.raises(error, match=match):
+        affinity_rows(Dataset(np.array(points)[:, np.newaxis]), perplexity=1.5)
+
+
+@pytest.mark.parametrize(
     "bandwidth",
     [{"alpha": 0.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"sigma_sq": -1.0}],
 )
@@ -272,6 +310,9 @@ def test_affinity_rows_rejects_bad_bandwidth(bandwidth):
 
 
 _SIGMA_SQ_MESSAGE = "sigma_sq must be a real in (0, 8.988465674311579e+307], got "
+_HALF_ALPHA_MESSAGE = (
+    "alpha must be at least 1e-323, so that sigma_sq = alpha / 2 is positive, got 5e-324"
+)
 
 
 @pytest.mark.parametrize(
@@ -282,9 +323,13 @@ _SIGMA_SQ_MESSAGE = "sigma_sq must be a real in (0, 8.988465674311579e+307], got
         (lambda d: affinity_rows(d, sigma_sq=1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
         (lambda d: affinity_rows(d, sigma_sq="2"), _SIGMA_SQ_MESSAGE + "'2'"),
         (lambda d: gaussian_affinity_row(d, 0, 1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
+        # sigma_sq = alpha / 2 would round to 0.
+        (lambda d: affinity_rows(d, alpha=5e-324), _HALF_ALPHA_MESSAGE),
+        (lambda d: generalized_affinity_row(np.array([1.0, 2.0]), 5e-324, squared_euclidean=True),
+         _HALF_ALPHA_MESSAGE),
     ],
     ids=["rows-alpha-negative", "rows-alpha-string", "rows-sigma-sq-huge", "rows-sigma-sq-string",
-         "row-sigma-sq-huge"],
+         "row-sigma-sq-huge", "rows-alpha-half-underflows", "row-alpha-half-underflows"],
 )
 def test_bad_bandwidth_is_named_as_given(call, message):
     with pytest.raises(InvalidConfigError) as error:

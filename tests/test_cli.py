@@ -22,6 +22,7 @@ from eos import (
     FlagRule,
     InvalidConfigError,
     MislabelExperimentConfig,
+    affinity_blocks,
     affinity_rows,
     calibrate_alpha,
     detect,
@@ -592,24 +593,50 @@ def test_robust_train_csv_matches_csv_writer(tmp_path):
 def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
     _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
     out = tmp_path / "out"
-    real = eos.cli.affinity_rows
+    real = eos.cli.affinity_blocks
     open_during_failure = []
 
-    def failing_rows(*args, **kwargs):
-        rows = real(*args, **kwargs)
+    def failing_blocks(*args, **kwargs):
+        blocks = real(*args, **kwargs)
 
         def partway():
-            yield from rows[:5]
+            yield next(blocks)
             open_during_failure.extend(p.name for p in out.glob("affinity.csv*.tmp"))
             raise OSError("disk full")
 
         return partway()
 
-    monkeypatch.setattr(eos.cli, "affinity_rows", failing_rows)
+    monkeypatch.setattr(eos.cli, "affinity_blocks", failing_blocks)
     with pytest.raises(OSError, match="disk full"):
         main(["--config", str(cfg_path), "--quiet"])
     assert open_during_failure, "the failure should strike while the file is being written"
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_late_calibration_error_on_the_pooled_path_leaves_nothing(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    # 450 anchors reach the pool's cut-off.  Anchors 447 to 449 coincide, so
+    # each has two neighbors at distance 0 and cannot reach perplexity 1.5;
+    # the error names the first of them, after earlier blocks were written.
+    # They lie far from the rest, so no other anchor has them as nearest.
+    x = np.random.default_rng(8).standard_normal((450, 3))
+    x[447:] = 100.0
+    data_path = _write_csv(tmp_path / "data.csv", x)
+    cfg_path = _write_config(tmp_path / "cfg.json", {
+        "command": "affinity", "input_path": str(data_path), "output_dir": str(tmp_path / "out"),
+        "affinity": {"perplexity": 1.5},
+    })
+    monkeypatch.setenv("EOS_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = _spy_on_pool(monkeypatch)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CalibrationError"
+    assert error["message"].startswith("anchor 447: target perplexity 1.5 below")
+    assert pooled == [4]
+    assert list((tmp_path / "out").iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def _spy_on_pool(monkeypatch):
@@ -648,16 +675,23 @@ def test_weights_csv_identical_at_any_worker_count(tmp_path, monkeypatch, t):
 
 def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
     data_path, _ = _affinity_config(tmp_path, {})
-    rows = affinity_rows(parse_csv_dataset(data_path), perplexity=5.0)
+    data = parse_csv_dataset(data_path)
+    rows = affinity_rows(data, perplexity=5.0)
+
+    def csv_blocks(sigma_sq):
+        return eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq)
+
     # Four anchors per block: 15 anchors make three full blocks and one of three.
     monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
-    assert [len(cells) for _, cells in eos.cli._affinity_blocks(rows, 15)] == [56, 56, 56, 42]
+    sigma_sq = []
+    assert [len(cells) for _, cells in csv_blocks(sigma_sq)] == [56, 56, 56, 42]
+    assert sigma_sq == [row.sigma_sq for row in rows]
     pooled = _spy_on_pool(monkeypatch)
     written = []
     for processes in (1, 2, 3):
         path = tmp_path / f"affinity-{processes}.csv"
         eos.cli._write_csv(path, ["row_index", "col_index", "value"],
-                           eos.cli._affinity_blocks(rows, 15), processes=processes)
+                           csv_blocks([]), processes=processes)
         written.append(path.read_bytes())
     assert pooled == [4, 6]
     expected = _oracle_csv(
@@ -737,7 +771,7 @@ def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkey
 def test_eos_threads_zero_rejected_by_affinity(tmp_path, monkeypatch, capsys):
     _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
     calls = []
-    monkeypatch.setattr(eos.cli, "affinity_rows", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(eos.cli, "affinity_blocks", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setenv("EOS_THREADS", "0")
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]

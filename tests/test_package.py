@@ -6,7 +6,8 @@ import eos
 def test_public_names():
     assert sorted(eos.__all__) == sorted([
         "__version__",
-        "AffinityRow", "affinity_rows", "calibrate_row_alpha", "gaussian_affinity_row",
+        "AffinityRow", "affinity_blocks", "affinity_rows", "calibrate_row_alpha",
+        "gaussian_affinity_row",
         "generalized_affinity_row",
         "AlphaCalibration", "FlagRule", "OutlierReport", "calibrate_alpha", "detect",
         "flag_outliers",
@@ -25,6 +26,6 @@ def test_public_names():
         "mislabel_experiment", "predict_proba", "robust_fit", "select_alpha",
         "summarize_mislabel", "train_weighted_classifier",
     ])
-    assert len(eos.__all__) == 62
+    assert len(eos.__all__) == 63
     for name in eos.__all__:
         assert hasattr(eos, name), name
