@@ -9,7 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, w_step
@@ -181,6 +180,8 @@ def mahalanobis_chi2_baseline(
     else:
         params = weighted_gaussian_mle(dataset, np.full(n, 1.0 / n))
     maha = mahalanobis_squared(dataset, params)
+    from scipy.special import gammaincinv  # imported on use, so that import eos loads no scipy
+
     # The chi2(d) quantile, computed as scipy.stats.chi2.ppf computes it.
     return maha > 2.0 * gammaincinv(d / 2.0, quantile)
 
@@ -200,7 +201,10 @@ def timing_probe_wstep(
     T rows time the update on error vectors of length T.  D rows keep the
     statistics size at ``fixed_t`` and precompute the errors from
     D-dimensional data, so the dimension can only affect work done outside
-    the timed region.  Runs on a single thread of execution.
+    the timed region.  The cells of one axis are timed round-robin, one
+    call per cell per round, so a burst of load on the host slows every
+    cell of the axis alike instead of one cell's window.  Runs on a single
+    thread of execution.
     """
     if not t_grid or not d_grid:
         raise InvalidInputError("t_grid and d_grid must be non-empty")
@@ -208,27 +212,29 @@ def timing_probe_wstep(
         raise InvalidInputError(f"repeats must be at least 5, got {repeats}")
     rng = np.random.default_rng(seed)
 
-    def time_cell(errors: np.ndarray) -> tuple[float, float]:
-        samples = []
-        for i in range(warmup + repeats):
-            start = time.perf_counter()
-            w_step(errors, alpha)
-            elapsed = time.perf_counter() - start
-            if i >= warmup:
-                samples.append(elapsed)
-        arr = np.asarray(samples)
-        q75, q25 = np.percentile(arr, [75, 25])
-        return float(np.median(arr)), float(q75 - q25)
+    def time_axis(cells: list[np.ndarray]) -> list[tuple[float, float]]:
+        samples = np.empty((repeats, len(cells)))
+        for i in range(-warmup, repeats):
+            for j, errors in enumerate(cells):
+                start = time.perf_counter()
+                w_step(errors, alpha)
+                elapsed = time.perf_counter() - start
+                if i >= 0:
+                    samples[i, j] = elapsed
+        q75, q50, q25 = np.percentile(samples, [75, 50, 25], axis=0)
+        return [(float(m), float(hi - lo)) for m, hi, lo in zip(q50, q75, q25)]
 
+    def squared_norms(d: int) -> np.ndarray:
+        data = rng.standard_normal((int(fixed_t), int(d)))
+        return np.einsum("ij,ij->i", data, data)
+
+    t_cells = [rng.standard_normal(int(t)) for t in t_grid]
     rows: list[dict] = []
-    for t in t_grid:
-        median, iqr = time_cell(rng.standard_normal(int(t)))
+    for t, (median, iqr) in zip(t_grid, time_axis(t_cells)):
         rows.append({"axis": "T", "T": int(t), "D": None,
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})
-    for d in d_grid:
-        data = rng.standard_normal((int(fixed_t), int(d)))
-        errors = np.einsum("ij,ij->i", data, data)
-        median, iqr = time_cell(errors)
+    d_cells = [squared_norms(d) for d in d_grid]
+    for d, (median, iqr) in zip(d_grid, time_axis(d_cells)):
         rows.append({"axis": "D", "T": int(fixed_t), "D": int(d),
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})
     return rows

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .bench import _map_in_order, _metric_report
 from .core import EosConfig, FitResult, Termination, check_weights, fit
@@ -76,6 +75,8 @@ def decision_function(params: ClassifierParams, instances: np.ndarray) -> np.nda
 
 
 def predict_proba(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
+    from scipy.special import expit  # imported on use, so that import eos loads no scipy
+
     return expit(decision_function(params, instances))
 
 
@@ -94,8 +95,9 @@ def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
     damping = 0.0
     base = max(1.0, float(np.abs(np.diag(hessian)).max()))
     for _ in range(12):
+        damped = hessian if damping == 0.0 else hessian + damping * np.eye(hessian.shape[0])
         try:
-            step = np.linalg.solve(hessian + damping * np.eye(hessian.shape[0]), grad)
+            step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
             step = None
         if step is not None and np.all(np.isfinite(step)):
@@ -152,6 +154,7 @@ def train_weighted_classifier(
         theta = np.concatenate([initial.coefficients, [initial.intercept]])
     else:
         theta = np.zeros(d + 1)
+    from scipy.special import expit  # on use, once per call: import eos loads no scipy
 
     def value_grad(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         z = design @ t
@@ -167,7 +170,7 @@ def train_weighted_classifier(
             break
         curvature = w * p * (1.0 - p)
         hessian = (design * curvature[:, None]).T @ design
-        hessian[np.diag_indices_from(hessian)] += penalty
+        hessian.flat[:: d + 2] += penalty
         step = _solve_damped(hessian, grad)
         slope = float(grad @ step)
         noise = VALUE_NOISE_EPS * val

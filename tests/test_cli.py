@@ -495,17 +495,49 @@ def test_eos_threads_env(tmp_path, monkeypatch, command, section):
     assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "bad")]) == 2
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import and the library needs none of it;
-    # multiprocessing is imported only by a CSV write that starts worker processes.
-    code = ("import sys, eos.cli; "
-            "print(sorted({'scipy.stats', 'multiprocessing'} & set(sys.modules)))")
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports eos from src."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.special alone is more than half of a bare CLI start and detect and affinity
+    # never call it; multiprocessing is imported only by a CSV write that starts workers.
+    code = ("import sys, eos, eos.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('scipy', 'multiprocessing') or m.startswith('scipy.')))")
+    assert _run_fresh(code) == "[]"
+
+
+def test_scipy_names_imported_on_first_call_match_their_oracles():
+    # The first call of each function that imports a scipy name on use, in a process
+    # that has not loaded scipy, gives the oracle's result; the oracles load scipy after.
+    code = """
+import sys
+import numpy as np
+from eos import ClassifierParams, Dataset, decision_function, mahalanobis_squared
+from eos import mahalanobis_chi2_baseline, predict_proba, weighted_gaussian_mle
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+rng = np.random.default_rng(3)
+x = rng.standard_normal((2000, 4)) * 8.0
+params = ClassifierParams(np.array([1.5, -2.0, 0.25, 3.0]), 0.5, 1e-4)
+proba = predict_proba(params, x)
+data = Dataset(rng.standard_normal((400, 3)))
+flags = mahalanobis_chi2_baseline(data, 0.975)
+from scipy.special import expit
+from scipy.stats import chi2
+maha = mahalanobis_squared(data, weighted_gaussian_mle(data, np.full(400, 1 / 400)))
+print(np.array_equal(proba, expit(decision_function(params, x))),
+      np.array_equal(flags, maha > chi2.ppf(0.975, 3)), int(flags.sum()))
+"""
+    proba_ok, flags_ok, n_flagged = _run_fresh(code).split()
+    assert (proba_ok, flags_ok) == ("True", "True")
+    assert int(n_flagged) > 0
 
 
 def test_cli_imports_no_private_eos_names():
