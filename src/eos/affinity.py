@@ -22,6 +22,7 @@ spreads from 1e-300 to 1e300 are supported.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -101,10 +102,10 @@ def _check_row_alpha(alpha: float) -> float:
 
 
 def _check_perplexity(target_perplexity: float, n: int) -> float:
-    if not (1.0 <= target_perplexity <= n):
-        raise InvalidInputError(
-            f"target perplexity must lie in [1, {n}] for {n} neighbors, got {target_perplexity!r}"
-        )
+    """target_perplexity as a float: a real in [1, n] for n neighbors."""
+    if not (isinstance(target_perplexity, numbers.Real) and 1 <= target_perplexity <= n):
+        raise InvalidInputError(f"target perplexity must be a real in [1, {n}] for {n} neighbors, "
+                                f"got {target_perplexity!r}")
     return float(target_perplexity)
 
 

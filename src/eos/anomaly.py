@@ -108,6 +108,7 @@ def detect(
     ``calibrate_alpha``, call ``flag_outliers`` on the calibration's fit
     instead: it is the fit this function would compute again.
     """
+    _check_rule(rule, rule_param)
     result = fit(dataset, GaussianModel(), config)
     return flag_outliers(dataset, result, config.alpha, rule, rule_param)
 
@@ -130,23 +131,17 @@ def flag_outliers(
         raise InvalidInputError(
             f"need at least D+2 = {d + 2} instances for a stable covariance, got T={n}"
         )
-    rule = FlagRule(rule)
+    rule, param = _check_rule(rule, rule_param)
     w = result.weights
 
     if rule is FlagRule.RELATIVE_THRESHOLD:
-        kappa = float(rule_param)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise InvalidConfigError(f"relative threshold must be positive, got {rule_param!r}")
-        flags = w < kappa / n
+        flags = w < param / n
         if bool(flags.all()):
             # Defensive: never flag everything, keep the best-explained point.
             flags = flags.copy()
             flags[int(np.argmax(w))] = False
     else:
-        k = int(rule_param)
-        if k < 0 or k != rule_param:
-            raise InvalidConfigError(f"top-k count must be a non-negative integer, got {rule_param!r}")
-        k_eff = min(k, n - 1)
+        k_eff = min(param, n - 1)
         errors = gaussian_error(dataset, result.theta)
         order = np.lexsort((np.arange(n), -errors, w))
         flags = np.zeros(n, dtype=bool)
@@ -162,6 +157,24 @@ def flag_outliers(
         iterations=result.iterations,
         termination=result.termination,
     )
+
+
+def _check_rule(rule: FlagRule, rule_param: float) -> tuple[FlagRule, float | int]:
+    """The rule and its parameter: a finite positive relative threshold, or a
+    non-negative integer count; anything else raises ``InvalidConfigError``."""
+    rule = FlagRule(rule)
+    if rule is FlagRule.RELATIVE_THRESHOLD:
+        kappa = float(rule_param)
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise InvalidConfigError(f"relative threshold must be positive, got {rule_param!r}")
+        return rule, kappa
+    try:
+        k = int(rule_param)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or +-inf
+        k = -1
+    if k < 0 or k != rule_param:
+        raise InvalidConfigError(f"top-k count must be a non-negative integer, got {rule_param!r}")
+    return rule, k
 
 
 _BRACKET = (1e-6, 1e6)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,14 +133,6 @@ def _metric_report(name: str, values: list[float | None]) -> MetricReport:
         ci_low=lo,
         ci_high=hi,
     )
-
-
-def _map_in_order(fn: Callable, items: Iterable, max_workers: int) -> list:
-    """``[fn(x) for x in items]``, in a thread pool when ``max_workers > 1``."""
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def precision(flags: np.ndarray, truth: frozenset[int]) -> float | None:
@@ -281,21 +271,16 @@ def run_synth_benchmark(
     ess_target: float = 0.95,
     quantile: float = 0.975,
     config: EosConfig | None = None,
-    max_workers: int = 1,
 ) -> dict:
     """Planted-outlier precision of the entropic detector vs chi2 baselines.
 
-    Seeds run independently (optionally in a thread pool); results are
-    merged in seed order so the output does not depend on scheduling.
+    Seeds run independently, and rows are returned in seed order.
     """
     if n_seeds < 1:
         raise InvalidInputError(f"n_seeds must be positive, got {n_seeds}")
     cfg = config if config is not None else EosConfig(alpha=1.0)
-    specs = [replace(spec, seed=spec.seed + i) for i in range(n_seeds)]
-
-    rows = _map_in_order(
-        lambda s: _synth_seed_row(s, cfg, ess_target, quantile), specs, max_workers
-    )
+    rows = [_synth_seed_row(replace(spec, seed=spec.seed + i), cfg, ess_target, quantile)
+            for i in range(n_seeds)]
     methods = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust")
     reports = {m: _metric_report(m, [r[m] for r in rows]) for m in methods}
     return {"rows": rows, "reports": reports}

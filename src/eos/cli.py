@@ -10,12 +10,10 @@ with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
 and timestamps excluded).  affinity streams its rows into ``affinity.csv``
 one block of anchors at a time, so no T x (T-1) matrix is held; a row that
-fails leaves no ``affinity.csv``.  ``EOS_THREADS``, an integer >= 1, caps
-the workers of synth-bench and mislabel-bench (threads, one if unset) and
-of affinity (processes formatting a large ``affinity.csv``, at most two,
-one per usable CPU if unset).  These three read it before any work and
-exit 2 on a bad value; detect, robust-train and timing start no workers
-and do not read it.  Reports and CSVs are byte-identical at any value.
+fails leaves no ``affinity.csv``.  Worker processes are forked only to
+format an ``affinity.csv`` of at least 200,000 floats: at most two, one per
+usable CPU, writing the same bytes as one process.  No other output is
+written by workers, and no environment variable sets their number.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -283,12 +281,11 @@ def _format_block(block: _Block) -> str:
 
 def _affinity_processes(t: int) -> int:
     """Worker processes for affinity.csv of ``t`` anchors: 1 below ``_POOL_MIN_FLOATS``
-    floats, else the usable CPUs capped by ``_POOL_MAX_PROCESSES`` and ``EOS_THREADS``."""
-    threads = _env_threads()  # read first, so a bad value fails at any t
+    floats, else one per usable CPU, at most ``_POOL_MAX_PROCESSES``."""
     if t * (t - 1) < _POOL_MIN_FLOATS:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, _POOL_MAX_PROCESSES, threads or cpus)
+    return min(cpus, _POOL_MAX_PROCESSES)
 
 
 def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], *, processes=1) -> None:
@@ -379,20 +376,6 @@ def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
     _atomic_write(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True) + "\n"])
 
 
-def _env_threads() -> int | None:
-    """``EOS_THREADS`` as an integer >= 1, or None when it is unset."""
-    raw = os.environ.get("EOS_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfigError(f"EOS_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InvalidConfigError(f"EOS_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
     if config.input_path is None:
         raise InvalidConfigError(f"command {config.command!r} requires input_path")
@@ -449,13 +432,12 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=False)
     section = config.affinity
     t = data.n_instances
-    processes = _affinity_processes(t)
     blocks = affinity_blocks(
         data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
     )
     row_sigma_sq: list[float] = []
     _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
-               _affinity_blocks(blocks, t, row_sigma_sq), processes=processes)
+               _affinity_blocks(blocks, t, row_sigma_sq), processes=_affinity_processes(t))
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None
@@ -514,7 +496,6 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         ess_target=section.ess_target,
         quantile=section.quantile,
         config=config.eos.build(config.seed),
-        max_workers=_env_threads() or 1,
     )
     metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
     rows = [_csv_row("synth-bench", row["seed"], metric, row[metric])
@@ -525,7 +506,6 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
 
 def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     section = config.mislabel_bench
-    threads = _env_threads() or 1
     experiments: dict[str, MislabelExperimentConfig] = {}
     for p in section.flip_proportions:
         key = f"{p:g}"
@@ -547,9 +527,8 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     per_p: dict[str, dict] = {}
     rows: list[_Block] = []
     for key, cfg in experiments.items():
-        outcomes = mislabel_experiment(
-            cfg, data, task_size=section.task_size, task_dim=section.task_dim, max_workers=threads
-        )
+        outcomes = mislabel_experiment(cfg, data, task_size=section.task_size,
+                                       task_dim=section.task_dim)
         per_p[key] = {**summarize_mislabel(outcomes), "outcomes": outcomes}
         experiment = f"mislabel_p={key}"
         for split, o in enumerate(outcomes):

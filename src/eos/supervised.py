@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import _map_in_order, _metric_report
+from .bench import _metric_report
 from .core import EosConfig, FitResult, Termination, check_weights, fit
 from .data import Dataset
 from .exceptions import (
@@ -499,24 +499,21 @@ def mislabel_experiment(
     *,
     task_size: int = 400,
     task_dim: int = 5,
-    max_workers: int = 1,
 ) -> list[SplitOutcome]:
     """Run the repeated flip-train-evaluate protocol.
 
     With ``dataset`` given, each split re-partitions it into train and test;
     otherwise a fresh two-Gaussian task is drawn per split.  Test labels are
     never corrupted.  Split randomness is derived from ``cfg.seed`` so the
-    whole experiment is reproducible.  Splits run independently (optionally
-    in a thread pool); outcomes are returned in split order so they do not
-    depend on scheduling.
+    whole experiment is reproducible.  Splits run independently, and
+    outcomes are returned in split order.
     """
-
-    def job(child: np.random.SeedSequence) -> SplitOutcome:
+    outcomes = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits):
         rng = np.random.default_rng(child)
         data = dataset if dataset is not None else _two_gaussian_dataset(task_size, task_dim, rng)
-        return _run_split(data, cfg, rng)
-
-    return _map_in_order(job, np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits), max_workers)
+        outcomes.append(_run_split(data, cfg, rng))
+    return outcomes
 
 
 def summarize_mislabel(outcomes: list[SplitOutcome]) -> dict:

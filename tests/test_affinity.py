@@ -175,6 +175,9 @@ def test_affinity_rows_modes():
     by_perp = affinity_rows(data, perplexity=4.0)
     for row in by_perp:
         assert math.exp(shannon_entropy(row.values)) == pytest.approx(4.0, rel=2e-4)
+    for perplexity in (4, np.int64(4), np.float32(4.0)):  # any real type
+        assert [row.sigma_sq for row in affinity_rows(data, perplexity=perplexity)] == [
+            row.sigma_sq for row in by_perp]
     with pytest.raises(InvalidConfigError):
         affinity_rows(data, sigma_sq=1.0, alpha=1.0)
     with pytest.raises(InvalidConfigError):
@@ -315,6 +318,9 @@ _HALF_ALPHA_MESSAGE = (
 )
 
 
+_PERPLEXITY_MESSAGE = "target perplexity must be a real in [1, 2] for 2 neighbors, got "
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -327,13 +333,22 @@ _HALF_ALPHA_MESSAGE = (
         (lambda d: affinity_rows(d, alpha=5e-324), _HALF_ALPHA_MESSAGE),
         (lambda d: generalized_affinity_row(np.array([1.0, 2.0]), 5e-324, squared_euclidean=True),
          _HALF_ALPHA_MESSAGE),
+        # A perplexity out of range or not a real is bad input, not a bad bandwidth.
+        (lambda d: next(affinity_blocks(d, perplexity=3.0)), _PERPLEXITY_MESSAGE + "3.0"),
+        (lambda d: next(affinity_blocks(d, perplexity="2")), _PERPLEXITY_MESSAGE + "'2'"),
+        (lambda d: calibrate_row_alpha(np.arange(2.0), "2"), _PERPLEXITY_MESSAGE + "'2'"),
+        (lambda d: calibrate_row_alpha(np.arange(2.0), None), _PERPLEXITY_MESSAGE + "None"),
     ],
     ids=["rows-alpha-negative", "rows-alpha-string", "rows-sigma-sq-huge", "rows-sigma-sq-string",
-         "row-sigma-sq-huge", "rows-alpha-half-underflows", "row-alpha-half-underflows"],
+         "row-sigma-sq-huge", "rows-alpha-half-underflows", "row-alpha-half-underflows",
+         "blocks-perplexity-huge", "blocks-perplexity-string", "row-perplexity-string",
+         "row-perplexity-none"],
 )
 def test_bad_bandwidth_is_named_as_given(call, message):
-    with pytest.raises(InvalidConfigError) as error:
+    error_type = InvalidInputError if message.startswith("target perplexity") else InvalidConfigError
+    with pytest.raises(error_type) as error:
         call(Dataset(np.array([[0.0], [1.0], [3.0]])))
+    assert type(error.value) is error_type
     assert str(error.value) == message
 
 

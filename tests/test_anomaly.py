@@ -108,12 +108,19 @@ def test_detect_requires_enough_instances():
         detect(data, EosConfig(alpha=1.0))
 
 
-def test_detect_rejects_bad_rule_params():
+def test_detect_rejects_bad_rule_params(monkeypatch):
     data, _ = planted_gaussian_2d(seed=4)
     with pytest.raises(InvalidConfigError):
         detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 0.0)
     with pytest.raises(InvalidConfigError):
         detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, -3)
+    # The parameter is checked before the fit, which is never reached.
+    monkeypatch.setattr(eos.anomaly, "fit", lambda *args: pytest.fail("fitted"))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidConfigError, match=f"top-k count .*, got {bad!r}$"):
+            detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, bad)
+        with pytest.raises(InvalidConfigError, match=f"relative threshold .*, got {bad!r}$"):
+            detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,3 @@ def test_synth_benchmark_structure_and_quality():
     }
     assert len(reports["precision_eos_topk"].per_seed_values) == 3
     assert reports["precision_eos_topk"].mean >= reports["precision_chi2_robust"].mean
-
-
-def test_synth_benchmark_thread_pool_matches_serial():
-    spec = SyntheticSpec(T=250, D=4, seed=11)
-    serial = run_synth_benchmark(spec, 3, max_workers=1)
-    threaded = run_synth_benchmark(spec, 3, max_workers=3)
-    assert serial["rows"] == threaded["rows"]

@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,18 @@ def test_detect_too_few_rows_fails_cleanly(tmp_path, capsys):
     assert error["error"]["type"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("count", [math.nan, math.inf], ids=["nan", "inf"])
+def test_detect_non_finite_top_k_exits_2(detect_setup, capsys, count):
+    tmp_path, _, config = detect_setup
+    config = {**config, "detect": {"rule": "top_k", "rule_param": count}}
+    cfg_path = _write_config(tmp_path / "bad-k.json", config)  # json writes NaN and Infinity
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError",
+                     "message": f"top-k count must be a non-negative integer, got {count!r}"}
+    assert not (tmp_path / "out" / "weights.csv").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_path = _write_config(tmp_path / "cfg.json", {"command": "detect", "junk": True})
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
@@ -466,35 +479,6 @@ def test_timing_command(tmp_path):
     assert lines[0] == "axis,T,D,median_s,iqr_s,repeats"
 
 
-@pytest.mark.parametrize(
-    "command, section",
-    [
-        ("synth-bench", {"synth_bench": {"t": 150, "d": 3, "n_seeds": 2}}),
-        (
-            "mislabel-bench",
-            {"mislabel_bench": {"flip_proportions": [0.2], "n_splits": 3, "task_size": 80,
-                                "task_dim": 2}},
-        ),
-    ],
-    ids=["synth-bench", "mislabel-bench"],
-)
-def test_eos_threads_env(tmp_path, monkeypatch, command, section):
-    cfg = {"command": command, "output_dir": str(tmp_path / "serial"), "seed": 2, **section}
-    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
-    monkeypatch.delenv("EOS_THREADS", raising=False)
-    assert main(["--config", str(cfg_path), "--quiet"]) == 0
-    monkeypatch.setenv("EOS_THREADS", "2")
-    assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "par")]) == 0
-    serial = _report(tmp_path / "serial")["results"]
-    parallel = _report(tmp_path / "par")["results"]
-    assert serial == parallel
-    metrics = "metrics.csv"
-    assert (tmp_path / "serial" / metrics).read_bytes() == (tmp_path / "par" / metrics).read_bytes()
-
-    monkeypatch.setenv("EOS_THREADS", "zero")
-    assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "bad")]) == 2
-
-
 def _run_fresh(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports eos from src."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -507,10 +491,12 @@ def _run_fresh(code: str) -> str:
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.special alone is more than half of a bare CLI start and detect and affinity
-    # never call it; multiprocessing is imported only by a CSV write that starts workers.
+    # never call it; multiprocessing and concurrent.futures are imported only by a CSV
+    # write that starts workers.
     code = ("import sys, eos, eos.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m in ('scipy', 'multiprocessing') or m.startswith('scipy.')))")
+            "if m in ('scipy', 'multiprocessing', 'concurrent.futures') "
+            "or m.startswith('scipy.')))")
     assert _run_fresh(code) == "[]"
 
 
@@ -659,7 +645,6 @@ def test_late_calibration_error_on_the_pooled_path_leaves_nothing(tmp_path, monk
         "command": "affinity", "input_path": str(data_path), "output_dir": str(tmp_path / "out"),
         "affinity": {"perplexity": 1.5},
     })
-    monkeypatch.setenv("EOS_THREADS", "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pooled = _spy_on_pool(monkeypatch)
     assert main(["--config", str(cfg_path), "--quiet"]) == 1
@@ -768,7 +753,6 @@ def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkey
 
     weights, flags = _weight_data(100)
     pooled = _spy_on_pool(monkeypatch)
-    monkeypatch.delenv("EOS_THREADS", raising=False)
     # The fewest anchors whose affinity.csv reaches the cut-off, and one fewer.
     large = next(t for t in range(2, 10**4) if t * (t - 1) >= eos.cli._POOL_MIN_FLOATS)
     small = large - 1
@@ -790,26 +774,11 @@ def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkey
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert eos.cli._affinity_processes(10**6) == 2  # two workers at most
     assert write(eos.cli._affinity_processes(10**6)) == serial and pooled == [4, 4]
-    monkeypatch.setenv("EOS_THREADS", "1")
-    assert eos.cli._affinity_processes(10**6) == 1
-    monkeypatch.delenv("EOS_THREADS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert eos.cli._affinity_processes(10**6) == 1
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert write(2) == serial and pooled == [4, 4]
     assert multiprocessing.active_children() == []
-
-
-def test_eos_threads_zero_rejected_by_affinity(tmp_path, monkeypatch, capsys):
-    _, cfg_path = _affinity_config(tmp_path, {"perplexity": 5.0})
-    calls = []
-    monkeypatch.setattr(eos.cli, "affinity_blocks", lambda *args, **kwargs: calls.append(args))
-    monkeypatch.setenv("EOS_THREADS", "0")
-    assert main(["--config", str(cfg_path), "--quiet"]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error == {"type": "InvalidConfigError", "message": "EOS_THREADS must be >= 1, got 0"}
-    assert calls == []
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
 
 
 def _policy_config(tmp_path, command):
@@ -836,17 +805,9 @@ def test_only_affinity_csv_is_formatted_by_workers(tmp_path, monkeypatch, comman
     import multiprocessing
 
     cfg_path = _policy_config(tmp_path, command)
-    monkeypatch.delenv("EOS_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", 1)
     pooled = _spy_on_pool(monkeypatch)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     assert pooled == ([4] if pools else [])
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("command", ["detect", "robust-train"])
-def test_commands_without_workers_do_not_read_eos_threads(tmp_path, monkeypatch, command):
-    cfg_path = _policy_config(tmp_path, command)
-    monkeypatch.setenv("EOS_THREADS", "0")
-    assert main(["--config", str(cfg_path), "--quiet"]) == 0
