@@ -22,13 +22,12 @@ spreads from 1e-300 to 1e300 are supported.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_alpha, _checked_errors, _softmax, check_errors, w_step
+from .core import _check_alpha, _check_real, _checked_errors, _softmax, check_errors, w_step
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import _squared_distances
@@ -62,8 +61,9 @@ class AffinityRow:
             raise InvalidInputError(f"values must be a non-empty vector, got shape {values.shape}")
         if np.any(values < 0) or abs(float(values.sum()) - 1.0) > 1e-12:
             raise InvalidInputError("affinity values must be non-negative and sum to 1")
-        if self.sigma_sq is not None and not (self.sigma_sq > 0):
-            raise InvalidInputError(f"sigma_sq must be positive, got {self.sigma_sq!r}")
+        if self.sigma_sq is not None:
+            object.__setattr__(self, "sigma_sq", _check_real(
+                self.sigma_sq, lambda s: s > 0, InvalidInputError, "sigma_sq must be positive"))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -88,9 +88,8 @@ class AffinityRow:
 
 def _check_sigma_sq(sigma_sq: float) -> float:
     """sigma_sq as a float: a positive real whose alpha = 2*sigma_sq is finite."""
-    if not (isinstance(sigma_sq, (int, float)) and 0 < sigma_sq <= _HUGE / 2):
-        raise InvalidConfigError(f"sigma_sq must be a real in (0, {_HUGE / 2!r}], got {sigma_sq!r}")
-    return float(sigma_sq)
+    return _check_real(sigma_sq, lambda s: 0 < s <= _HUGE / 2, InvalidConfigError,
+                       f"sigma_sq must be a real in (0, {_HUGE / 2!r}]")
 
 
 def _check_row_alpha(alpha: float) -> float:
@@ -103,10 +102,8 @@ def _check_row_alpha(alpha: float) -> float:
 
 def _check_perplexity(target_perplexity: float, n: int) -> float:
     """target_perplexity as a float: a real in [1, n] for n neighbors."""
-    if not (isinstance(target_perplexity, numbers.Real) and 1 <= target_perplexity <= n):
-        raise InvalidInputError(f"target perplexity must be a real in [1, {n}] for {n} neighbors, "
-                                f"got {target_perplexity!r}")
-    return float(target_perplexity)
+    return _check_real(target_perplexity, lambda p: 1 <= p <= n, InvalidInputError,
+                       f"target perplexity must be a real in [1, {n}] for {n} neighbors")
 
 
 def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> AffinityRow:

@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EosConfig, FitResult, Termination, effective_sample_size, fit, w_step
+from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _positive,
+                   effective_sample_size, fit, w_step)
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams, gaussian_error
@@ -22,6 +23,7 @@ __all__ = [
     "FlagRule",
     "OutlierReport",
     "AlphaCalibration",
+    "check_flag_rule",
     "detect",
     "flag_outliers",
     "calibrate_alpha",
@@ -108,7 +110,7 @@ def detect(
     ``calibrate_alpha``, call ``flag_outliers`` on the calibration's fit
     instead: it is the fit this function would compute again.
     """
-    _check_rule(rule, rule_param)
+    check_flag_rule(rule, rule_param)
     result = fit(dataset, GaussianModel(), config)
     return flag_outliers(dataset, result, config.alpha, rule, rule_param)
 
@@ -131,7 +133,7 @@ def flag_outliers(
         raise InvalidInputError(
             f"need at least D+2 = {d + 2} instances for a stable covariance, got T={n}"
         )
-    rule, param = _check_rule(rule, rule_param)
+    rule, param = check_flag_rule(rule, rule_param)
     w = result.weights
 
     if rule is FlagRule.RELATIVE_THRESHOLD:
@@ -152,29 +154,29 @@ def flag_outliers(
         flags=flags,
         rule=rule,
         rule_param=float(rule_param),
-        alpha_used=alpha,
+        alpha_used=_check_alpha(alpha),
         gaussian=result.theta,
         iterations=result.iterations,
         termination=result.termination,
     )
 
 
-def _check_rule(rule: FlagRule, rule_param: float) -> tuple[FlagRule, float | int]:
-    """The rule and its parameter: a finite positive relative threshold, or a
-    non-negative integer count; anything else raises ``InvalidConfigError``."""
-    rule = FlagRule(rule)
-    if rule is FlagRule.RELATIVE_THRESHOLD:
-        kappa = float(rule_param)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise InvalidConfigError(f"relative threshold must be positive, got {rule_param!r}")
-        return rule, kappa
+def check_flag_rule(rule: FlagRule, rule_param: float) -> tuple[FlagRule, float | int]:
+    """The rule and its parameter: a finite positive relative threshold as a
+    float, or a non-negative top-k count, given as an int or an integral
+    float, as an int.  Anything else raises ``InvalidConfigError``.  Call it
+    before a fit whose weights will be flagged, as ``detect`` does."""
     try:
-        k = int(rule_param)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or +-inf
-        k = -1
-    if k < 0 or k != rule_param:
-        raise InvalidConfigError(f"top-k count must be a non-negative integer, got {rule_param!r}")
-    return rule, k
+        rule = FlagRule(rule)
+    except ValueError:
+        raise InvalidConfigError(
+            f"rule must be one of {[r.value for r in FlagRule]}, got {rule!r}") from None
+    if rule is FlagRule.RELATIVE_THRESHOLD:
+        return rule, _check_real(
+            rule_param, _positive, InvalidConfigError, "relative threshold must be positive")
+    count = _check_real(rule_param, lambda c: c >= 0 and c.is_integer(), InvalidConfigError,
+                        "top-k count must be a non-negative integer")
+    return rule, int(count)
 
 
 _BRACKET = (1e-6, 1e6)
@@ -217,11 +219,8 @@ def calibrate_alpha(
     returns, the same alpha, fraction, flag and fit or the same error, from
     fewer fits.
     """
-    if not (0.0 < target_ess_fraction <= 1.0):
-        raise InvalidInputError(
-            f"target ESS fraction must lie in (0, 1], got {target_ess_fraction!r}"
-        )
-    target = target_ess_fraction
+    target = _check_real(target_ess_fraction, lambda f: 0.0 < f <= 1.0, InvalidInputError,
+                         "target ESS fraction must lie in (0, 1]")
     path: list[tuple[float, float]] = []
     probe_fits: list[tuple[int, Termination]] = []
     fractions: dict[float, float] = {}
@@ -320,7 +319,7 @@ def calibrate_alpha(
         raise CalibrationError(
             f"ESS fraction jumps from {fractions[low]:.4f} at alpha={low!r} "
             f"to {fractions[high]:.4f} at alpha={high!r} with no float between "
-            f"them, so no alpha attains the target {target_ess_fraction} within {_ESS_TOL}; "
+            f"them, so no alpha attains the target {target} within {_ESS_TOL}; "
             "choose a target outside that jump"
         )
     (alpha,) = end
@@ -328,7 +327,7 @@ def calibrate_alpha(
     if verdict(alpha, fraction) != _STOP:
         raise CalibrationError(
             f"ESS calibration did not converge in {_MAX_STEPS} steps "
-            f"(achieved fraction {fraction:.4f}, target {target_ess_fraction})"
+            f"(achieved fraction {fraction:.4f}, target {target})"
         )
     # An endpoint stops on the far side of the target, a midpoint within the band.
     saturated = abs(fraction - target) > _ESS_TOL

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anomaly import FlagRule, calibrate_alpha, flag_outliers
-from .core import EosConfig, w_step
+from .core import EosConfig, _check_int, _check_real, w_step
 from .data import Dataset
 from .exceptions import InvalidConfigError, InvalidInputError
 from .models import GaussianParams, mahalanobis_squared, weighted_gaussian_mle
@@ -43,14 +43,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.T, int) and self.T >= 1):
-            raise InvalidConfigError(f"T must be a positive integer, got {self.T!r}")
-        if not (isinstance(self.D, int) and self.D >= 1):
-            raise InvalidConfigError(f"D must be a positive integer, got {self.D!r}")
-        if not (0.0 <= self.outlier_fraction < 0.5):
-            raise InvalidConfigError(
-                f"outlier_fraction must lie in [0, 0.5), got {self.outlier_fraction!r}"
-            )
+        for name in ("T", "D"):
+            object.__setattr__(self, name, _check_int(
+                getattr(self, name), lambda n: n >= 1, InvalidConfigError,
+                f"{name} must be a positive integer"))
+        object.__setattr__(self, "outlier_fraction", _check_real(
+            self.outlier_fraction, lambda f: 0.0 <= f < 0.5, InvalidConfigError,
+            "outlier_fraction must lie in [0, 0.5)"))
         mean = np.broadcast_to(np.asarray(self.inlier_mean, dtype=float), (self.D,)).copy()
         cov = (
             np.eye(self.D)
@@ -155,8 +154,8 @@ def mahalanobis_chi2_baseline(
     under heavy contamination); robust=True uses the coordinatewise median
     and a MAD-rescaled diagonal covariance.
     """
-    if not (0.0 < quantile < 1.0):
-        raise InvalidConfigError(f"quantile must lie in (0, 1), got {quantile!r}")
+    quantile = _check_real(quantile, lambda q: 0.0 < q < 1.0, InvalidConfigError,
+                           "quantile must lie in (0, 1)")
     n, d = dataset.n_instances, dataset.n_features
     if n < d + 2:
         raise InvalidInputError(f"need at least D+2 = {d + 2} instances, got T={n}")
@@ -198,8 +197,7 @@ def timing_probe_wstep(
     """
     if not t_grid or not d_grid:
         raise InvalidInputError("t_grid and d_grid must be non-empty")
-    if repeats < 5:
-        raise InvalidInputError(f"repeats must be at least 5, got {repeats}")
+    repeats = _check_int(repeats, lambda r: r >= 5, InvalidInputError, "repeats must be at least 5")
     rng = np.random.default_rng(seed)
 
     def time_axis(cells: list[np.ndarray]) -> list[tuple[float, float]]:
@@ -276,8 +274,7 @@ def run_synth_benchmark(
 
     Seeds run independently, and rows are returned in seed order.
     """
-    if n_seeds < 1:
-        raise InvalidInputError(f"n_seeds must be positive, got {n_seeds}")
+    n_seeds = _check_int(n_seeds, lambda n: n >= 1, InvalidInputError, "n_seeds must be positive")
     cfg = config if config is not None else EosConfig(alpha=1.0)
     rows = [_synth_seed_row(replace(spec, seed=spec.seed + i), cfg, ess_target, quantile)
             for i in range(n_seeds)]

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .affinity import affinity_blocks
-from .anomaly import FlagRule, calibrate_alpha, detect, flag_outliers
+from .anomaly import FlagRule, calibrate_alpha, check_flag_rule, detect, flag_outliers
 from .bench import SyntheticSpec, run_synth_benchmark, timing_probe_wstep, timing_ratios
 from .core import EosConfig, InitPolicy
 from .data import Dataset
@@ -168,7 +168,7 @@ class RunConfig:
 
 
 # JSON scalar types by the annotation they fill, with the name used in errors.
-_SCALARS = {float: "a number", int: "an integer", str: "a string"}
+_SCALARS = {float: "a number in the float range", int: "an integer", str: "a string"}
 
 
 def _parse(cls, data, path: str):
@@ -217,7 +217,10 @@ def _parse_value(tp, value, path: str):
             ) from None
     accepted = (int, float) if tp is float else tp
     if isinstance(value, accepted) and not isinstance(value, bool):
-        return tp(value)
+        try:
+            return tp(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            pass
     raise InvalidConfigError(f"{path} must be {_SCALARS[tp]}, got {value!r}")
 
 
@@ -404,6 +407,7 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
     if section.calibrate_ess_fraction is None:
         report = detect(data, eos_cfg, section.rule, section.rule_param)
     else:
+        check_flag_rule(section.rule, section.rule_param)  # before the calibration's fits
         calibration = calibrate_alpha(data, section.calibrate_ess_fraction, eos_cfg)
         report = flag_outliers(
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param
@@ -592,9 +596,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except FileNotFoundError:
-            raise ParseError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # missing, a directory, or not readable
+            raise ParseError(f"config file {args.config} cannot be read: {exc.strerror}") from None
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
             raise ParseError(f"config file {args.config} is not valid JSON: {exc}") from None
         config = RunConfig.from_dict(raw)
         if args.seed is not None:

@@ -18,11 +18,19 @@ g -> errors(step(w_step(g))), which ``fit`` accelerates with SQUAREM: any
 real error vector gives valid weights, so extrapolated errors are safe to
 step from.  The public functions check their inputs and call the unchecked
 kernels ``_softmax`` and ``_wlogw``; ``fit`` calls ``_softmax`` directly.
+
+Scalar parameters, here and in the other modules, are checked by
+``_check_real`` or ``_check_int``: one rule for what counts as a number
+(numpy scalars do, bools and strings do not), the checked value returned as
+a Python float or int, and the caller's own error class and text for
+anything else.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol
@@ -87,14 +95,16 @@ class EosConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidConfigError(f"tol must be positive, got {self.tol!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise InvalidConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "tol", _check_real(
+            self.tol, _positive, InvalidConfigError, "tol must be positive"))
+        object.__setattr__(self, "max_iters", _check_int(
+            self.max_iters, lambda n: n >= 1, InvalidConfigError,
+            "max_iters must be an integer >= 1"))
         object.__setattr__(self, "init_policy", InitPolicy(self.init_policy))
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_int(
+            self.seed, lambda n: 0 <= n < 2**64, InvalidConfigError,
+            "seed must be an unsigned 64-bit integer"))
 
 
 @dataclass(frozen=True)
@@ -165,10 +175,31 @@ def check_errors(errors: np.ndarray) -> np.ndarray:
     return _checked_errors(errors)[0]
 
 
+def _check_real(value: Any, ok: Callable[[float], bool], error: type[EosError], text: str) -> float:
+    """``value`` as a float if it is a real number (numpy's too, not a bool) that
+    a float can hold and ``ok`` accepts; else raise ``error(f"{text}, got {value!r}")``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if ok(number := float(value)):
+                return number
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise error(f"{text}, got {value!r}")
+
+
+def _check_int(value: Any, ok: Callable[[int], bool], error: type[EosError], text: str) -> int:
+    """``value`` as an int: ``_check_real``'s rule, for an integral type and the exact int."""
+    number = int(value) if isinstance(value, numbers.Integral) else None
+    _check_real(value, lambda _: number is not None and ok(number), error, text)
+    return number
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def _check_alpha(alpha: float) -> float:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise InvalidConfigError(f"alpha must be a positive finite real, got {alpha!r}")
-    return float(alpha)
+    return _check_real(alpha, _positive, InvalidConfigError, "alpha must be a positive finite real")
 
 
 def _softmax(shifted: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:

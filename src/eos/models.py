@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_weights
+from .core import _check_real, check_weights
 from .data import Dataset, _centered_blocks
 from .exceptions import InvalidInputError, ModelError
 
@@ -64,13 +64,12 @@ class GaussianParams:
         scale = max(1.0, float(np.abs(sigma).max()))
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise InvalidInputError("sigma is not symmetric within 1e-10")
-        if not (self.ridge >= 0.0):
-            raise InvalidInputError(f"ridge must be non-negative, got {self.ridge!r}")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "ridge", float(self.ridge))
+        object.__setattr__(self, "ridge", _check_real(
+            self.ridge, lambda r: r >= 0.0, InvalidInputError, "ridge must be non-negative"))
         # Eigenvalues and eigenvectors of sigma, set on first use; see _spectrum.
         object.__setattr__(self, "_spectrum", None)
 

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import _metric_report
-from .core import EosConfig, FitResult, Termination, check_weights, fit
+from .core import (EosConfig, FitResult, Termination, _check_int, _check_real, _positive,
+                   check_weights, fit)
 from .data import Dataset
 from .exceptions import (
+    EosError,
     InvalidConfigError,
     InvalidInputError,
     NonConvergenceError,
@@ -59,14 +61,19 @@ class ClassifierParams:
         coef = np.array(self.coefficients, dtype=float, copy=True)
         if coef.ndim != 1:
             raise InvalidInputError(f"coefficients must be a vector, got shape {coef.shape}")
-        if not (np.all(np.isfinite(coef)) and math.isfinite(self.intercept)):
+        if not np.all(np.isfinite(coef)):
             raise InvalidInputError("classifier parameters must be finite")
-        if not (self.l2_strength >= 0.0):
-            raise InvalidInputError(f"l2_strength must be non-negative, got {self.l2_strength!r}")
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "l2_strength", float(self.l2_strength))
+        object.__setattr__(self, "intercept", _check_real(
+            self.intercept, math.isfinite, InvalidInputError, "intercept must be finite"))
+        object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength, InvalidInputError))
+
+
+def _check_l2(l2_strength: float, error: type[EosError]) -> float:
+    """l2_strength as a float: finite and non-negative."""
+    return _check_real(l2_strength, lambda c: math.isfinite(c) and c >= 0.0, error,
+                       "l2_strength must be finite and non-negative")
 
 
 def decision_function(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
@@ -138,8 +145,7 @@ def train_weighted_classifier(
     """
     y = _require_labels(dataset).astype(float)
     w = check_weights(weights, dataset.n_instances)
-    if not (math.isfinite(l2_strength) and l2_strength >= 0.0):
-        raise InvalidConfigError(f"l2_strength must be non-negative, got {l2_strength!r}")
+    l2_strength = _check_l2(l2_strength, InvalidConfigError)
 
     x = dataset.instances
     n, d = x.shape
@@ -249,6 +255,7 @@ class ClassifierLossModel:
     l2_strength: float = 1e-4
 
     def __post_init__(self) -> None:
+        self.l2_strength = _check_l2(self.l2_strength, InvalidConfigError)
         self._warm: ClassifierParams | None = None
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
@@ -277,8 +284,8 @@ def inject_label_flips(
     The returned index set is the ground truth of which labels were flipped.
     """
     labels = _require_labels(dataset)
-    if not (0.0 <= p < 0.5):
-        raise InvalidInputError(f"flip proportion must lie in [0, 0.5), got {p!r}")
+    p = _check_real(p, lambda q: 0.0 <= q < 0.5, InvalidInputError,
+                    "flip proportion must lie in [0, 0.5)")
     n = dataset.n_instances
     k = int(math.floor(p * n + 1e-9))
     rng = np.random.default_rng(seed)
@@ -315,9 +322,10 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _check_alpha_grid(alpha_grid) -> tuple[float, ...]:
-    grid = tuple(float(a) for a in alpha_grid)
-    if not grid or any(not (math.isfinite(a) and a > 0) for a in grid):
-        raise InvalidConfigError("alpha_grid must be non-empty with positive entries")
+    text = "alpha_grid must be non-empty with positive entries"
+    grid = tuple(_check_real(a, _positive, InvalidConfigError, text) for a in alpha_grid)
+    if not grid:
+        raise InvalidConfigError(f"{text}, got {alpha_grid!r}")
     return grid
 
 
@@ -339,19 +347,17 @@ class MislabelExperimentConfig:
     l2_strength: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.flip_proportion < 0.5):
-            raise InvalidConfigError(
-                f"flip proportion must lie in [0, 0.5), got {self.flip_proportion!r}"
-            )
-        if not (isinstance(self.n_splits, int) and self.n_splits >= 1):
-            raise InvalidConfigError(f"n_splits must be a positive integer, got {self.n_splits!r}")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidConfigError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
-            )
+        object.__setattr__(self, "flip_proportion", _check_real(
+            self.flip_proportion, lambda p: 0.0 <= p < 0.5, InvalidConfigError,
+            "flip proportion must lie in [0, 0.5)"))
+        object.__setattr__(self, "n_splits", _check_int(
+            self.n_splits, lambda n: n >= 1, InvalidConfigError,
+            "n_splits must be a positive integer"))
+        object.__setattr__(self, "train_fraction", _check_real(
+            self.train_fraction, lambda f: 0.0 < f < 1.0, InvalidConfigError,
+            "train_fraction must lie in (0, 1)"))
         object.__setattr__(self, "alpha_grid", _check_alpha_grid(self.alpha_grid))
-        if not (self.l2_strength >= 0.0):
-            raise InvalidConfigError(f"l2_strength must be non-negative, got {self.l2_strength!r}")
+        object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength, InvalidConfigError))
 
 
 @dataclass(frozen=True)

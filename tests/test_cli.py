@@ -261,15 +261,27 @@ def test_detect_too_few_rows_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("count", [math.nan, math.inf], ids=["nan", "inf"])
-def test_detect_non_finite_top_k_exits_2(detect_setup, capsys, count):
+def test_detect_non_finite_top_k_exits_2(detect_setup, capsys, monkeypatch, count):
     tmp_path, _, config = detect_setup
-    config = {**config, "detect": {"rule": "top_k", "rule_param": count}}
-    cfg_path = _write_config(tmp_path / "bad-k.json", config)  # json writes NaN and Infinity
+    monkeypatch.setattr(eos.cli, "calibrate_alpha", lambda *args: pytest.fail("calibrated"))
+    for detect_section in ({"rule": "top_k", "rule_param": count},
+                           {"rule": "top_k", "rule_param": count, "calibrate_ess_fraction": 0.9}):
+        config = {**config, "detect": detect_section}
+        cfg_path = _write_config(tmp_path / "bad-k.json", config)  # json writes NaN and Infinity
+        assert main(["--config", str(cfg_path), "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "InvalidConfigError",
+                         "message": f"top-k count must be a non-negative integer, got {count!r}"}
+        assert not (tmp_path / "out" / "weights.csv").exists()
+
+
+def test_config_integer_beyond_float_range_exits_2(detect_setup, capsys):
+    tmp_path, _, config = detect_setup
+    cfg_path = _write_config(tmp_path / "huge-tol.json", {**config, "eos": {"tol": 10**400}})
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidConfigError",
-                     "message": f"top-k count must be a non-negative integer, got {count!r}"}
-    assert not (tmp_path / "out" / "weights.csv").exists()
+                     "message": f"eos.tol must be a number in the float range, got {10**400!r}"}
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -279,8 +291,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert error["error"]["type"] == "InvalidConfigError"
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    assert main(["--config", str(tmp_path / "nope.json"), "--quiet"]) == 2
+@pytest.mark.parametrize(
+    "name, content",
+    [("nope.json", None),
+     ("a-directory", "mkdir"),
+     ("latin-1.json", '{"command": "d\u00e9tect"}'.encode("latin-1")),
+     ("long-int.json", b'{"command": "detect", "seed": 1' + b"0" * 4300 + b"}")],
+    ids=["missing", "directory", "not-utf-8", "int-past-digit-limit"],
+)
+def test_missing_config_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content == "mkdir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["--config", str(path), "--quiet"]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
 

@@ -9,8 +9,8 @@ def test_public_names():
         "AffinityRow", "affinity_blocks", "affinity_rows", "calibrate_row_alpha",
         "gaussian_affinity_row",
         "generalized_affinity_row",
-        "AlphaCalibration", "FlagRule", "OutlierReport", "calibrate_alpha", "detect",
-        "flag_outliers",
+        "AlphaCalibration", "FlagRule", "OutlierReport", "calibrate_alpha", "check_flag_rule",
+        "detect", "flag_outliers",
         "MetricReport", "SyntheticSpec", "generate", "mahalanobis_chi2_baseline", "precision",
         "run_synth_benchmark", "timing_probe_wstep", "timing_ratios",
         "EosConfig", "ErrorModel", "FitResult", "InitPolicy", "Termination",
@@ -26,6 +26,6 @@ def test_public_names():
         "mislabel_experiment", "predict_proba", "robust_fit", "select_alpha",
         "summarize_mislabel", "train_weighted_classifier",
     ])
-    assert len(eos.__all__) == 63
+    assert len(eos.__all__) == 64
     for name in eos.__all__:
         assert hasattr(eos, name), name

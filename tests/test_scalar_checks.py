@@ -1,0 +1,189 @@
+"""One table over every public scalar parameter.
+
+Each row calls a public entry point with one scalar parameter set to the
+value under test.  A numpy scalar must give the same result, bit for bit and
+type for type, as the Python number it equals; a string, None or a bool
+must raise the entry point's own error class with a message that ends in
+``, got {value!r}``.
+"""
+
+from __future__ import annotations
+
+import pickle
+import re
+
+import numpy as np
+import pytest
+
+from eos import (
+    AffinityRow,
+    ClassifierLossModel,
+    ClassifierParams,
+    Dataset,
+    EosConfig,
+    FlagRule,
+    GaussianModel,
+    GaussianParams,
+    InvalidConfigError,
+    InvalidInputError,
+    MislabelExperimentConfig,
+    SyntheticSpec,
+    affinity_rows,
+    calibrate_alpha,
+    calibrate_row_alpha,
+    check_flag_rule,
+    detect,
+    fit,
+    flag_outliers,
+    gaussian_affinity_row,
+    generalized_affinity_row,
+    inject_label_flips,
+    mahalanobis_chi2_baseline,
+    objective,
+    robust_fit,
+    run_synth_benchmark,
+    select_alpha,
+    timing_probe_wstep,
+    train_weighted_classifier,
+    w_step,
+)
+
+_RNG = np.random.default_rng(20)
+_X = np.vstack([_RNG.standard_normal((36, 2)), _RNG.uniform(5.0, 8.0, (4, 2))])
+POINTS = Dataset(_X)
+LABELED = Dataset(_X, (_X[:, 0] + 0.5 * _RNG.standard_normal(40) > 0).astype(int))
+ERRORS = np.linspace(0.0, 3.0, 9)
+UNIFORM = np.full(40, 1.0 / 40)
+FIT = fit(POINTS, GaussianModel(), EosConfig(alpha=1.0))
+SPEC = {"T": 200, "D": 4, "outlier_fraction": 0.05}
+
+
+def _timing_rows(repeats):
+    rows = timing_probe_wstep([16], [2], repeats, fixed_t=16, warmup=0)
+    return [{k: v for k, v in row.items() if not k.endswith("_s")} for row in rows]
+
+
+# (id, call, numpy scalar, error class).  The numpy scalar is a valid value.
+SITES = [
+    ("EosConfig.alpha", lambda v: EosConfig(alpha=v), np.float32(0.3), InvalidConfigError),
+    ("EosConfig.tol", lambda v: EosConfig(alpha=1.0, tol=v), np.float32(1e-6), InvalidConfigError),
+    ("EosConfig.max_iters", lambda v: EosConfig(alpha=1.0, max_iters=v), np.int64(50),
+     InvalidConfigError),
+    ("EosConfig.seed", lambda v: EosConfig(alpha=1.0, seed=v), np.int64(7), InvalidConfigError),
+    ("w_step.alpha", lambda v: w_step(ERRORS, v), np.float32(0.3), InvalidConfigError),
+    ("objective.alpha", lambda v: objective(ERRORS, np.full(9, 1 / 9), v), np.int64(2),
+     InvalidConfigError),
+    ("fit.alpha", lambda v: fit(POINTS, GaussianModel(), EosConfig(alpha=v)), np.float32(0.3),
+     InvalidConfigError),
+    ("AffinityRow.sigma_sq", lambda v: AffinityRow(0, np.full(4, 0.25), v), np.float32(0.5),
+     InvalidInputError),
+    ("gaussian_affinity_row.sigma_sq", lambda v: gaussian_affinity_row(POINTS, 3, v),
+     np.int64(2), InvalidConfigError),
+    ("generalized_affinity_row.alpha",
+     lambda v: generalized_affinity_row(ERRORS, v, squared_euclidean=True), np.float32(0.3),
+     InvalidConfigError),
+    ("calibrate_row_alpha.target_perplexity", lambda v: calibrate_row_alpha(ERRORS, v),
+     np.float32(3.5), InvalidInputError),
+    ("affinity_rows.sigma_sq", lambda v: affinity_rows(POINTS, sigma_sq=v), np.int64(1),
+     InvalidConfigError),
+    ("affinity_rows.alpha", lambda v: affinity_rows(POINTS, alpha=v), np.int64(2),
+     InvalidConfigError),
+    ("affinity_rows.perplexity", lambda v: affinity_rows(POINTS, perplexity=v), np.float32(5.5),
+     InvalidInputError),
+    ("detect.relative_threshold",
+     lambda v: detect(POINTS, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, v),
+     np.float32(0.3), InvalidConfigError),
+    ("detect.top_k", lambda v: detect(POINTS, EosConfig(alpha=1.0), FlagRule.TOP_K, v),
+     np.int64(4), InvalidConfigError),
+    ("flag_outliers.top_k", lambda v: flag_outliers(POINTS, FIT, 1.0, FlagRule.TOP_K, v),
+     np.float32(4.0), InvalidConfigError),
+    ("flag_outliers.alpha", lambda v: flag_outliers(POINTS, FIT, v), np.float32(1.0),
+     InvalidConfigError),
+    ("check_flag_rule.relative_threshold",
+     lambda v: check_flag_rule(FlagRule.RELATIVE_THRESHOLD, v), np.float32(0.3),
+     InvalidConfigError),
+    ("calibrate_alpha.target_ess_fraction",
+     lambda v: calibrate_alpha(POINTS, v, EosConfig(alpha=1.0)), np.float32(0.75),
+     InvalidInputError),
+    ("GaussianParams.ridge", lambda v: GaussianParams(np.zeros(2), np.eye(2), v),
+     np.float32(0.1), InvalidInputError),
+    ("SyntheticSpec.T", lambda v: SyntheticSpec(**{**SPEC, "T": v}), np.int64(50),
+     InvalidConfigError),
+    ("SyntheticSpec.D", lambda v: SyntheticSpec(**{**SPEC, "D": v}), np.int64(3),
+     InvalidConfigError),
+    ("SyntheticSpec.outlier_fraction",
+     lambda v: SyntheticSpec(**{**SPEC, "outlier_fraction": v}), np.float32(0.2),
+     InvalidConfigError),
+    ("mahalanobis_chi2_baseline.quantile", lambda v: mahalanobis_chi2_baseline(POINTS, v),
+     np.float32(0.9), InvalidConfigError),
+    ("timing_probe_wstep.repeats", _timing_rows, np.int64(5), InvalidInputError),
+    ("run_synth_benchmark.n_seeds",
+     lambda v: run_synth_benchmark(SyntheticSpec(**SPEC), v), np.int64(2),
+     InvalidInputError),
+    ("ClassifierParams.intercept", lambda v: ClassifierParams(np.zeros(2), v, 0.0),
+     np.float32(0.5), InvalidInputError),
+    ("ClassifierParams.l2_strength", lambda v: ClassifierParams(np.zeros(2), 0.0, v),
+     np.float32(0.01), InvalidInputError),
+    ("train_weighted_classifier.l2_strength",
+     lambda v: train_weighted_classifier(LABELED, UNIFORM, v), np.float32(0.01),
+     InvalidConfigError),
+    ("ClassifierLossModel.l2_strength", lambda v: ClassifierLossModel(v).l2_strength,
+     np.float32(0.01), InvalidConfigError),
+    ("robust_fit.l2_strength", lambda v: robust_fit(LABELED, EosConfig(alpha=1.0), v),
+     np.float32(0.01), InvalidConfigError),
+    ("select_alpha.alpha_grid", lambda v: select_alpha(LABELED, LABELED, (1.0, v), 0.01),
+     np.float32(0.3), InvalidConfigError),
+    ("inject_label_flips.p", lambda v: inject_label_flips(LABELED, v, 3), np.float32(0.2),
+     InvalidInputError),
+    ("MislabelExperimentConfig.flip_proportion",
+     lambda v: MislabelExperimentConfig(flip_proportion=v), np.float32(0.2), InvalidConfigError),
+    ("MislabelExperimentConfig.n_splits",
+     lambda v: MislabelExperimentConfig(0.1, n_splits=v), np.int64(3), InvalidConfigError),
+    ("MislabelExperimentConfig.train_fraction",
+     lambda v: MislabelExperimentConfig(0.1, train_fraction=v), np.float32(0.5),
+     InvalidConfigError),
+    ("MislabelExperimentConfig.alpha_grid",
+     lambda v: MislabelExperimentConfig(0.1, alpha_grid=(v,)), np.float32(0.3),
+     InvalidConfigError),
+    ("MislabelExperimentConfig.l2_strength",
+     lambda v: MislabelExperimentConfig(0.1, l2_strength=v), np.float32(0.01),
+     InvalidConfigError),
+]
+IDS = [site[0] for site in SITES]
+# None selects another mode at these sites, so it is no bad value there.
+NONE_MEANS_UNSET = {"AffinityRow.sigma_sq", "affinity_rows.sigma_sq", "affinity_rows.alpha",
+                    "affinity_rows.perplexity"}
+BAD = [pytest.param(*site, bad, id=f"{site[0]}-{label}")
+       for site in SITES
+       for bad, label in (("x", "str"), (None, "None"), (True, "bool"))
+       if not (bad is None and site[0] in NONE_MEANS_UNSET)]
+
+
+@pytest.mark.parametrize("name, call, value, error", SITES, ids=IDS)
+def test_numpy_scalar_equals_python_number(name, call, value, error):
+    # pickle compares types as well as bits: a stored np.float32 would differ.
+    assert pickle.dumps(call(value)) == pickle.dumps(call(value.item()))
+
+
+@pytest.mark.parametrize("name, call, value, error, bad", BAD)
+def test_non_number_raises_the_sites_error(name, call, value, error, bad):
+    with pytest.raises(error, match=re.escape(f", got {bad!r}") + "$"):
+        call(bad)
+
+
+def test_numpy_alpha_keeps_the_fit_in_float64():
+    alpha = np.float32(0.3)
+    assert EosConfig(alpha=alpha).alpha == float(alpha)
+    assert type(EosConfig(alpha=alpha).alpha) is float
+    trajectory = fit(POINTS, GaussianModel(), EosConfig(alpha=alpha)).objective_trajectory
+    reference = fit(POINTS, GaussianModel(), EosConfig(alpha=float(alpha))).objective_trajectory
+    assert trajectory.dtype == np.float64
+    assert trajectory.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "-huge"])
+def test_int_beyond_float_range_is_rejected(value):
+    with pytest.raises(InvalidConfigError, match=r"^alpha must be .*, got -?10{400}$"):
+        EosConfig(alpha=value)
+    with pytest.raises(InvalidConfigError, match=r"^max_iters must be .*, got -?10{400}$"):
+        EosConfig(alpha=1.0, max_iters=value)
