@@ -5,9 +5,10 @@ classic spherically-symmetric Gaussian affinity
 
     p(j | i) = exp(-||x_i - x_j||^2 / (2 sigma^2)) / sum_k exp(-||x_i - x_k||^2 / (2 sigma^2))
 
-with sigma^2 = alpha / 2.  The same update applied to arbitrary per-pair
-error values yields affinities for non-Euclidean costs.  The self pair
-(i, i) is excluded from every row.
+with sigma^2 = alpha / 2.  A row is a plain vector over the T-1 other
+instances in ascending order: the self pair (i, i) is excluded.  For
+arbitrary per-pair errors a generalized row is ``w_step`` on the anchor's
+errors, at ``calibrate_row_alpha`` of them for a perplexity target.
 
 Perplexity mode picks each anchor's alpha so that exp(entropy) of its row
 hits the target, the per-point search of SNE and t-SNE (Hinton and Roweis
@@ -23,67 +24,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_alpha, _check_real, _checked_errors, _softmax, check_errors, w_step
+from .core import _check_alpha, _check_real, _checked_errors, _softmax, check_errors
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import _squared_distances
 
-__all__ = [
-    "AffinityRow",
-    "gaussian_affinity_row",
-    "generalized_affinity_row",
-    "calibrate_row_alpha",
-    "affinity_blocks",
-    "affinity_rows",
-]
-
-
-@dataclass(frozen=True)
-class AffinityRow:
-    """One anchor's affinity distribution over the other T-1 instances.
-
-    ``values[k]`` refers to neighbor ``j`` where j runs over all indices
-    except the anchor, in ascending order.  ``sigma_sq`` is only set when
-    the underlying errors are squared Euclidean distances.
-    """
-
-    anchor_index: int
-    values: np.ndarray
-    sigma_sq: float | None = None
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 1 or values.size < 1:
-            raise InvalidInputError(f"values must be a non-empty vector, got shape {values.shape}")
-        if np.any(values < 0) or abs(float(values.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("affinity values must be non-negative and sum to 1")
-        if self.sigma_sq is not None:
-            object.__setattr__(self, "sigma_sq", _check_real(
-                self.sigma_sq, lambda s: s > 0, InvalidInputError, "sigma_sq must be positive"))
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _unchecked(
-        cls, anchor_index: int, values: np.ndarray, sigma_sq: float | None
-    ) -> AffinityRow:
-        """A row from a w-step row the caller owns, and a sigma_sq that is None
-        or positive; ``values`` is frozen in place, not copied and summed again."""
-        row = object.__new__(cls)
-        values.setflags(write=False)
-        object.__setattr__(row, "anchor_index", anchor_index)
-        object.__setattr__(row, "values", values)
-        object.__setattr__(row, "sigma_sq", sigma_sq)
-        return row
-
-    def neighbor_indices(self) -> np.ndarray:
-        """Dataset indices the entries of ``values`` refer to."""
-        n = self.values.size + 1
-        return np.delete(np.arange(n), self.anchor_index)
+__all__ = ["gaussian_affinity_row", "calibrate_row_alpha", "affinity_blocks"]
 
 
 def _check_sigma_sq(sigma_sq: float) -> float:
@@ -106,8 +55,9 @@ def _check_perplexity(target_perplexity: float, n: int) -> float:
                        f"target perplexity must be a real in [1, {n}] for {n} neighbors")
 
 
-def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> AffinityRow:
-    """Gaussian affinity row for anchor i with bandwidth sigma^2.
+def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> np.ndarray:
+    """Gaussian affinity row for anchor i with bandwidth sigma^2: its T-1
+    values, neighbors in ascending order, the anchor left out.
 
     Identical to ``w_step`` on the squared distances with alpha = 2*sigma^2,
     including the stabilization: the one-anchor block of ``affinity_blocks``.
@@ -118,27 +68,7 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> Affinity
         raise InvalidInputError(f"anchor index {i} out of range for T={dataset.n_instances}")
     ssq = _check_sigma_sq(sigma_sq)
     values, _ = _anchor_block(dataset.instances, [i], 2.0 * ssq, None)
-    return AffinityRow._unchecked(i, values[0], ssq)
-
-
-def generalized_affinity_row(
-    errors_for_anchor: np.ndarray,
-    alpha: float,
-    *,
-    anchor_index: int = 0,
-    squared_euclidean: bool = False,
-) -> AffinityRow:
-    """Affinity row for arbitrary per-neighbor error values.
-
-    ``sigma_sq`` is reported as alpha/2 only when the caller declares the
-    errors to be squared Euclidean distances; for other costs there is no
-    bandwidth interpretation.  Such an alpha must then be at least 1e-323,
-    so that alpha/2 does not round to 0.
-    """
-    if squared_euclidean:
-        alpha = _check_row_alpha(alpha)
-    values = w_step(errors_for_anchor, alpha)
-    return AffinityRow._unchecked(anchor_index, values, alpha / 2.0 if squared_euclidean else None)
+    return values[0]
 
 
 # Each row's log(alpha) is found by Newton's method inside the bracket
@@ -344,12 +274,14 @@ def affinity_blocks(
     is ``(anchors, values, sigma_sq)``: a range of anchors, their rows
     (R x T-1, neighbors ascending, the anchor left out) and each row's
     sigma_sq.  It holds about 2**14 values, at least one row, so memory does
-    not grow with T^2.  Each row equals ``gaussian_affinity_row`` or
-    ``generalized_affinity_row`` at ``calibrate_row_alpha`` of that row, bit
-    for bit.  Drawing a block with a row that has a non-finite squared
-    distance raises ``InvalidInputError``, and with one that cannot be
-    calibrated ``CalibrationError`` naming its anchor.  When rows of both
-    kinds fail, the lowest anchor at fault raises.
+    not grow with T^2.  Each row equals, bit for bit, ``gaussian_affinity_row``
+    at a fixed bandwidth, and in perplexity mode ``w_step`` on the anchor's
+    squared distances at ``calibrate_row_alpha`` of them; a generalized row,
+    over any per-pair errors, is that same ``w_step`` on the anchor's errors.
+    Drawing a block with a row that has a non-finite squared distance raises
+    ``InvalidInputError``, and with one that cannot be calibrated
+    ``CalibrationError`` naming its anchor.  When rows of both kinds fail,
+    the lowest anchor at fault raises.
     """
     chosen = [v for v in (sigma_sq, alpha, perplexity) if v is not None]
     if len(chosen) != 1:
@@ -370,17 +302,3 @@ def affinity_blocks(
     blocks = (range(start, min(start + size, t)) for start in range(0, t, size))
     return ((anchors, *_anchor_block(x, anchors, alpha, perplexity)) for anchors in blocks)
 
-
-def affinity_rows(
-    dataset: Dataset,
-    *,
-    sigma_sq: float | None = None,
-    alpha: float | None = None,
-    perplexity: float | None = None,
-) -> list[AffinityRow]:
-    """All T rows of the affinity matrix: the rows of ``affinity_blocks``
-    under the same bandwidth mode, which that function describes."""
-    blocks = affinity_blocks(dataset, sigma_sq=sigma_sq, alpha=alpha, perplexity=perplexity)
-    return [AffinityRow._unchecked(i, row, s)
-            for anchors, values, sigma in blocks
-            for i, row, s in zip(anchors, values, sigma.tolist())]

@@ -56,7 +56,7 @@ class OutlierReport:
             raise InvalidInputError("an outlier report must never flag every instance")
         flags.setflags(write=False)
         object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "rule", FlagRule(self.rule))
+        object.__setattr__(self, "rule", check_flag_rule(self.rule, self.rule_param)[0])
 
     @property
     def n_flagged(self) -> int:

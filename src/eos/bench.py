@@ -47,6 +47,8 @@ class SyntheticSpec:
             object.__setattr__(self, name, _check_int(
                 getattr(self, name), lambda n: n >= 1, InvalidConfigError,
                 f"{name} must be a positive integer"))
+        object.__setattr__(self, "seed", _check_int(
+            self.seed, lambda n: n >= 0, InvalidConfigError, "seed must be a non-negative integer"))
         object.__setattr__(self, "outlier_fraction", _check_real(
             self.outlier_fraction, lambda f: 0.0 <= f < 0.5, InvalidConfigError,
             "outlier_fraction must lie in [0, 0.5)"))
@@ -195,6 +197,13 @@ def timing_probe_wstep(
     cell of the axis alike instead of one cell's window.  Runs on a single
     thread of execution.
     """
+    def positive(n: int, name: str) -> int:
+        return _check_int(n, lambda k: k >= 1, InvalidInputError,
+                          f"{name} must be a positive integer")
+
+    t_grid = [positive(t, "each t_grid entry") for t in t_grid]
+    d_grid = [positive(d, "each d_grid entry") for d in d_grid]
+    fixed_t = positive(fixed_t, "fixed_t")
     if not t_grid or not d_grid:
         raise InvalidInputError("t_grid and d_grid must be non-empty")
     repeats = _check_int(repeats, lambda r: r >= 5, InvalidInputError, "repeats must be at least 5")
@@ -213,17 +222,17 @@ def timing_probe_wstep(
         return [(float(m), float(hi - lo)) for m, hi, lo in zip(q50, q75, q25)]
 
     def squared_norms(d: int) -> np.ndarray:
-        data = rng.standard_normal((int(fixed_t), int(d)))
+        data = rng.standard_normal((fixed_t, d))
         return np.einsum("ij,ij->i", data, data)
 
-    t_cells = [rng.standard_normal(int(t)) for t in t_grid]
+    t_cells = [rng.standard_normal(t) for t in t_grid]
     rows: list[dict] = []
     for t, (median, iqr) in zip(t_grid, time_axis(t_cells)):
-        rows.append({"axis": "T", "T": int(t), "D": None,
+        rows.append({"axis": "T", "T": t, "D": None,
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})
     d_cells = [squared_norms(d) for d in d_grid]
     for d, (median, iqr) in zip(d_grid, time_axis(d_cells)):
-        rows.append({"axis": "D", "T": int(fixed_t), "D": int(d),
+        rows.append({"axis": "D", "T": fixed_t, "D": d,
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})
     return rows
 

@@ -69,9 +69,9 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class EosSection:
     alpha: float = 1.0
-    tol: float = 1e-12
-    max_iters: int = 500
-    init_policy: InitPolicy = InitPolicy.UNIFORM
+    tol: float = EosConfig.tol
+    max_iters: int = EosConfig.max_iters
+    init_policy: InitPolicy = EosConfig.init_policy
 
     def build(self, seed: int) -> EosConfig:
         return EosConfig(**dataclasses.asdict(self), seed=seed)
@@ -100,18 +100,18 @@ class AffinitySection:
 
 @dataclass(frozen=True)
 class RobustTrainSection:
-    l2_strength: float = 1e-4
+    l2_strength: float = MislabelExperimentConfig.l2_strength
     alpha: float | None = None
-    alpha_grid: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
+    alpha_grid: tuple[float, ...] = MislabelExperimentConfig.alpha_grid
 
 
 @dataclass(frozen=True)
 class SynthBenchSection:
-    t: int = 1000
-    d: int = 10
-    outlier_fraction: float = 0.05
-    box_low: float = 5.0
-    box_high: float = 9.0
+    t: int = SyntheticSpec.T
+    d: int = SyntheticSpec.D
+    outlier_fraction: float = SyntheticSpec.outlier_fraction
+    box_low: float = SyntheticSpec.outlier_box_low
+    box_high: float = SyntheticSpec.outlier_box_high
     n_seeds: int = 50
     quantile: float = 0.975
     ess_target: float = 0.95
@@ -120,10 +120,10 @@ class SynthBenchSection:
 @dataclass(frozen=True)
 class MislabelSection:
     flip_proportions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
-    n_splits: int = 50
-    train_fraction: float = 0.75
-    alpha_grid: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
-    l2_strength: float = 1e-4
+    n_splits: int = MislabelExperimentConfig.n_splits
+    train_fraction: float = MislabelExperimentConfig.train_fraction
+    alpha_grid: tuple[float, ...] = MislabelExperimentConfig.alpha_grid
+    l2_strength: float = MislabelExperimentConfig.l2_strength
     task_size: int = 400
     task_dim: int = 5
 
@@ -156,8 +156,7 @@ class RunConfig:
             raise InvalidConfigError(
                 f"command must be one of {list(_RUNNERS)}, got {self.command!r}"
             )
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
+        self.eos.build(self.seed)  # checks the seed and eos section, whatever the command
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -400,14 +399,14 @@ def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _run_detect(config: RunConfig, out_dir: Path) -> dict:
-    data = _load_input(config, require_labels=False)
     eos_cfg = config.eos.build(config.seed)
     section = config.detect
+    check_flag_rule(section.rule, section.rule_param)  # before the input is read
+    data = _load_input(config, require_labels=False)
     calibration = None
     if section.calibrate_ess_fraction is None:
         report = detect(data, eos_cfg, section.rule, section.rule_param)
     else:
-        check_flag_rule(section.rule, section.rule_param)  # before the calibration's fits
         calibration = calibrate_alpha(data, section.calibrate_ess_fraction, eos_cfg)
         report = flag_outliers(
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param

@@ -101,7 +101,11 @@ class EosConfig:
         object.__setattr__(self, "max_iters", _check_int(
             self.max_iters, lambda n: n >= 1, InvalidConfigError,
             "max_iters must be an integer >= 1"))
-        object.__setattr__(self, "init_policy", InitPolicy(self.init_policy))
+        try:
+            object.__setattr__(self, "init_policy", InitPolicy(self.init_policy))
+        except ValueError:
+            raise InvalidConfigError(f"init_policy must be one of {[p.value for p in InitPolicy]}, "
+                                     f"got {self.init_policy!r}") from None
         object.__setattr__(self, "seed", _check_int(
             self.seed, lambda n: 0 <= n < 2**64, InvalidConfigError,
             "seed must be an unsigned 64-bit integer"))

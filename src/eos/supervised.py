@@ -11,6 +11,7 @@ clamp, and the solver takes one path from any start, cold or warm.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ __all__ = [
 # A Newton step whose predicted decrease is below this cannot be ranked by
 # the value; observed value errors are one or two ulps (about 2.2e-16).
 VALUE_NOISE_EPS = 16.0 * float(np.finfo(float).eps)
+# The classifier's default l2 strength, everywhere one is taken.
+_L2_STRENGTH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def train_weighted_classifier(
     dataset: Dataset,
     weights: np.ndarray,
-    l2_strength: float = 1e-4,
+    l2_strength: float = _L2_STRENGTH,
     *,
     grad_tol: float = 1e-8,
     max_iters: int = 100,
@@ -146,6 +149,9 @@ def train_weighted_classifier(
     y = _require_labels(dataset).astype(float)
     w = check_weights(weights, dataset.n_instances)
     l2_strength = _check_l2(l2_strength, InvalidConfigError)
+    grad_tol = _check_real(grad_tol, _positive, InvalidConfigError, "grad_tol must be positive")
+    max_iters = _check_int(max_iters, lambda n: n >= 1, InvalidConfigError,
+                           "max_iters must be an integer >= 1")
 
     x = dataset.instances
     n, d = x.shape
@@ -202,11 +208,11 @@ def train_weighted_classifier(
         if bool(np.all(margins[w > 0] > 0.0)):
             raise NonConvergenceError(
                 "the weighted classes are perfectly separable and l2_strength is 0, "
-                "so the optimum is unbounded; set l2_strength > 0 (default 1e-4)"
+                f"so the optimum is unbounded; set l2_strength > 0 (default {_L2_STRENGTH!r})"
             )
     if gnorm > grad_tol:
         advice = (
-            "with separable classes set l2_strength > 0 (default 1e-4)"
+            f"with separable classes set l2_strength > 0 (default {_L2_STRENGTH!r})"
             if l2_strength == 0.0
             else "raise max_iters, or grad_tol if the data are badly scaled"
         )
@@ -252,7 +258,7 @@ class ClassifierLossModel:
     weight check is cheap next to a solve.
     """
 
-    l2_strength: float = 1e-4
+    l2_strength: float = _L2_STRENGTH
 
     def __post_init__(self) -> None:
         self.l2_strength = _check_l2(self.l2_strength, InvalidConfigError)
@@ -265,7 +271,7 @@ class ClassifierLossModel:
         return params, classifier_loss_error(dataset, params) + penalty
 
 
-def robust_fit(dataset: Dataset, config: EosConfig, l2_strength: float = 1e-4) -> FitResult:
+def robust_fit(dataset: Dataset, config: EosConfig, l2_strength: float = _L2_STRENGTH) -> FitResult:
     """Alternating fit with the classifier-loss error model.
 
     Instances the classifier cannot explain (mislabeled points in
@@ -288,7 +294,8 @@ def inject_label_flips(
                     "flip proportion must lie in [0, 0.5)")
     n = dataset.n_instances
     k = int(math.floor(p * n + 1e-9))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(
+        seed, lambda s: s >= 0, InvalidInputError, "seed must be a non-negative integer"))
     idx = rng.choice(n, size=k, replace=False)
     flipped = labels.copy()
     flipped[idx] = 1 - flipped[idx]
@@ -323,7 +330,8 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _check_alpha_grid(alpha_grid) -> tuple[float, ...]:
     text = "alpha_grid must be non-empty with positive entries"
-    grid = tuple(_check_real(a, _positive, InvalidConfigError, text) for a in alpha_grid)
+    entries = alpha_grid if isinstance(alpha_grid, Iterable) else ()
+    grid = tuple(_check_real(a, _positive, InvalidConfigError, text) for a in entries)
     if not grid:
         raise InvalidConfigError(f"{text}, got {alpha_grid!r}")
     return grid
@@ -344,7 +352,7 @@ class MislabelExperimentConfig:
     train_fraction: float = 0.75
     seed: int = 0
     alpha_grid: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
-    l2_strength: float = 1e-4
+    l2_strength: float = _L2_STRENGTH
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flip_proportion", _check_real(
@@ -356,6 +364,8 @@ class MislabelExperimentConfig:
         object.__setattr__(self, "train_fraction", _check_real(
             self.train_fraction, lambda f: 0.0 < f < 1.0, InvalidConfigError,
             "train_fraction must lie in (0, 1)"))
+        object.__setattr__(self, "seed", _check_int(
+            self.seed, lambda n: n >= 0, InvalidConfigError, "seed must be a non-negative integer"))
         object.__setattr__(self, "alpha_grid", _check_alpha_grid(self.alpha_grid))
         object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength, InvalidConfigError))
 
@@ -413,8 +423,8 @@ def select_alpha(
     alpha_grid: tuple[float, ...],
     l2_strength: float,
     *,
-    tol: float = 1e-12,
-    max_iters: int = 500,
+    tol: float = EosConfig.tol,
+    max_iters: int = EosConfig.max_iters,
 ) -> tuple[ClassifierParams, float, FitResult]:
     """Plain fit plus grid selection of alpha by class separation on ``reference``.
 
@@ -514,6 +524,10 @@ def mislabel_experiment(
     whole experiment is reproducible.  Splits run independently, and
     outcomes are returned in split order.
     """
+    task_size = _check_int(task_size, lambda n: n >= 1, InvalidInputError,
+                           "task_size must be a positive integer")
+    task_dim = _check_int(task_dim, lambda n: n >= 1, InvalidInputError,
+                          "task_dim must be a positive integer")
     outcomes = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_splits):
         rng = np.random.default_rng(child)

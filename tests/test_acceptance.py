@@ -99,7 +99,7 @@ def test_criterion_3_affinity_bandwidth_correspondence():
         sigma_sq = float(rng.uniform(0.05, 5.0))
         row = gaussian_affinity_row(data, i, sigma_sq)
         distances = np.delete(squared_euclidean_error(data, data.instances[i]), i)
-        if np.abs(row.values - w_step(distances, 2.0 * sigma_sq)).max() > 1e-12:
+        if np.abs(row - w_step(distances, 2.0 * sigma_sq)).max() > 1e-12:
             ok = False
     elapsed = time.perf_counter() - started
     _report(3, "gaussian affinity row equals w-step at alpha = 2 sigma^2", ok and elapsed < 5, elapsed)

@@ -13,10 +13,8 @@ from eos import (
     InvalidConfigError,
     InvalidInputError,
     affinity_blocks,
-    affinity_rows,
     calibrate_row_alpha,
     gaussian_affinity_row,
-    generalized_affinity_row,
     shannon_entropy,
     squared_euclidean_error,
     w_step,
@@ -32,15 +30,15 @@ def _anchor_sq_dists(data: Dataset, i: int) -> np.ndarray:
 def test_two_points_single_neighbor():
     data = Dataset(np.array([[0.0], [3.0]]))
     row = gaussian_affinity_row(data, 0, 2.5)
-    assert row.values == pytest.approx([1.0])
-    assert list(row.neighbor_indices()) == [1]
+    assert isinstance(row, np.ndarray)
+    assert row == pytest.approx([1.0])
 
 
 def test_collinear_midpoint_symmetry():
     data = Dataset(np.array([[0.0], [1.0], [2.0]]))
     for sigma_sq in (0.1, 1.0, 42.0):
         row = gaussian_affinity_row(data, 1, sigma_sq)
-        assert row.values == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert row == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_matches_w_step_with_doubled_bandwidth():
@@ -50,23 +48,7 @@ def test_matches_w_step_with_doubled_bandwidth():
     for i in range(10):
         row = gaussian_affinity_row(data, i, 0.7)
         expected = w_step(_anchor_sq_dists(data, i), 1.4)
-        assert np.abs(row.values - expected).max() <= 1e-12
-
-
-def test_generalized_row_uniform_for_equal_errors():
-    row = generalized_affinity_row(np.full(6, 3.3), 1.0)
-    assert row.values == pytest.approx(np.full(6, 1.0 / 6.0), abs=1e-15)
-    assert row.sigma_sq is None
-
-
-def test_generalized_row_squared_euclidean_declaration():
-    rng = np.random.default_rng(10)
-    data = Dataset(rng.normal(size=(7, 3)))
-    errors = _anchor_sq_dists(data, 2)
-    row = generalized_affinity_row(errors, 1.6, anchor_index=2, squared_euclidean=True)
-    assert row.sigma_sq == pytest.approx(0.8)
-    direct = gaussian_affinity_row(data, 2, 0.8)
-    assert np.abs(row.values - direct.values).max() <= 1e-12
+        assert np.abs(row - expected).max() <= 1e-12
 
 
 def test_generalized_row_manhattan_matches_grid_oracle():
@@ -75,15 +57,13 @@ def test_generalized_row_manhattan_matches_grid_oracle():
     errors = np.array(
         [np.abs(points[j] - points[anchor]).sum() for j in range(5) if j != anchor]
     )
-    row = generalized_affinity_row(errors, 1.0, anchor_index=anchor)
+    row = w_step(errors, 1.0)
 
     grid = simplex_grid(4, 0.01)
     values = grid_objective(grid, errors, 1.0)
     argmin = grid[np.argmin(values)]
-    assert np.abs(row.values - argmin).max() <= 0.02
-    own = float(row.values @ errors) + float(
-        np.sum(row.values[row.values > 0] * np.log(row.values[row.values > 0]))
-    )
+    assert np.abs(row - argmin).max() <= 0.02
+    own = float(row @ errors) + float(np.sum(row[row > 0] * np.log(row[row > 0])))
     assert own <= values.min() + 1e-9
 
 
@@ -96,7 +76,7 @@ def test_rigid_motion_leaves_rows_unchanged():
     for i in (0, 5, 11):
         before = gaussian_affinity_row(Dataset(x), i, 0.9)
         after = gaussian_affinity_row(Dataset(moved), i, 0.9)
-        assert np.abs(before.values - after.values).max() <= 1e-10
+        assert np.abs(before - after).max() <= 1e-10
 
 
 def test_row_validation():
@@ -162,27 +142,25 @@ def test_calibration_target_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# full matrix helper
+# affinity_blocks
 # ---------------------------------------------------------------------------
 
-def test_affinity_rows_modes():
+def test_affinity_blocks_modes():
     rng = np.random.default_rng(13)
     data = Dataset(rng.normal(size=(8, 2)))
-    by_sigma = affinity_rows(data, sigma_sq=0.5)
-    by_alpha = affinity_rows(data, alpha=1.0)
-    for a, b in zip(by_sigma, by_alpha):
-        assert np.abs(a.values - b.values).max() <= 1e-15
-    by_perp = affinity_rows(data, perplexity=4.0)
+    [(anchors, by_sigma, sigma_sq)] = affinity_blocks(data, sigma_sq=0.5)
+    assert anchors == range(8) and by_sigma.shape == (8, 7) and sigma_sq.tolist() == [0.5] * 8
+    [(_, by_alpha, _)] = affinity_blocks(data, alpha=1.0)
+    assert np.abs(by_sigma - by_alpha).max() <= 1e-15
+    [(_, by_perp, perp_sigma_sq)] = affinity_blocks(data, perplexity=4.0)
     for row in by_perp:
-        assert math.exp(shannon_entropy(row.values)) == pytest.approx(4.0, rel=2e-4)
+        assert math.exp(shannon_entropy(row)) == pytest.approx(4.0, rel=2e-4)
     for perplexity in (4, np.int64(4), np.float32(4.0)):  # any real type
-        assert [row.sigma_sq for row in affinity_rows(data, perplexity=perplexity)] == [
-            row.sigma_sq for row in by_perp]
-    with pytest.raises(InvalidConfigError):
-        affinity_rows(data, sigma_sq=1.0, alpha=1.0)
-    with pytest.raises(InvalidConfigError):
-        affinity_rows(data)
+        [(_, _, same)] = affinity_blocks(data, perplexity=perplexity)
+        assert same.tolist() == perp_sigma_sq.tolist()
     # The generator checks its arguments when called, before any block is drawn.
+    with pytest.raises(InvalidConfigError):
+        affinity_blocks(data, sigma_sq=1.0, alpha=1.0)
     with pytest.raises(InvalidConfigError):
         affinity_blocks(data)
     with pytest.raises(InvalidInputError, match="target perplexity"):
@@ -194,31 +172,29 @@ def test_affinity_rows_modes():
 # ---------------------------------------------------------------------------
 
 def _row_errors(data: Dataset, i: int) -> np.ndarray:
-    """Anchor i's squared distances, computed as affinity_rows computes them."""
+    """Anchor i's squared distances, computed as affinity_blocks computes them."""
     diff = data.instances - data.instances[i]
     return np.delete(np.einsum("ij,ij->i", diff, diff), i)
 
 
-def test_affinity_rows_equal_single_row_results_bit_for_bit():
+def test_affinity_blocks_equal_single_row_results_bit_for_bit():
     rng = np.random.default_rng(31)
     for _ in range(12):
         t = int(rng.integers(2, 60))
         data = Dataset(rng.normal(size=(t, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-3, 3))
         perplexity = float(rng.uniform(1.0, t - 1))
         sigma_sq = float(10.0 ** rng.uniform(-2, 2))
-        by_perplexity = affinity_rows(data, perplexity=perplexity)
-        by_sigma = affinity_rows(data, sigma_sq=sigma_sq)
-        by_alpha = affinity_rows(data, alpha=2.0 * sigma_sq)
+        [(_, by_perplexity, perplexity_sigma_sq)] = affinity_blocks(data, perplexity=perplexity)
+        [(_, by_sigma, _)] = affinity_blocks(data, sigma_sq=sigma_sq)
+        [(_, by_alpha, _)] = affinity_blocks(data, alpha=2.0 * sigma_sq)
         for i in range(t):
             errors = _row_errors(data, i)
-            single = generalized_affinity_row(
-                errors, calibrate_row_alpha(errors, perplexity), squared_euclidean=True
-            )
-            assert np.array_equal(by_perplexity[i].values, single.values)
-            assert by_perplexity[i].sigma_sq == single.sigma_sq
+            alpha = calibrate_row_alpha(errors, perplexity)
+            assert np.array_equal(by_perplexity[i], w_step(errors, alpha))
+            assert perplexity_sigma_sq[i] == alpha / 2.0
             fixed = gaussian_affinity_row(data, i, sigma_sq)
-            assert np.array_equal(by_sigma[i].values, fixed.values)
-            assert np.array_equal(by_alpha[i].values, fixed.values)
+            assert np.array_equal(by_sigma[i], fixed)
+            assert np.array_equal(by_alpha[i], fixed)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
@@ -253,10 +229,10 @@ def test_perplexity_search_takes_few_steps_per_row(monkeypatch):
         return real(rows, alpha)
 
     monkeypatch.setattr(eos.affinity, "_entropy_pass", counting)
-    rows = affinity_rows(data, perplexity=30.0)
+    rows = np.vstack([values for _, values, _ in affinity_blocks(data, perplexity=30.0)])
     assert sum(evaluated) <= 8 * 1000
     for row in rows:
-        assert math.exp(shannon_entropy(row.values)) == pytest.approx(30.0, rel=1e-4)
+        assert math.exp(shannon_entropy(row)) == pytest.approx(30.0, rel=1e-4)
 
 
 def test_affinity_blocks_memory_is_bounded_by_the_block_not_by_t_squared():
@@ -276,7 +252,7 @@ def test_affinity_blocks_memory_is_bounded_by_the_block_not_by_t_squared():
     assert large <= 8 * 2000 * 1999 / 16  # a sixteenth of the T x (T-1) matrix
 
 
-def test_affinity_rows_calibration_error_names_the_anchor():
+def test_affinity_blocks_calibration_error_names_the_anchor():
     # Anchors 4, 5 and 6 coincide, so each has two neighbors at distance 0
     # and cannot reach perplexity 1.5; the error names the first of them.
     x = np.random.default_rng(17).normal(size=(10, 2))
@@ -285,7 +261,7 @@ def test_affinity_rows_calibration_error_names_the_anchor():
     with pytest.raises(CalibrationError) as single:
         calibrate_row_alpha(_row_errors(data, 4), 1.5)
     with pytest.raises(CalibrationError) as batched:
-        affinity_rows(data, perplexity=1.5)
+        list(affinity_blocks(data, perplexity=1.5))
     assert str(batched.value) == f"anchor 4: {single.value}"
 
 
@@ -300,16 +276,16 @@ def test_lowest_anchor_at_fault_raises(points, error, match):
     # two rows are the non-finite ones; the three coinciding points cannot
     # reach perplexity 1.5.
     with pytest.raises(error, match=match):
-        affinity_rows(Dataset(np.array(points)[:, np.newaxis]), perplexity=1.5)
+        list(affinity_blocks(Dataset(np.array(points)[:, np.newaxis]), perplexity=1.5))
 
 
 @pytest.mark.parametrize(
     "bandwidth",
     [{"alpha": 0.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"sigma_sq": -1.0}],
 )
-def test_affinity_rows_rejects_bad_bandwidth(bandwidth):
+def test_affinity_blocks_rejects_bad_bandwidth(bandwidth):
     with pytest.raises(InvalidConfigError):
-        affinity_rows(Dataset(np.eye(3)), **bandwidth)
+        affinity_blocks(Dataset(np.eye(3)), **bandwidth)
 
 
 _SIGMA_SQ_MESSAGE = "sigma_sq must be a real in (0, 8.988465674311579e+307], got "
@@ -324,15 +300,13 @@ _PERPLEXITY_MESSAGE = "target perplexity must be a real in [1, 2] for 2 neighbor
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda d: affinity_rows(d, alpha=-1.0), "alpha must be a positive finite real, got -1.0"),
-        (lambda d: affinity_rows(d, alpha="2"), "alpha must be a positive finite real, got '2'"),
-        (lambda d: affinity_rows(d, sigma_sq=1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
-        (lambda d: affinity_rows(d, sigma_sq="2"), _SIGMA_SQ_MESSAGE + "'2'"),
+        (lambda d: affinity_blocks(d, alpha=-1.0), "alpha must be a positive finite real, got -1.0"),
+        (lambda d: affinity_blocks(d, alpha="2"), "alpha must be a positive finite real, got '2'"),
+        (lambda d: affinity_blocks(d, sigma_sq=1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
+        (lambda d: affinity_blocks(d, sigma_sq="2"), _SIGMA_SQ_MESSAGE + "'2'"),
         (lambda d: gaussian_affinity_row(d, 0, 1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
         # sigma_sq = alpha / 2 would round to 0.
-        (lambda d: affinity_rows(d, alpha=5e-324), _HALF_ALPHA_MESSAGE),
-        (lambda d: generalized_affinity_row(np.array([1.0, 2.0]), 5e-324, squared_euclidean=True),
-         _HALF_ALPHA_MESSAGE),
+        (lambda d: affinity_blocks(d, alpha=5e-324), _HALF_ALPHA_MESSAGE),
         # A perplexity out of range or not a real is bad input, not a bad bandwidth.
         (lambda d: next(affinity_blocks(d, perplexity=3.0)), _PERPLEXITY_MESSAGE + "3.0"),
         (lambda d: next(affinity_blocks(d, perplexity="2")), _PERPLEXITY_MESSAGE + "'2'"),
@@ -340,7 +314,7 @@ _PERPLEXITY_MESSAGE = "target perplexity must be a real in [1, 2] for 2 neighbor
         (lambda d: calibrate_row_alpha(np.arange(2.0), None), _PERPLEXITY_MESSAGE + "None"),
     ],
     ids=["rows-alpha-negative", "rows-alpha-string", "rows-sigma-sq-huge", "rows-sigma-sq-string",
-         "row-sigma-sq-huge", "rows-alpha-half-underflows", "row-alpha-half-underflows",
+         "row-sigma-sq-huge", "rows-alpha-half-underflows",
          "blocks-perplexity-huge", "blocks-perplexity-string", "row-perplexity-string",
          "row-perplexity-none"],
 )
@@ -359,15 +333,15 @@ def test_calibration_at_extreme_magnitudes(spread):
     assert math.exp(shannon_entropy(w_step(errors, alpha))) == pytest.approx(3.0, rel=1e-4)
     # Points whose squared distances span the same magnitude.
     data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0], [5.0]]) * math.sqrt(spread))
-    for row in affinity_rows(data, perplexity=3.0):
-        assert math.exp(shannon_entropy(row.values)) == pytest.approx(3.0, rel=1e-4)
+    [(_, rows, _)] = affinity_blocks(data, perplexity=3.0)
+    for row in rows:
+        assert math.exp(shannon_entropy(row)) == pytest.approx(3.0, rel=1e-4)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e298, 1e302])
 def test_generalized_row_on_simplex_at_scale(alpha):
-    # 10^6 neighbors with errors up to 1e300; AffinityRow itself rejects a
-    # row whose sum is off by more than 1e-12.
+    # 10^6 neighbors with errors up to 1e300.
     errors = np.random.default_rng(8).uniform(0.0, 1e300, size=10**6)
-    row = generalized_affinity_row(errors, alpha)
-    assert np.all(row.values >= 0.0)
-    assert abs(float(row.values.sum()) - 1.0) <= 1e-12
+    row = w_step(errors, alpha)
+    assert np.all(row >= 0.0)
+    assert abs(float(row.sum()) - 1.0) <= 1e-12

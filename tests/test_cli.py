@@ -24,7 +24,6 @@ from eos import (
     InvalidConfigError,
     MislabelExperimentConfig,
     affinity_blocks,
-    affinity_rows,
     calibrate_alpha,
     detect,
     mislabel_experiment,
@@ -123,6 +122,11 @@ def test_config_round_trip_is_fixpoint():
         {"command": "timing", "timing": {"t_grid": [1, 2.5]}},
         {"command": "detect", "eos": []},
         {"seed": 1},
+        # The seed and the eos section are checked for every command.
+        {"command": "timing", "seed": 2**64},
+        {"command": "mislabel-bench", "seed": 2**64},
+        {"command": "affinity", "eos": {"tol": -1}},
+        {"command": "synth-bench", "eos": {"max_iters": 0}},
     ],
 )
 def test_config_rejects_bad_payloads(payload):
@@ -282,6 +286,45 @@ def test_config_integer_beyond_float_range_exits_2(detect_setup, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidConfigError",
                      "message": f"eos.tol must be a number in the float range, got {10**400!r}"}
+
+
+@pytest.mark.parametrize("calibrate", [None, 0.9], ids=["fixed-alpha", "calibrated"])
+@pytest.mark.parametrize(
+    "key, change, message",
+    [("eos", {"tol": -1}, "tol must be positive, got -1.0"),
+     ("seed", 2**64, f"seed must be an unsigned 64-bit integer, got {2**64}"),
+     ("detect", {"rule_param": -1}, "top-k count must be a non-negative integer, got -1.0")],
+    ids=["eos-tol", "seed", "detect-rule-param"],
+)
+def test_bad_detect_config_exits_2_before_the_input_is_read(
+    detect_setup, capsys, monkeypatch, calibrate, key, change, message
+):
+    tmp_path, _, config = detect_setup
+    monkeypatch.setattr(eos.cli, "parse_csv_dataset", lambda *args, **kwargs: pytest.fail("read"))
+    config = {**config, "detect": {**config["detect"], "calibrate_ess_fraction": calibrate}}
+    config[key] = {**config[key], **change} if isinstance(change, dict) else change
+    cfg_path = _write_config(tmp_path / "bad.json", config)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [("mislabel-bench", {"task_size": -1}, "task_size must be a positive integer, got -1"),
+     ("mislabel-bench", {"task_dim": 0}, "task_dim must be a positive integer, got 0"),
+     ("timing", {"fixed_t": -1}, "fixed_t must be a positive integer, got -1"),
+     ("timing", {"t_grid": [-1]}, "each t_grid entry must be a positive integer, got -1"),
+     ("timing", {"d_grid": [2, -1]}, "each d_grid entry must be a positive integer, got -1")],
+    ids=["task-size", "task-dim", "fixed-t", "t-grid", "d-grid"],
+)
+def test_bad_experiment_size_returns_a_code(tmp_path, capsys, command, section, message):
+    key = command.replace("-", "_")
+    cfg_path = _write_config(tmp_path / "cfg.json", {
+        "command": command, "output_dir": str(tmp_path / "out"), key: section})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidInputError", "message": message}
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -602,11 +645,11 @@ def _affinity_config(tmp_path, section):
 def test_affinity_csv_matches_csv_writer(tmp_path, section):
     data_path, cfg_path = _affinity_config(tmp_path, section)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
-    rows = affinity_rows(parse_csv_dataset(data_path), **section)
+    blocks = affinity_blocks(parse_csv_dataset(data_path), **section)
     expected = _oracle_csv(
         ["row_index", "col_index", "value"],
-        [[row.anchor_index, int(j), float(v)]
-         for row in rows for j, v in zip(row.neighbor_indices(), row.values)],
+        [[i, j, float(v)] for anchors, values, _ in blocks for i, row in zip(anchors, values)
+         for j, v in zip([j for j in range(row.size + 1) if j != i], row)],
     )
     assert (tmp_path / "out" / "affinity.csv").read_bytes() == expected
 
@@ -718,7 +761,7 @@ def test_weights_csv_identical_at_any_worker_count(tmp_path, monkeypatch, t):
 def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
     data_path, _ = _affinity_config(tmp_path, {})
     data = parse_csv_dataset(data_path)
-    rows = affinity_rows(data, perplexity=5.0)
+    blocks = list(affinity_blocks(data, perplexity=5.0))
 
     def csv_blocks(sigma_sq):
         return eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq)
@@ -727,7 +770,7 @@ def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
     sigma_sq = []
     assert [len(cells) for _, cells in csv_blocks(sigma_sq)] == [56, 56, 56, 42]
-    assert sigma_sq == [row.sigma_sq for row in rows]
+    assert sigma_sq == [s for _, _, block_sigma_sq in blocks for s in block_sigma_sq.tolist()]
     pooled = _spy_on_pool(monkeypatch)
     written = []
     for processes in (1, 2, 3):
@@ -738,8 +781,8 @@ def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
     assert pooled == [4, 6]
     expected = _oracle_csv(
         ["row_index", "col_index", "value"],
-        [[row.anchor_index, int(j), float(v)]
-         for row in rows for j, v in zip(row.neighbor_indices(), row.values)],
+        [[i, j, float(v)] for anchors, values, _ in blocks for i, row in zip(anchors, values)
+         for j, v in zip([j for j in range(15) if j != i], row)],
     )
     assert written == [expected] * 3
 

@@ -6,9 +6,7 @@ import eos
 def test_public_names():
     assert sorted(eos.__all__) == sorted([
         "__version__",
-        "AffinityRow", "affinity_blocks", "affinity_rows", "calibrate_row_alpha",
-        "gaussian_affinity_row",
-        "generalized_affinity_row",
+        "affinity_blocks", "calibrate_row_alpha", "gaussian_affinity_row",
         "AlphaCalibration", "FlagRule", "OutlierReport", "calibrate_alpha", "check_flag_rule",
         "detect", "flag_outliers",
         "MetricReport", "SyntheticSpec", "generate", "mahalanobis_chi2_baseline", "precision",
@@ -26,6 +24,6 @@ def test_public_names():
         "mislabel_experiment", "predict_proba", "robust_fit", "select_alpha",
         "summarize_mislabel", "train_weighted_classifier",
     ])
-    assert len(eos.__all__) == 64
+    assert len(eos.__all__) == 61
     for name in eos.__all__:
         assert hasattr(eos, name), name

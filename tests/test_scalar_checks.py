@@ -2,9 +2,9 @@
 
 Each row calls a public entry point with one scalar parameter set to the
 value under test.  A numpy scalar must give the same result, bit for bit and
-type for type, as the Python number it equals; a string, None or a bool
-must raise the entry point's own error class with a message that ends in
-``, got {value!r}``.
+type for type, as the Python number or string it equals; a string, None or
+a bool must raise the entry point's own error class with a message that
+ends in ``, got {value!r}``, as must a negative seed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from eos import (
-    AffinityRow,
     ClassifierLossModel,
     ClassifierParams,
     Dataset,
@@ -25,10 +24,12 @@ from eos import (
     GaussianModel,
     GaussianParams,
     InvalidConfigError,
+    InitPolicy,
     InvalidInputError,
     MislabelExperimentConfig,
+    OutlierReport,
     SyntheticSpec,
-    affinity_rows,
+    affinity_blocks,
     calibrate_alpha,
     calibrate_row_alpha,
     check_flag_rule,
@@ -36,9 +37,9 @@ from eos import (
     fit,
     flag_outliers,
     gaussian_affinity_row,
-    generalized_affinity_row,
     inject_label_flips,
     mahalanobis_chi2_baseline,
+    mislabel_experiment,
     objective,
     robust_fit,
     run_synth_benchmark,
@@ -58,9 +59,20 @@ FIT = fit(POINTS, GaussianModel(), EosConfig(alpha=1.0))
 SPEC = {"T": 200, "D": 4, "outlier_fraction": 0.05}
 
 
-def _timing_rows(repeats):
-    rows = timing_probe_wstep([16], [2], repeats, fixed_t=16, warmup=0)
+def _timing_rows(**kwargs):
+    rows = timing_probe_wstep(**{"t_grid": [16], "d_grid": [2], "repeats": 5, "fixed_t": 16,
+                                 "warmup": 0, **kwargs})
     return [{k: v for k, v in row.items() if not k.endswith("_s")} for row in rows]
+
+
+def _report(rule):
+    return OutlierReport(UNIFORM, np.zeros(40, dtype=bool), rule, 0.1, 1.0, FIT.theta,
+                         FIT.iterations, FIT.termination)
+
+
+def _mislabel(**sizes):
+    config = MislabelExperimentConfig(0.1, n_splits=1, alpha_grid=(1.0,))
+    return mislabel_experiment(config, **{"task_size": 40, "task_dim": 2, **sizes})
 
 
 # (id, call, numpy scalar, error class).  The numpy scalar is a valid value.
@@ -70,26 +82,23 @@ SITES = [
     ("EosConfig.max_iters", lambda v: EosConfig(alpha=1.0, max_iters=v), np.int64(50),
      InvalidConfigError),
     ("EosConfig.seed", lambda v: EosConfig(alpha=1.0, seed=v), np.int64(7), InvalidConfigError),
+    ("EosConfig.init_policy", lambda v: EosConfig(alpha=1.0, init_policy=v),
+     np.str_(InitPolicy.SEEDED_DIRICHLET.value), InvalidConfigError),
     ("w_step.alpha", lambda v: w_step(ERRORS, v), np.float32(0.3), InvalidConfigError),
     ("objective.alpha", lambda v: objective(ERRORS, np.full(9, 1 / 9), v), np.int64(2),
      InvalidConfigError),
     ("fit.alpha", lambda v: fit(POINTS, GaussianModel(), EosConfig(alpha=v)), np.float32(0.3),
      InvalidConfigError),
-    ("AffinityRow.sigma_sq", lambda v: AffinityRow(0, np.full(4, 0.25), v), np.float32(0.5),
-     InvalidInputError),
     ("gaussian_affinity_row.sigma_sq", lambda v: gaussian_affinity_row(POINTS, 3, v),
      np.int64(2), InvalidConfigError),
-    ("generalized_affinity_row.alpha",
-     lambda v: generalized_affinity_row(ERRORS, v, squared_euclidean=True), np.float32(0.3),
-     InvalidConfigError),
     ("calibrate_row_alpha.target_perplexity", lambda v: calibrate_row_alpha(ERRORS, v),
      np.float32(3.5), InvalidInputError),
-    ("affinity_rows.sigma_sq", lambda v: affinity_rows(POINTS, sigma_sq=v), np.int64(1),
+    ("affinity_blocks.sigma_sq", lambda v: list(affinity_blocks(POINTS, sigma_sq=v)),
+     np.int64(1), InvalidConfigError),
+    ("affinity_blocks.alpha", lambda v: list(affinity_blocks(POINTS, alpha=v)), np.int64(2),
      InvalidConfigError),
-    ("affinity_rows.alpha", lambda v: affinity_rows(POINTS, alpha=v), np.int64(2),
-     InvalidConfigError),
-    ("affinity_rows.perplexity", lambda v: affinity_rows(POINTS, perplexity=v), np.float32(5.5),
-     InvalidInputError),
+    ("affinity_blocks.perplexity", lambda v: list(affinity_blocks(POINTS, perplexity=v)),
+     np.float32(5.5), InvalidInputError),
     ("detect.relative_threshold",
      lambda v: detect(POINTS, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, v),
      np.float32(0.3), InvalidConfigError),
@@ -98,6 +107,8 @@ SITES = [
     ("flag_outliers.top_k", lambda v: flag_outliers(POINTS, FIT, 1.0, FlagRule.TOP_K, v),
      np.float32(4.0), InvalidConfigError),
     ("flag_outliers.alpha", lambda v: flag_outliers(POINTS, FIT, v), np.float32(1.0),
+     InvalidConfigError),
+    ("OutlierReport.rule", _report, np.str_(FlagRule.RELATIVE_THRESHOLD.value),
      InvalidConfigError),
     ("check_flag_rule.relative_threshold",
      lambda v: check_flag_rule(FlagRule.RELATIVE_THRESHOLD, v), np.float32(0.3),
@@ -114,9 +125,18 @@ SITES = [
     ("SyntheticSpec.outlier_fraction",
      lambda v: SyntheticSpec(**{**SPEC, "outlier_fraction": v}), np.float32(0.2),
      InvalidConfigError),
+    ("SyntheticSpec.seed", lambda v: SyntheticSpec(**{**SPEC, "seed": v}), np.int64(3),
+     InvalidConfigError),
     ("mahalanobis_chi2_baseline.quantile", lambda v: mahalanobis_chi2_baseline(POINTS, v),
      np.float32(0.9), InvalidConfigError),
-    ("timing_probe_wstep.repeats", _timing_rows, np.int64(5), InvalidInputError),
+    ("timing_probe_wstep.repeats", lambda v: _timing_rows(repeats=v), np.int64(5),
+     InvalidInputError),
+    ("timing_probe_wstep.fixed_t", lambda v: _timing_rows(fixed_t=v), np.int64(16),
+     InvalidInputError),
+    ("timing_probe_wstep.t_grid", lambda v: _timing_rows(t_grid=[v]), np.int64(16),
+     InvalidInputError),
+    ("timing_probe_wstep.d_grid", lambda v: _timing_rows(d_grid=[v]), np.int64(2),
+     InvalidInputError),
     ("run_synth_benchmark.n_seeds",
      lambda v: run_synth_benchmark(SyntheticSpec(**SPEC), v), np.int64(2),
      InvalidInputError),
@@ -127,6 +147,12 @@ SITES = [
     ("train_weighted_classifier.l2_strength",
      lambda v: train_weighted_classifier(LABELED, UNIFORM, v), np.float32(0.01),
      InvalidConfigError),
+    ("train_weighted_classifier.grad_tol",
+     lambda v: train_weighted_classifier(LABELED, UNIFORM, grad_tol=v), np.float32(1e-6),
+     InvalidConfigError),
+    ("train_weighted_classifier.max_iters",
+     lambda v: train_weighted_classifier(LABELED, UNIFORM, max_iters=v), np.int64(50),
+     InvalidConfigError),
     ("ClassifierLossModel.l2_strength", lambda v: ClassifierLossModel(v).l2_strength,
      np.float32(0.01), InvalidConfigError),
     ("robust_fit.l2_strength", lambda v: robust_fit(LABELED, EosConfig(alpha=1.0), v),
@@ -135,10 +161,18 @@ SITES = [
      np.float32(0.3), InvalidConfigError),
     ("inject_label_flips.p", lambda v: inject_label_flips(LABELED, v, 3), np.float32(0.2),
      InvalidInputError),
+    ("inject_label_flips.seed", lambda v: inject_label_flips(LABELED, 0.2, v), np.int64(3),
+     InvalidInputError),
+    ("mislabel_experiment.task_size", lambda v: _mislabel(task_size=v), np.int64(40),
+     InvalidInputError),
+    ("mislabel_experiment.task_dim", lambda v: _mislabel(task_dim=v), np.int64(2),
+     InvalidInputError),
     ("MislabelExperimentConfig.flip_proportion",
      lambda v: MislabelExperimentConfig(flip_proportion=v), np.float32(0.2), InvalidConfigError),
     ("MislabelExperimentConfig.n_splits",
      lambda v: MislabelExperimentConfig(0.1, n_splits=v), np.int64(3), InvalidConfigError),
+    ("MislabelExperimentConfig.seed",
+     lambda v: MislabelExperimentConfig(0.1, seed=v), np.int64(3), InvalidConfigError),
     ("MislabelExperimentConfig.train_fraction",
      lambda v: MislabelExperimentConfig(0.1, train_fraction=v), np.float32(0.5),
      InvalidConfigError),
@@ -151,12 +185,20 @@ SITES = [
 ]
 IDS = [site[0] for site in SITES]
 # None selects another mode at these sites, so it is no bad value there.
-NONE_MEANS_UNSET = {"AffinityRow.sigma_sq", "affinity_rows.sigma_sq", "affinity_rows.alpha",
-                    "affinity_rows.perplexity"}
+NONE_MEANS_UNSET = {"affinity_blocks.sigma_sq", "affinity_blocks.alpha",
+                    "affinity_blocks.perplexity"}
 BAD = [pytest.param(*site, bad, id=f"{site[0]}-{label}")
        for site in SITES
        for bad, label in (("x", "str"), (None, "None"), (True, "bool"))
-       if not (bad is None and site[0] in NONE_MEANS_UNSET)]
+       if not (bad is None and site[0] in NONE_MEANS_UNSET)] + [
+    # A grid that is not iterable at all, and negative seeds.
+    pytest.param("MislabelExperimentConfig.alpha_grid",
+                 lambda v: MislabelExperimentConfig(0.1, alpha_grid=v), None, InvalidConfigError,
+                 0.3, id="MislabelExperimentConfig.alpha_grid-scalar"),
+    pytest.param("select_alpha.alpha_grid", lambda v: select_alpha(LABELED, LABELED, v, 0.01),
+                 None, InvalidConfigError, None, id="select_alpha.alpha_grid-whole-None"),
+] + [pytest.param(*site, -1, id=f"{site[0]}-negative")
+     for site in SITES if site[0].endswith(".seed")]
 
 
 @pytest.mark.parametrize("name, call, value, error", SITES, ids=IDS)
