@@ -23,7 +23,7 @@ spreads from 1e-300 to 1e300 are supported.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -62,12 +62,9 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> np.ndarr
     Identical to ``w_step`` on the squared distances with alpha = 2*sigma^2,
     including the stabilization: the one-anchor block of ``affinity_blocks``.
     """
-    if dataset.n_instances < 2:
-        raise InvalidInputError("at least two instances are required for an affinity row")
-    if not 0 <= i < dataset.n_instances:
-        raise InvalidInputError(f"anchor index {i} out of range for T={dataset.n_instances}")
+    # Checked here too: None is a bad sigma_sq, not another bandwidth mode.
     ssq = _check_sigma_sq(sigma_sq)
-    values, _ = _anchor_block(dataset.instances, [i], 2.0 * ssq, None)
+    [(_, values, _)] = affinity_blocks(dataset, sigma_sq=ssq, anchors=range(i, i + 1))
     return values[0]
 
 
@@ -232,7 +229,7 @@ _BLOCK_FLOATS = 2**14
 
 
 def _anchor_block(
-    x: np.ndarray, anchors: Sequence[int], alpha: float | None, perplexity: float | None
+    x: np.ndarray, anchors: range, alpha: float | None, perplexity: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values (R x T-1) and sigma_sq (R,) of the rows of ``anchors`` over
     the instances ``x``, at the shared ``alpha`` or, when it is None,
@@ -264,8 +261,10 @@ def affinity_blocks(
     sigma_sq: float | None = None,
     alpha: float | None = None,
     perplexity: float | None = None,
+    anchors: range | None = None,
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """The affinity matrix one block of anchors at a time, in anchor order.
+    """The rows of ``anchors`` of the affinity matrix, one block of anchors
+    at a time, in anchor order.
 
     Exactly one bandwidth mode is given: ``sigma_sq`` or ``alpha`` fix a
     shared bandwidth (alpha = 2*sigma_sq, at least 1e-323), ``perplexity``
@@ -282,6 +281,12 @@ def affinity_blocks(
     ``InvalidInputError``, and with one that cannot be calibrated
     ``CalibrationError`` naming its anchor.  When rows of both kinds fail,
     the lowest anchor at fault raises.
+
+    ``anchors`` is a non-empty ``range`` of step 1 inside [0, T), by default
+    every anchor; blocks are cut from ``anchors.start``.  A row does not
+    depend on its block, so the rows of a sub-range equal, bit for bit, the
+    matching rows of the whole, and ranges can be drawn in separate
+    processes.
     """
     chosen = [v for v in (sigma_sq, alpha, perplexity) if v is not None]
     if len(chosen) != 1:
@@ -297,8 +302,15 @@ def affinity_blocks(
         alpha = 2.0 * _check_sigma_sq(sigma_sq)
     else:
         alpha = _check_row_alpha(alpha)
+    if anchors is None:
+        anchors = range(t)
+    elif not (isinstance(anchors, range) and anchors.step == 1
+              and 0 <= anchors.start < anchors.stop <= t):
+        raise InvalidInputError(
+            f"anchors must be a non-empty range of step 1 inside range(0, {t}), got {anchors!r}"
+        )
     x = dataset.instances
     size = max(1, _BLOCK_FLOATS // (t - 1))
-    blocks = (range(start, min(start + size, t)) for start in range(0, t, size))
-    return ((anchors, *_anchor_block(x, anchors, alpha, perplexity)) for anchors in blocks)
+    blocks = (anchors[k:k + size] for k in range(0, len(anchors), size))
+    return ((block, *_anchor_block(x, block, alpha, perplexity)) for block in blocks)
 

@@ -10,10 +10,11 @@ with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
 and timestamps excluded).  affinity streams its rows into ``affinity.csv``
 one block of anchors at a time, so no T x (T-1) matrix is held; a row that
-fails leaves no ``affinity.csv``.  Worker processes are forked only to
-format an ``affinity.csv`` of at least 200,000 floats: at most two, one per
-usable CPU, writing the same bytes as one process.  No other output is
-written by workers, and no environment variable sets their number.
+fails leaves no ``affinity.csv``.  From 200,000 floats on, where fork exists
+and a second CPU is usable, the anchors are split in two halves: this
+process computes and writes the first, and one forked child the second,
+with the same bytes as one process.  No other output is written by a child,
+and no option or environment variable sets the split.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -24,16 +25,18 @@ only when ``robust_train.alpha`` is set.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
+import functools
 import itertools
 import json
 import os
+import pickle
+import signal
 import sys
 import tempfile
 import types
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -264,16 +267,22 @@ _Block = tuple[str, tuple]
 # Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
 # values per anchor times anchors per block (at least one).
 _BLOCK_FLOATS = 4096
-# Only affinity.csv is formatted in worker processes, from this many float
-# cells on.  Whole runs on two cores, two workers against none: affinity with
-# 202,000 floats was faster in 9 of 10 pairs, with 122,000 in 6 of 10.
-# weights.csv is formatted in-process at any size: detect with 100,000 to
-# 400,000 rows was faster pooled in only 9 of 22 pairs (medians of 6 pairs at
-# 200,000 rows: 2.12 s pooled, 2.10 s in-process).
+# From this many float cells on, affinity.csv's anchors are split in two
+# contiguous halves: this process computes, formats and writes the first, and
+# one forked child the second, into a part file copied in after the first
+# half.  The child inherits the data through fork and sends back only its
+# sigma_sq list, so no row is pickled.  Whole runs on two cores, perplexity 30,
+# D = 10, rounds of alternating order: at T = 448, the fewest anchors at the
+# cut-off, the split took a median 0.263 s, one process 0.254 s and the pool
+# of two formatting workers the split replaced 0.305 s; at T = 600, 0.291,
+# 0.504 and 0.422 s (16 rounds each).  perfbench's affinity-perplexity
+# (T = 1000) ran split in a median 0.881 s against 1.073 s pooled at seed 7,
+# and 0.865 against 1.040 s at seed 23, faster in 10 of 10 pairs at each.
+# weights.csv is written in-process at any size: detect with 100,000 to
+# 400,000 rows was faster pooled in only 9 of 22 pairs.
 _POOL_MIN_FLOATS = 200_000
-# Worker processes at most: only two, on two cores, have been measured.  The
-# cut-off gives them at least 48 blocks between them.
-_POOL_MAX_PROCESSES = 2
+# Characters per read when the child's part is copied into affinity.csv.
+_COPY_CHARS = 2**20
 
 
 def _format_block(block: _Block) -> str:
@@ -282,45 +291,103 @@ def _format_block(block: _Block) -> str:
 
 
 def _affinity_processes(t: int) -> int:
-    """Worker processes for affinity.csv of ``t`` anchors: 1 below ``_POOL_MIN_FLOATS``
-    floats, else one per usable CPU, at most ``_POOL_MAX_PROCESSES``."""
-    if t * (t - 1) < _POOL_MIN_FLOATS:
+    """Processes that write affinity.csv of ``t`` anchors: 2, this one and one
+    forked child, from ``_POOL_MIN_FLOATS`` floats on where fork exists and a
+    second CPU is usable, else 1."""
+    if t * (t - 1) < _POOL_MIN_FLOATS or not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, _POOL_MAX_PROCESSES)
+    return min(cpus, 2)
 
 
-def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block], *, processes=1) -> None:
-    """Write a CSV atomically from blocks of rows, formatting each as ``template % cells``.
+def _csv_text(header: list[str], blocks: Iterable[_Block]) -> Iterator[str]:
+    """The header line, then each block formatted as ``template % cells``, drawn lazily."""
+    return itertools.chain([",".join(header) + "\n"], map(_format_block, blocks))
 
-    Blocks are drawn from ``blocks`` lazily, while the temp file is open.
-    ``processes`` > 1 forked workers, where fork exists, format the blocks
-    with the same bytes: they inherit the imported modules, where spawned
-    ones would import numpy again.  At most two blocks per worker are in
-    flight, and each is written as soon as it is next.
+
+def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block]) -> None:
+    """Write a CSV atomically from blocks of rows, drawn while the temp file is open."""
+    _atomic_write(path, _csv_text(header, blocks))
+
+
+class WorkerError(EosError, RuntimeError):
+    """A forked process ended without reporting its result."""
+
+
+def _write_with_child(path: Path, chunks: Iterable[str],
+                      part: Callable[[typing.TextIO], object]) -> object:
+    """Write ``chunks``, then the text ``part(handle)`` writes, into ``path``
+    atomically, with ``part`` run at the same time in one forked child; return
+    what ``part`` returned.
+
+    The child writes into a temp part file beside ``path`` and sends its
+    result, or the exception it raised, pickled through a pipe.  Once
+    ``chunks`` are written, the result is read, the child reaped and the part
+    copied in.  An error in ``chunks`` wins over the child's, the child's is
+    raised here, and a child that ends without a result raises
+    ``WorkerError`` naming its exit status.  No child and no part file
+    outlives the call.
     """
-    head = [",".join(header) + "\n"]
-    if processes > 1:
-        import multiprocessing  # here, not at the top: only a large affinity.csv starts a pool
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+    fd, part_path = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".part")
+    os.close(fd)
+    pid, result = 0, None
+    try:
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe, os.fdopen(write_end, "wb") as report:
+            pid = os.fork()
+            if pid == 0:
+                _child(part, part_path, report)
+            report.close()  # the child holds the only write end, so its exit ends the read
 
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(processes, mp_context=fork) as pool:
-                _atomic_write(path, itertools.chain(head, _in_order(pool, blocks, 2 * processes)))
-            return
-    _atomic_write(path, itertools.chain(head, map(_format_block, blocks)))
+            def text() -> Iterator[str]:
+                nonlocal pid, result
+                yield from chunks
+                payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                pid = 0
+                result = _child_result(payload, status, path)
+                with open(part_path, encoding="utf-8") as handle:
+                    yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
+
+            _atomic_write(path, text())
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.unlink(part_path)
+    return result
 
 
-def _in_order(pool, blocks: Iterable[_Block], window: int) -> Iterator[str]:
-    """The formatted blocks in order, with at most ``window`` submitted and not yet yielded."""
-    pending: collections.deque = collections.deque()
-    for block in blocks:
-        pending.append(pool.submit(_format_block, block))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _child(part: Callable[[typing.TextIO], object], part_path: str,
+           report: typing.BinaryIO) -> typing.NoReturn:
+    """The forked child of ``_write_with_child``.  It leaves by ``os._exit`` on
+    every path, so it never unwinds into the parent's stack or flushes the
+    buffers it inherited; status 0 means the result was sent."""
+    status = 1
+    try:
+        try:
+            with open(part_path, "w", encoding="utf-8") as handle:
+                result = part(handle)
+        except BaseException as exc:  # sent to the parent, which raises it
+            result = exc
+        report.write(pickle.dumps(result))
+        report.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(payload: bytes, status: int, path: Path) -> object:
+    """The result a child of ``_write_with_child`` sent; raise the exception it sent."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        ending = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise WorkerError(f"the process writing part of {path.name} {ending} "
+                          "before reporting its result")
+    result = pickle.loads(payload)
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[_Block]:
@@ -435,12 +502,28 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=False)
     section = config.affinity
     t = data.n_instances
-    blocks = affinity_blocks(
-        data, sigma_sq=section.sigma_sq, alpha=section.alpha, perplexity=section.perplexity
-    )
+    bandwidth = {"sigma_sq": section.sigma_sq, "alpha": section.alpha,
+                 "perplexity": section.perplexity}
+
+    def rows(anchors: range, row_sigma_sq: list[float]) -> Iterator[_Block]:
+        # affinity_blocks checks its arguments as it is called, not as rows are drawn.
+        blocks = affinity_blocks(data, **bandwidth, anchors=anchors)
+        return _affinity_blocks(blocks, t, row_sigma_sq)
+
+    path, header = out_dir / "affinity.csv", ["row_index", "col_index", "value"]
     row_sigma_sq: list[float] = []
-    _write_csv(out_dir / "affinity.csv", ["row_index", "col_index", "value"],
-               _affinity_blocks(blocks, t, row_sigma_sq), processes=_affinity_processes(t))
+    if _affinity_processes(t) == 1:
+        _write_csv(path, header, rows(range(t), row_sigma_sq))
+    else:
+        cut = (t + 1) // 2
+        first = _csv_text(header, rows(range(cut), row_sigma_sq))  # checked before the fork
+
+        def second(handle: typing.TextIO) -> list[float]:
+            second_sigma_sq: list[float] = []
+            handle.writelines(map(_format_block, rows(range(cut, t), second_sigma_sq)))
+            return second_sigma_sq
+
+        row_sigma_sq += _write_with_child(path, first, second)
     mode = (
         "perplexity" if section.perplexity is not None
         else "alpha" if section.alpha is not None

@@ -86,8 +86,9 @@ def test_row_validation():
     data = Dataset(np.zeros((3, 2)))
     with pytest.raises(InvalidConfigError):
         gaussian_affinity_row(data, 0, 0.0)
-    with pytest.raises(InvalidInputError):
-        gaussian_affinity_row(data, 5, 1.0)
+    for anchor in (5, 3, -1):
+        with pytest.raises(InvalidInputError):
+            gaussian_affinity_row(data, anchor, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,38 @@ def test_affinity_blocks_modes():
     with pytest.raises(InvalidInputError, match="target perplexity"):
         affinity_blocks(data, perplexity=8.0)
 
+
+
+@pytest.mark.parametrize(
+    "bandwidth", [{"perplexity": 7.0}, {"sigma_sq": 0.6}, {"alpha": 1.3}],
+    ids=["perplexity", "sigma_sq", "alpha"],
+)
+def test_affinity_blocks_over_anchor_ranges_equal_the_whole_bit_for_bit(monkeypatch, bandwidth):
+    data = Dataset(np.random.default_rng(23).normal(size=(40, 3)))
+    monkeypatch.setattr(eos.affinity, "_BLOCK_FLOATS", 6 * 39)  # six anchors a block
+    whole = list(affinity_blocks(data, **bandwidth))
+    values = np.vstack([v for _, v, _ in whole])
+    sigma_sq = np.concatenate([s for _, _, s in whole])
+    # Starts off and on a block boundary of the whole, one anchor, the last anchor.
+    for anchors in (range(9, 40), range(12, 31), range(9, 10), range(39, 40), range(0, 40)):
+        blocks = list(affinity_blocks(data, **bandwidth, anchors=anchors))
+        assert [b for b, _, _ in blocks] == [anchors[k:k + 6] for k in range(0, len(anchors), 6)]
+        part = np.vstack([v for _, v, _ in blocks])
+        assert part.tobytes() == values[anchors.start:anchors.stop].tobytes()
+        part_sigma_sq = np.concatenate([s for _, _, s in blocks])
+        assert part_sigma_sq.tobytes() == sigma_sq[anchors.start:anchors.stop].tobytes()
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [range(0, 6), range(-1, 2), range(3, 3), range(4, 2), range(0, 4, 2), range(4, 0, -1),
+     [0, 1], (0, 1), 2, np.arange(2)],
+    ids=["past-t", "negative", "empty", "reversed", "step-2", "step-minus-1", "list", "tuple",
+         "int", "array"],
+)
+def test_affinity_blocks_rejects_bad_anchors_at_the_call(anchors):
+    with pytest.raises(InvalidInputError, match="anchors must be a non-empty range of step 1"):
+        affinity_blocks(Dataset(np.eye(5)), alpha=1.0, anchors=anchors)
 
 # ---------------------------------------------------------------------------
 # batched calibration

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -559,13 +560,37 @@ def _run_fresh(code: str) -> str:
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.special alone is more than half of a bare CLI start and detect and affinity
-    # never call it; multiprocessing and concurrent.futures are imported only by a CSV
-    # write that starts workers.
+    # never call it; no eos command imports multiprocessing or concurrent.futures.
     code = ("import sys, eos, eos.cli; "
             "print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'multiprocessing', 'concurrent.futures') "
             "or m.startswith('scipy.')))")
     assert _run_fresh(code) == "[]"
+
+
+def test_split_affinity_run_loads_no_pool_modules(tmp_path):
+    # A whole affinity run that splits its anchors with a forked child, in a
+    # fresh interpreter, imports neither pool module; src/eos names neither.
+    data_path = _write_csv(tmp_path / "data.csv",
+                           np.random.default_rng(2).standard_normal((448, 3)))
+    cfg_path = _write_config(tmp_path / "cfg.json", {
+        "command": "affinity", "input_path": str(data_path), "output_dir": str(tmp_path / "out"),
+        "affinity": {"perplexity": 30.0},
+    })
+    code = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import eos.cli
+assert eos.cli._affinity_processes(448) == 2
+assert eos.cli.main(["--config", {str(cfg_path)!r}, "--quiet"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    assert _run_fresh(code) == "[]"
+    assert (tmp_path / "out" / "affinity.csv").stat().st_size > 0
+    for path in (Path(__file__).resolve().parents[1] / "src" / "eos").glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for name in ("multiprocessing", "concurrent.futures", "ProcessPoolExecutor"):
+            assert name not in source, f"{path.name} names {name}"
 
 
 def test_scipy_names_imported_on_first_call_match_their_oracles():
@@ -699,42 +724,202 @@ def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == []
 
 
-def test_late_calibration_error_on_the_pooled_path_leaves_nothing(tmp_path, monkeypatch, capsys):
-    import multiprocessing
+def _spy_on_fork(monkeypatch):
+    """The pids of the children ``os.fork`` starts, as the parent sees them."""
+    pids = []
+    real = os.fork
 
-    # 450 anchors reach the pool's cut-off.  Anchors 447 to 449 coincide, so
-    # each has two neighbors at distance 0 and cannot reach perplexity 1.5;
-    # the error names the first of them, after earlier blocks were written.
-    # They lie far from the rest, so no other anchor has them as nearest.
-    x = np.random.default_rng(8).standard_normal((450, 3))
-    x[447:] = 100.0
-    data_path = _write_csv(tmp_path / "data.csv", x)
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# The fewest anchors whose affinity.csv reaches the cut-off for a split.
+_CUT_OFF_T = 448
+
+_SECTIONS = [{"perplexity": 5.0}, {"alpha": 0.8}, {"sigma_sq": 0.4}]
+
+
+@pytest.mark.parametrize("section", _SECTIONS, ids=["perplexity", "alpha", "sigma_sq"])
+@pytest.mark.parametrize(
+    "t, min_floats", [(_CUT_OFF_T, None), (_CUT_OFF_T + 1, None), (15, 1)],
+    ids=["cut-off", "odd", "one-block-halves"],
+)
+def test_affinity_csv_identical_in_one_and_two_parts(tmp_path, monkeypatch, section, t,
+                                                     min_floats):
+    # An odd T splits into halves of 225 and 224 anchors, the second starting
+    # inside a block of the whole; at T = 15, with the cut-off lowered, each
+    # half is a single block.
+    if min_floats is not None:
+        monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", min_floats)
+    data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(t).standard_normal((t, 3)))
     cfg_path = _write_config(tmp_path / "cfg.json", {
+        "command": "affinity", "input_path": str(data_path), "affinity": section,
+    })
+    forks = _spy_on_fork(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"out-{cpus}"
+        assert main(["--config", str(cfg_path), "--output", str(out), "--quiet"]) == 0
+        assert len(forks) == cpus - 1
+        assert _no_child_left()
+        assert sorted(p.name for p in out.iterdir()) == ["affinity.csv", "report.json"]
+        runs.append(((out / "affinity.csv").read_bytes(), _report(out)["results"]["row_sigma_sq"]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == t
+
+
+def _late_fault_config(tmp_path, *groups):
+    """An affinity run at perplexity 1.5 over 450 anchors: anchors 0 to 224
+    are the CLI process's, 225 to 449 the child's.  The anchors of each group
+    coincide, so each has two neighbors at distance 0 and cannot reach
+    perplexity 1.5.  Each group lies far from the rest, so no other anchor
+    has them as nearest."""
+    x = np.random.default_rng(8).standard_normal((450, 3))
+    for group, where in zip(groups, (100.0, -100.0)):
+        x[group] = where
+    data_path = _write_csv(tmp_path / "data.csv", x)
+    return _write_config(tmp_path / "cfg.json", {
         "command": "affinity", "input_path": str(data_path), "output_dir": str(tmp_path / "out"),
         "affinity": {"perplexity": 1.5},
     })
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pooled = _spy_on_pool(monkeypatch)
-    assert main(["--config", str(cfg_path), "--quiet"]) == 1
-    error = json.loads(capsys.readouterr().err)["error"]
+
+
+def _failed_run(cfg_path, capsys, *args):
+    """The JSON error of a run that exits 1."""
+    assert main(["--config", str(cfg_path), "--quiet", *args]) == 1
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_late_calibration_error_in_the_childs_half_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # The faulty anchors 447 to 449 are the child's, and the error names the
+    # first of them, as one process does, after the first half was written.
+    cfg_path = _late_fault_config(tmp_path, slice(447, None))
+    _use_cpus(monkeypatch, 1)
+    alone = _failed_run(cfg_path, capsys, "--output", str(tmp_path / "alone"))
+    _use_cpus(monkeypatch, 2)
+    forks = _spy_on_fork(monkeypatch)
+    error = _failed_run(cfg_path, capsys)
     assert error["type"] == "CalibrationError"
     assert error["message"].startswith("anchor 447: target perplexity 1.5 below")
-    assert pooled == [4]
+    assert error == alone
+    assert len(forks) == 1
     assert list((tmp_path / "out").iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
 
-def _spy_on_pool(monkeypatch):
-    """Record each pooled write: ``_in_order`` runs only on the pool path."""
-    calls = []
-    real = eos.cli._in_order
+def test_errors_in_both_halves_name_the_lower_anchor(tmp_path, monkeypatch, capsys):
+    cfg_path = _late_fault_config(tmp_path, slice(447, None), slice(10, 13))
+    _use_cpus(monkeypatch, 2)
+    forks = _spy_on_fork(monkeypatch)
+    error = _failed_run(cfg_path, capsys)
+    assert error["type"] == "CalibrationError"
+    assert error["message"].startswith("anchor 10: target perplexity 1.5 below")
+    assert len(forks) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+    assert _no_child_left()
 
-    def spy(pool, blocks, window):
-        calls.append(window)
-        return real(pool, blocks, window)
 
-    monkeypatch.setattr(eos.cli, "_in_order", spy)
-    return calls
+def test_child_killed_before_reporting_is_a_typed_error(tmp_path, monkeypatch, capsys):
+    cfg_path = _late_fault_config(tmp_path)
+    real = eos.cli.affinity_blocks
+
+    def killed_in_the_second_half(dataset, *, anchors, **bandwidth):
+        if anchors.start > 0:  # only the child draws the second half
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(dataset, anchors=anchors, **bandwidth)
+
+    monkeypatch.setattr(eos.cli, "affinity_blocks", killed_in_the_second_half)
+    _use_cpus(monkeypatch, 2)
+    error = _failed_run(cfg_path, capsys)
+    assert error == {
+        "type": "WorkerError",
+        "message": f"the process writing part of affinity.csv was killed by signal "
+                   f"{int(signal.SIGKILL)} before reporting its result",
+    }
+    assert list((tmp_path / "out").iterdir()) == []
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("fault", [None, "first-raises", "child-raises", "child-sends-nothing"])
+def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, fault):
+    path = tmp_path / "out.csv"
+
+    def first():
+        yield "head\n"
+        assert list(tmp_path.glob("out.csv*.part")) and list(tmp_path.glob("out.csv*.tmp"))
+        if fault == "first-raises":  # wins over the child's error: its rows come first
+            raise OSError("disk full")
+        yield "first\n"
+
+    def part(handle):
+        handle.write("second\n")
+        if fault in ("first-raises", "child-raises"):
+            raise InvalidConfigError("bad row")
+        if fault == "child-sends-nothing":
+            return lambda: None  # cannot be pickled
+        return [0.5, 0.25]
+
+    if fault is None:
+        assert eos.cli._write_with_child(path, first(), part) == [0.5, 0.25]
+        assert path.read_bytes() == b"head\nfirst\nsecond\n"
+        assert list(tmp_path.iterdir()) == [path]
+    else:
+        error, match = {
+            "first-raises": (OSError, "disk full"),
+            "child-raises": (InvalidConfigError, "bad row"),
+            "child-sends-nothing": (eos.cli.WorkerError, "exited with status 1 before reporting"),
+        }[fault]
+        with pytest.raises(error, match=match):
+            eos.cli._write_with_child(path, first(), part)
+        assert list(tmp_path.iterdir()) == []
+    assert _no_child_left()
+
+
+def test_affinity_is_split_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch):
+    t = _CUT_OFF_T
+    assert t * (t - 1) >= eos.cli._POOL_MIN_FLOATS > (t - 1) * (t - 2)
+    _use_cpus(monkeypatch, 2)
+    assert eos.cli._affinity_processes(t) == 2
+    assert eos.cli._affinity_processes(t - 1) == 1
+    _use_cpus(monkeypatch, 64)
+    assert eos.cli._affinity_processes(10**6) == 2  # one child at most
+    data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(4).standard_normal((t, 3)))
+    cfg_path = _write_config(tmp_path / "cfg.json", {
+        "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
+    })
+    forks = _spy_on_fork(monkeypatch)
+    written = []
+    for cpus, fork, processes in ((2, True, 2), (1, True, 1), (2, False, 1)):
+        _use_cpus(monkeypatch, cpus)
+        if not fork:  # any fork would now raise AttributeError
+            monkeypatch.delattr(os, "fork")
+        assert eos.cli._affinity_processes(t) == processes
+        out = tmp_path / f"out-{cpus}-{fork}"
+        assert main(["--config", str(cfg_path), "--output", str(out), "--quiet"]) == 0
+        written.append((out / "affinity.csv").read_bytes())
+    assert len(forks) == 1  # the first run's
+    assert written[1:] == written[:1] * 2
+    assert _no_child_left()
 
 
 def _weight_data(t):
@@ -743,110 +928,34 @@ def _weight_data(t):
 
 
 @pytest.mark.parametrize("t", [1, 4096, 4097, 10_001])
-def test_weights_csv_identical_at_any_worker_count(tmp_path, monkeypatch, t):
+def test_weights_csv_matches_csv_writer_at_block_edges(tmp_path, t):
     weights, flags = _weight_data(t)
-    pooled = _spy_on_pool(monkeypatch)
-    written = []
-    for processes in (1, 2, 3):
-        path = tmp_path / f"weights-{processes}.csv"
-        blocks = eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
-        eos.cli._write_csv(path, ["index", "weight", "flag"], blocks, processes=processes)
-        written.append(path.read_bytes())
-    assert pooled == [4, 6]
+    path = tmp_path / "weights.csv"
+    eos.cli._write_csv(path, ["index", "weight", "flag"],
+                       eos.cli._weight_blocks("%d,%r,%d\n", weights, flags))
     expected = _oracle_csv(["index", "weight", "flag"],
                            [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(weights, flags))])
-    assert written == [expected] * 3
+    assert path.read_bytes() == expected
 
 
-def test_affinity_csv_identical_at_any_worker_count(tmp_path, monkeypatch):
+def test_affinity_csv_blocks_hold_whole_anchors(tmp_path, monkeypatch):
     data_path, _ = _affinity_config(tmp_path, {})
     data = parse_csv_dataset(data_path)
     blocks = list(affinity_blocks(data, perplexity=5.0))
-
-    def csv_blocks(sigma_sq):
-        return eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq)
-
     # Four anchors per block: 15 anchors make three full blocks and one of three.
     monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
     sigma_sq = []
-    assert [len(cells) for _, cells in csv_blocks(sigma_sq)] == [56, 56, 56, 42]
+    csv_blocks = list(eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq))
+    assert [len(cells) for _, cells in csv_blocks] == [56, 56, 56, 42]
     assert sigma_sq == [s for _, _, block_sigma_sq in blocks for s in block_sigma_sq.tolist()]
-    pooled = _spy_on_pool(monkeypatch)
-    written = []
-    for processes in (1, 2, 3):
-        path = tmp_path / f"affinity-{processes}.csv"
-        eos.cli._write_csv(path, ["row_index", "col_index", "value"],
-                           csv_blocks([]), processes=processes)
-        written.append(path.read_bytes())
-    assert pooled == [4, 6]
+    path = tmp_path / "affinity.csv"
+    eos.cli._write_csv(path, ["row_index", "col_index", "value"], csv_blocks)
     expected = _oracle_csv(
         ["row_index", "col_index", "value"],
         [[i, j, float(v)] for anchors, values, _ in blocks for i, row in zip(anchors, values)
          for j, v in zip([j for j in range(15) if j != i], row)],
     )
-    assert written == [expected] * 3
-
-
-def _failing_blocks(tmp_path, last):
-    """Three weights.csv blocks, then ``last``: a block, or an exception to raise."""
-    weights, flags = _weight_data(3 * 4096)
-    yield from eos.cli._weight_blocks("%d,%r,%d\n", weights, flags)
-    assert list(tmp_path.glob("*.tmp")), "the failure should strike while the file is being written"
-    if isinstance(last, Exception):
-        raise last
-    yield last
-
-
-@pytest.mark.parametrize(
-    "last, error, match",
-    [(OSError("disk full"), OSError, "disk full"),
-     (("%r,%r\n", (0.5,)), TypeError, "not enough arguments for format string")],
-    ids=["rows-raise", "worker-raises"],
-)
-def test_failed_pooled_write_leaves_no_file_and_no_process(tmp_path, monkeypatch, last, error,
-                                                          match):
-    import multiprocessing
-
-    pooled = _spy_on_pool(monkeypatch)
-    with pytest.raises(error, match=match):
-        eos.cli._write_csv(tmp_path / "weights.csv", ["index", "weight", "flag"],
-                           _failing_blocks(tmp_path, last), processes=2)
-    assert pooled == [4]
-    assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
-
-
-def test_writer_formats_in_process_without_fork_or_a_second_cpu(tmp_path, monkeypatch):
-    import multiprocessing
-
-    weights, flags = _weight_data(100)
-    pooled = _spy_on_pool(monkeypatch)
-    # The fewest anchors whose affinity.csv reaches the cut-off, and one fewer.
-    large = next(t for t in range(2, 10**4) if t * (t - 1) >= eos.cli._POOL_MIN_FLOATS)
-    small = large - 1
-
-    def write(processes):
-        path = tmp_path / "weights.csv"
-        eos.cli._write_csv(path, ["index", "weight", "flag"],
-                           eos.cli._weight_blocks("%d,%r,%d\n", weights, flags),
-                           processes=processes)
-        return path.read_bytes()
-
-    with pytest.raises(TypeError):  # a size passed positionally cannot become a worker count
-        eos.cli._write_csv(tmp_path / "no.csv", ["index"], [], 10**9)
-    serial = write(1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert eos.cli._affinity_processes(large) == 2
-    assert eos.cli._affinity_processes(small) == 1
-    assert write(eos.cli._affinity_processes(large)) == serial and pooled == [4]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert eos.cli._affinity_processes(10**6) == 2  # two workers at most
-    assert write(eos.cli._affinity_processes(10**6)) == serial and pooled == [4, 4]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert eos.cli._affinity_processes(10**6) == 1
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert write(2) == serial and pooled == [4, 4]
-    assert multiprocessing.active_children() == []
+    assert path.read_bytes() == expected
 
 
 def _policy_config(tmp_path, command):
@@ -866,16 +975,14 @@ def _policy_config(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "command, pools",
+    "command, splits",
     [("affinity", True), ("detect", False), ("robust-train", False), ("synth-bench", False)],
 )
-def test_only_affinity_csv_is_formatted_by_workers(tmp_path, monkeypatch, command, pools):
-    import multiprocessing
-
+def test_only_affinity_csv_is_split_with_a_child(tmp_path, monkeypatch, command, splits):
     cfg_path = _policy_config(tmp_path, command)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", 1)
-    pooled = _spy_on_pool(monkeypatch)
+    forks = _spy_on_fork(monkeypatch)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
-    assert pooled == ([4] if pools else [])
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (1 if splits else 0)
+    assert _no_child_left()
