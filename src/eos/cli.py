@@ -13,8 +13,11 @@ one block of anchors at a time, so no T x (T-1) matrix is held; a row that
 fails leaves no ``affinity.csv``.  From 200,000 floats on, where fork exists
 and a second CPU is usable, the anchors are split in two halves: this
 process computes and writes the first, and one forked child the second,
-with the same bytes as one process.  No other output is written by a child,
-and no option or environment variable sets the split.
+with the same bytes as one process.  A child that does not finish its half
+has those anchors drawn again in this process, so an error in them is
+raised as one process raises it and a killed child costs time, not the run.
+No other output is written by a child, and no option or environment
+variable sets the split.
 
 robust-train without ``robust_train.alpha`` selects alpha with
 ``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
@@ -30,7 +33,6 @@ import functools
 import itertools
 import json
 import os
-import pickle
 import signal
 import sys
 import tempfile
@@ -259,138 +261,102 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-# A block of CSV rows is ``template % cells``: ``%r`` (``repr``, the shortest
+# CSV rows are written as ``template % cells``: ``%r`` (``repr``, the shortest
 # text that reads back as the same float) for a float cell and ``%s`` or ``%d``
 # for the rest.  Cells are numbers and fixed identifiers, so none needs quoting.
-_Block = tuple[str, tuple]
 
 # Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
 # values per anchor times anchors per block (at least one).
 _BLOCK_FLOATS = 4096
 # From this many float cells on, affinity.csv's anchors are split in two
-# contiguous halves: this process computes, formats and writes the first, and
-# one forked child the second, into a part file copied in after the first
-# half.  The child inherits the data through fork and sends back only its
-# sigma_sq list, so no row is pickled.  Whole runs on two cores, perplexity 30,
-# D = 10, rounds of alternating order: at T = 448, the fewest anchors at the
-# cut-off, the split took a median 0.263 s, one process 0.254 s and the pool
-# of two formatting workers the split replaced 0.305 s; at T = 600, 0.291,
-# 0.504 and 0.422 s (16 rounds each).  perfbench's affinity-perplexity
-# (T = 1000) ran split in a median 0.881 s against 1.073 s pooled at seed 7,
-# and 0.865 against 1.040 s at seed 23, faster in 10 of 10 pairs at each.
-# weights.csv is written in-process at any size: detect with 100,000 to
-# 400,000 rows was faster pooled in only 9 of 22 pairs.
-_POOL_MIN_FLOATS = 200_000
+# contiguous halves: this process computes and writes the first, and one
+# forked child the second, into a part file copied in after the first half.
+# The child inherits the data through fork and sends back only its sigma_sq.
+# Whole runs on two cores, perplexity 30, D = 10, rounds of alternating order:
+# at T = 600 the split took a median 0.291 s and one process 0.504 s (16
+# rounds), and at T = 1000, import included, 1.15 s against 1.87 s with the
+# one process held to one CPU (12 rounds, split faster in each).  At the edge,
+# T = 448, the split is not faster: 0.263 s against 0.254 s in one process.
+# weights.csv is written in-process at any size.
+_SPLIT_MIN_FLOATS = 200_000
 # Characters per read when the child's part is copied into affinity.csv.
 _COPY_CHARS = 2**20
 
 
-def _format_block(block: _Block) -> str:
-    template, cells = block
-    return template % cells
-
-
 def _affinity_processes(t: int) -> int:
     """Processes that write affinity.csv of ``t`` anchors: 2, this one and one
-    forked child, from ``_POOL_MIN_FLOATS`` floats on where fork exists and a
+    forked child, from ``_SPLIT_MIN_FLOATS`` floats on where fork exists and a
     second CPU is usable, else 1."""
-    if t * (t - 1) < _POOL_MIN_FLOATS or not hasattr(os, "fork"):
+    if t * (t - 1) < _SPLIT_MIN_FLOATS or not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, 2)
 
 
-def _csv_text(header: list[str], blocks: Iterable[_Block]) -> Iterator[str]:
-    """The header line, then each block formatted as ``template % cells``, drawn lazily."""
-    return itertools.chain([",".join(header) + "\n"], map(_format_block, blocks))
+def _write_csv(path: Path, header: list[str], rows: Iterable[str]) -> None:
+    """Write a CSV atomically: the header line, then ``rows``, drawn while the temp file is open."""
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
-def _write_csv(path: Path, header: list[str], blocks: Iterable[_Block]) -> None:
-    """Write a CSV atomically from blocks of rows, drawn while the temp file is open."""
-    _atomic_write(path, _csv_text(header, blocks))
+def _write_split(path: Path, header: list[str], t: int,
+                 rows: Callable[[range, list[float]], Iterator[str]],
+                 row_sigma_sq: list[float]) -> None:
+    """Write the CSV of anchors [0, t) drawn by ``rows(anchors, row_sigma_sq)``
+    as ``_write_csv`` does, with anchors [cut, t) drawn in one forked child.
 
-
-class WorkerError(EosError, RuntimeError):
-    """A forked process ended without reporting its result."""
-
-
-def _write_with_child(path: Path, chunks: Iterable[str],
-                      part: Callable[[typing.TextIO], object]) -> object:
-    """Write ``chunks``, then the text ``part(handle)`` writes, into ``path``
-    atomically, with ``part`` run at the same time in one forked child; return
-    what ``part`` returned.
-
-    The child writes into a temp part file beside ``path`` and sends its
-    result, or the exception it raised, pickled through a pipe.  Once
-    ``chunks`` are written, the result is read, the child reaped and the part
-    copied in.  An error in ``chunks`` wins over the child's, the child's is
-    raised here, and a child that ends without a result raises
-    ``WorkerError`` naming its exit status.  No child and no part file
-    outlives the call.
+    The child writes its anchors' rows into a temp part file beside ``path``
+    and sends their sigma_sq through a pipe as raw float64 bytes.  Once this
+    process has written anchors [0, cut), it reaps the child.  If the child
+    exited with status 0 and sent one float per anchor, the part is copied
+    in; on any other ending (an error in its rows, a signal, a short payload)
+    this process draws those anchors itself with the same ``rows``, so an
+    error is raised as one process raises it.  An error in the first half
+    wins.  No child, pipe descriptor or part file outlives the call.
     """
+    cut = (t + 1) // 2
+    first = rows(range(cut), row_sigma_sq)  # checks the arguments before the fork
     fd, part_path = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".part")
     os.close(fd)
-    pid, result = 0, None
+    pid = 0
     try:
         read_end, write_end = os.pipe()
         with os.fdopen(read_end, "rb") as pipe, os.fdopen(write_end, "wb") as report:
             pid = os.fork()
-            if pid == 0:
-                _child(part, part_path, report)
+            if pid == 0:  # leaves by os._exit on every path, flushing nothing it inherited
+                status = 1
+                try:
+                    second: list[float] = []
+                    with open(part_path, "w", encoding="utf-8") as handle:
+                        handle.writelines(rows(range(cut, t), second))
+                    report.write(np.array(second, dtype=np.float64).tobytes())
+                    report.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
             report.close()  # the child holds the only write end, so its exit ends the read
 
             def text() -> Iterator[str]:
-                nonlocal pid, result
-                yield from chunks
+                nonlocal pid
+                yield from first
                 payload = pipe.read()
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
-                result = _child_result(payload, status, path)
-                with open(part_path, encoding="utf-8") as handle:
-                    yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
+                if status == 0 and len(payload) == 8 * (t - cut):
+                    row_sigma_sq.extend(np.frombuffer(payload, dtype=np.float64).tolist())
+                    with open(part_path, encoding="utf-8") as handle:
+                        yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
+                else:
+                    yield from rows(range(cut, t), row_sigma_sq)
 
-            _atomic_write(path, text())
+            _write_csv(path, header, text())
     finally:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.unlink(part_path)
-    return result
 
 
-def _child(part: Callable[[typing.TextIO], object], part_path: str,
-           report: typing.BinaryIO) -> typing.NoReturn:
-    """The forked child of ``_write_with_child``.  It leaves by ``os._exit`` on
-    every path, so it never unwinds into the parent's stack or flushes the
-    buffers it inherited; status 0 means the result was sent."""
-    status = 1
-    try:
-        try:
-            with open(part_path, "w", encoding="utf-8") as handle:
-                result = part(handle)
-        except BaseException as exc:  # sent to the parent, which raises it
-            result = exc
-        report.write(pickle.dumps(result))
-        report.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _child_result(payload: bytes, status: int, path: Path) -> object:
-    """The result a child of ``_write_with_child`` sent; raise the exception it sent."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        ending = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise WorkerError(f"the process writing part of {path.name} {ending} "
-                          "before reporting its result")
-    result = pickle.loads(payload)
-    if isinstance(result, BaseException):
-        raise result
-    return result
-
-
-def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[_Block]:
+def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[str]:
     """Blocks of ``_BLOCK_FLOATS`` rows ``index,column...``, each row formatted by ``row``.
 
     ``row`` is the one-row template: ``"%d,%r,%d\n"`` writes a weight and a
@@ -405,11 +371,11 @@ def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[_Block]:
         cells[0::width] = range(start, stop)
         for k, column in enumerate(columns, 1):
             cells[k::width] = column[start:stop].tolist()
-        yield template[:len(row) * (stop - start)], tuple(cells)
+        yield template[:len(row) * (stop - start)] % tuple(cells)
 
 
 def _affinity_blocks(blocks: Iterable[tuple[range, np.ndarray, np.ndarray]], t: int,
-                     row_sigma_sq: list[float]) -> Iterator[_Block]:
+                     row_sigma_sq: list[float]) -> Iterator[str]:
     """affinity.csv's blocks of whole anchors, rows ``anchor,neighbor,repr(value)``,
     cut from the anchor blocks of ``affinity_blocks``.  Each anchor's sigma_sq
     is appended to ``row_sigma_sq`` as its block is drawn."""
@@ -423,14 +389,14 @@ def _affinity_blocks(blocks: Iterable[tuple[range, np.ndarray, np.ndarray]], t: 
     for anchors, values, sigma_sq in blocks:
         row_sigma_sq.extend(sigma_sq.tolist())
         for start in range(0, len(anchors), size):
-            yield ("".join(map(anchor_template, anchors[start:start + size])),
-                   tuple(values[start:start + size].ravel().tolist()))
+            template = "".join(map(anchor_template, anchors[start:start + size]))
+            yield template % tuple(values[start:start + size].ravel().tolist())
 
 
-def _csv_row(*cells) -> _Block:
-    """One CSV row as a block; None is written as an empty cell."""
+def _csv_row(*cells) -> str:
+    """One CSV row; None is written as an empty cell."""
     template = ",".join("" if c is None else "%r" if isinstance(c, float) else "%s" for c in cells)
-    return template + "\n", tuple(c for c in cells if c is not None)
+    return template % tuple(c for c in cells if c is not None) + "\n"
 
 
 def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
@@ -505,7 +471,7 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     bandwidth = {"sigma_sq": section.sigma_sq, "alpha": section.alpha,
                  "perplexity": section.perplexity}
 
-    def rows(anchors: range, row_sigma_sq: list[float]) -> Iterator[_Block]:
+    def rows(anchors: range, row_sigma_sq: list[float]) -> Iterator[str]:
         # affinity_blocks checks its arguments as it is called, not as rows are drawn.
         blocks = affinity_blocks(data, **bandwidth, anchors=anchors)
         return _affinity_blocks(blocks, t, row_sigma_sq)
@@ -515,20 +481,8 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     if _affinity_processes(t) == 1:
         _write_csv(path, header, rows(range(t), row_sigma_sq))
     else:
-        cut = (t + 1) // 2
-        first = _csv_text(header, rows(range(cut), row_sigma_sq))  # checked before the fork
-
-        def second(handle: typing.TextIO) -> list[float]:
-            second_sigma_sq: list[float] = []
-            handle.writelines(map(_format_block, rows(range(cut, t), second_sigma_sq)))
-            return second_sigma_sq
-
-        row_sigma_sq += _write_with_child(path, first, second)
-    mode = (
-        "perplexity" if section.perplexity is not None
-        else "alpha" if section.alpha is not None
-        else "sigma_sq"
-    )
+        _write_split(path, header, t, rows, row_sigma_sq)
+    [mode] = [key for key, value in bandwidth.items() if value is not None]
     return {
         "T": data.n_instances,
         "mode": mode,
@@ -611,7 +565,7 @@ def _run_mislabel_bench(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=True) if config.input_path is not None else None
 
     per_p: dict[str, dict] = {}
-    rows: list[_Block] = []
+    rows: list[str] = []
     for key, cfg in experiments.items():
         outcomes = mislabel_experiment(cfg, data, task_size=section.task_size,
                                        task_dim=section.task_dim)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -748,6 +749,22 @@ def _no_child_left():
     return False
 
 
+def _open_fds():
+    """This process's open file descriptors, or None where /proc is absent."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextlib.contextmanager
+def _leaves_nothing(directory):
+    """Assert that the block leaves no child process, no file descriptor it
+    opened, and no ``.part`` or ``.tmp`` file in ``directory``."""
+    fds = _open_fds()
+    yield
+    assert _no_child_left()
+    assert _open_fds() == fds
+    assert not [p.name for p in directory.glob("*") if p.suffix in (".part", ".tmp")]
+
+
 def _use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
@@ -769,7 +786,7 @@ def test_affinity_csv_identical_in_one_and_two_parts(tmp_path, monkeypatch, sect
     # inside a block of the whole; at T = 15, with the cut-off lowered, each
     # half is a single block.
     if min_floats is not None:
-        monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", min_floats)
+        monkeypatch.setattr(eos.cli, "_SPLIT_MIN_FLOATS", min_floats)
     data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(t).standard_normal((t, 3)))
     cfg_path = _write_config(tmp_path / "cfg.json", {
         "command": "affinity", "input_path": str(data_path), "affinity": section,
@@ -818,86 +835,111 @@ def test_late_calibration_error_in_the_childs_half_leaves_nothing(tmp_path, monk
     alone = _failed_run(cfg_path, capsys, "--output", str(tmp_path / "alone"))
     _use_cpus(monkeypatch, 2)
     forks = _spy_on_fork(monkeypatch)
-    error = _failed_run(cfg_path, capsys)
+    with _leaves_nothing(tmp_path / "out"):
+        error = _failed_run(cfg_path, capsys)
     assert error["type"] == "CalibrationError"
     assert error["message"].startswith("anchor 447: target perplexity 1.5 below")
     assert error == alone
     assert len(forks) == 1
     assert list((tmp_path / "out").iterdir()) == []
-    assert _no_child_left()
 
 
 def test_errors_in_both_halves_name_the_lower_anchor(tmp_path, monkeypatch, capsys):
     cfg_path = _late_fault_config(tmp_path, slice(447, None), slice(10, 13))
     _use_cpus(monkeypatch, 2)
     forks = _spy_on_fork(monkeypatch)
-    error = _failed_run(cfg_path, capsys)
+    with _leaves_nothing(tmp_path / "out"):
+        error = _failed_run(cfg_path, capsys)
     assert error["type"] == "CalibrationError"
     assert error["message"].startswith("anchor 10: target perplexity 1.5 below")
     assert len(forks) == 1
     assert list((tmp_path / "out").iterdir()) == []
-    assert _no_child_left()
 
 
-def test_child_killed_before_reporting_is_a_typed_error(tmp_path, monkeypatch, capsys):
+def test_killed_child_has_its_anchors_drawn_in_process(tmp_path, monkeypatch):
     cfg_path = _late_fault_config(tmp_path)
+    _use_cpus(monkeypatch, 1)
+    alone = tmp_path / "alone"
+    assert main(["--config", str(cfg_path), "--output", str(alone), "--quiet"]) == 0
     real = eos.cli.affinity_blocks
+    test_pid = os.getpid()
 
-    def killed_in_the_second_half(dataset, *, anchors, **bandwidth):
-        if anchors.start > 0:  # only the child draws the second half
+    def killed_in_the_child(dataset, *, anchors, **bandwidth):
+        # This process draws the second half too, once the child is gone.
+        if anchors.start > 0 and os.getpid() != test_pid:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(dataset, anchors=anchors, **bandwidth)
 
-    monkeypatch.setattr(eos.cli, "affinity_blocks", killed_in_the_second_half)
+    monkeypatch.setattr(eos.cli, "affinity_blocks", killed_in_the_child)
     _use_cpus(monkeypatch, 2)
-    error = _failed_run(cfg_path, capsys)
-    assert error == {
-        "type": "WorkerError",
-        "message": f"the process writing part of affinity.csv was killed by signal "
-                   f"{int(signal.SIGKILL)} before reporting its result",
-    }
-    assert list((tmp_path / "out").iterdir()) == []
-    assert _no_child_left()
+    forks = _spy_on_fork(monkeypatch)
+    out = tmp_path / "out"
+    with _leaves_nothing(out):
+        assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    assert len(forks) == 1
+    assert (out / "affinity.csv").read_bytes() == (alone / "affinity.csv").read_bytes()
+    assert _report(out)["results"]["row_sigma_sq"] == _report(alone)["results"]["row_sigma_sq"]
 
 
-@pytest.mark.parametrize("fault", [None, "first-raises", "child-raises", "child-sends-nothing"])
-def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, fault):
+_SPLIT_FAULTS = [None, "first-raises", "child-raises", "child-sends-nothing", "child-sends-short",
+                 "fork-fails"]
+
+
+@pytest.mark.parametrize("fault", _SPLIT_FAULTS)
+def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, monkeypatch,
+                                                                     fault):
     path = tmp_path / "out.csv"
+    test_pid = os.getpid()
+    drawn_here = []
 
-    def first():
-        yield "head\n"
-        assert list(tmp_path.glob("out.csv*.part")) and list(tmp_path.glob("out.csv*.tmp"))
-        if fault == "first-raises":  # wins over the child's error: its rows come first
-            raise OSError("disk full")
-        yield "first\n"
+    def rows(anchors, sigma_sq):
+        in_child = os.getpid() != test_pid
+        if not in_child:
+            drawn_here.append(anchors)
+        for i in anchors:
+            yield f"{i}\n"
+            if i == 0:
+                assert list(tmp_path.glob("out.csv*.part")) and list(tmp_path.glob("out.csv*.tmp"))
+            if fault == "first-raises" and i == 1:  # wins over the child's error: its rows come first
+                raise OSError("disk full")
+            if fault in ("first-raises", "child-raises") and i == 4:
+                raise InvalidConfigError(f"bad row {i}")
+            if in_child and fault == "child-sends-nothing":
+                os._exit(0)
+            if not (in_child and fault == "child-sends-short" and i == 4):
+                sigma_sq.append(i / 8)
 
-    def part(handle):
-        handle.write("second\n")
-        if fault in ("first-raises", "child-raises"):
-            raise InvalidConfigError("bad row")
-        if fault == "child-sends-nothing":
-            return lambda: None  # cannot be pickled
-        return [0.5, 0.25]
-
-    if fault is None:
-        assert eos.cli._write_with_child(path, first(), part) == [0.5, 0.25]
-        assert path.read_bytes() == b"head\nfirst\nsecond\n"
+    if fault == "fork-fails":
+        def no_fork():
+            raise OSError("no fork")
+        monkeypatch.setattr(os, "fork", no_fork)
+    sigma_sq = []
+    with _leaves_nothing(tmp_path):
+        if fault is None or fault.startswith("child-sends"):
+            eos.cli._write_split(path, ["head"], 5, rows, sigma_sq)
+        else:
+            error, match = {
+                "first-raises": (OSError, "disk full"),
+                "child-raises": (InvalidConfigError, "bad row 4"),
+                "fork-fails": (OSError, "no fork"),
+            }[fault]
+            with pytest.raises(error, match=match):
+                eos.cli._write_split(path, ["head"], 5, rows, sigma_sq)
+    if fault is None or fault.startswith("child-sends"):
+        assert path.read_bytes() == b"head\n0\n1\n2\n3\n4\n"
+        assert sigma_sq == [0.0, 0.125, 0.25, 0.375, 0.5]
         assert list(tmp_path.iterdir()) == [path]
+        # The second half is drawn here only when the child does not send it whole.
+        assert drawn_here == [range(3)] + ([range(3, 5)] if fault else [])
     else:
-        error, match = {
-            "first-raises": (OSError, "disk full"),
-            "child-raises": (InvalidConfigError, "bad row"),
-            "child-sends-nothing": (eos.cli.WorkerError, "exited with status 1 before reporting"),
-        }[fault]
-        with pytest.raises(error, match=match):
-            eos.cli._write_with_child(path, first(), part)
         assert list(tmp_path.iterdir()) == []
-    assert _no_child_left()
+        if fault == "child-raises":  # raised here from the child's anchors, as one process does
+            assert drawn_here == [range(3), range(3, 5)]
 
 
 def test_affinity_is_split_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch):
     t = _CUT_OFF_T
-    assert t * (t - 1) >= eos.cli._POOL_MIN_FLOATS > (t - 1) * (t - 2)
+    assert t * (t - 1) >= eos.cli._SPLIT_MIN_FLOATS > (t - 1) * (t - 2)
     _use_cpus(monkeypatch, 2)
     assert eos.cli._affinity_processes(t) == 2
     assert eos.cli._affinity_processes(t - 1) == 1
@@ -945,11 +987,14 @@ def test_affinity_csv_blocks_hold_whole_anchors(tmp_path, monkeypatch):
     # Four anchors per block: 15 anchors make three full blocks and one of three.
     monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
     sigma_sq = []
-    csv_blocks = list(eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq))
-    assert [len(cells) for _, cells in csv_blocks] == [56, 56, 56, 42]
+    chunks = list(eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq))
+    anchors = [[int(line.split(",")[0]) for line in chunk.splitlines()] for chunk in chunks]
+    assert [sorted(set(a)) for a in anchors] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11],
+                                                 [12, 13, 14]]
+    assert [len(a) for a in anchors] == [4 * 14, 4 * 14, 4 * 14, 3 * 14]  # whole anchors
     assert sigma_sq == [s for _, _, block_sigma_sq in blocks for s in block_sigma_sq.tolist()]
     path = tmp_path / "affinity.csv"
-    eos.cli._write_csv(path, ["row_index", "col_index", "value"], csv_blocks)
+    eos.cli._write_csv(path, ["row_index", "col_index", "value"], chunks)
     expected = _oracle_csv(
         ["row_index", "col_index", "value"],
         [[i, j, float(v)] for anchors, values, _ in blocks for i, row in zip(anchors, values)
@@ -981,7 +1026,7 @@ def _policy_config(tmp_path, command):
 def test_only_affinity_csv_is_split_with_a_child(tmp_path, monkeypatch, command, splits):
     cfg_path = _policy_config(tmp_path, command)
     _use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(eos.cli, "_POOL_MIN_FLOATS", 1)
+    monkeypatch.setattr(eos.cli, "_SPLIT_MIN_FLOATS", 1)
     forks = _spy_on_fork(monkeypatch)
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     assert len(forks) == (1 if splits else 0)
