@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import _check_alpha, _check_real, _checked_errors, _softmax, check_errors
+from .core import _check_alpha, _check_int, _check_real, _checked_errors, _softmax, check_errors
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import _squared_distances
@@ -64,6 +64,7 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> np.ndarr
     """
     # Checked here too: None is a bad sigma_sq, not another bandwidth mode.
     ssq = _check_sigma_sq(sigma_sq)
+    i = _check_int(i, lambda _: True, InvalidInputError, "anchor index must be an integer")
     [(_, values, _)] = affinity_blocks(dataset, sigma_sq=ssq, anchors=range(i, i + 1))
     return values[0]
 

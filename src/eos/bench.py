@@ -190,9 +190,10 @@ def timing_probe_wstep(
     """Median wall time of the weight update alone, per grid cell.
 
     T rows time the update on error vectors of length T.  D rows keep the
-    statistics size at ``fixed_t`` and precompute the errors from
-    D-dimensional data, so the dimension can only affect work done outside
-    the timed region.  The cells of one axis are timed round-robin, one
+    statistics size at ``fixed_t`` and draw the errors as chi-square with D
+    degrees of freedom, the law of the squared norm of D-dimensional standard
+    normal data, so the dimension can only affect work done outside the
+    timed region.  The cells of one axis are timed round-robin, one
     call per cell per round, so a burst of load on the host slows every
     cell of the axis alike instead of one cell's window.  Runs on a single
     thread of execution.
@@ -207,6 +208,10 @@ def timing_probe_wstep(
     if not t_grid or not d_grid:
         raise InvalidInputError("t_grid and d_grid must be non-empty")
     repeats = _check_int(repeats, lambda r: r >= 5, InvalidInputError, "repeats must be at least 5")
+    seed = _check_int(seed, lambda s: s >= 0, InvalidInputError,
+                      "seed must be a non-negative integer")
+    warmup = _check_int(warmup, lambda w: w >= 0, InvalidInputError,
+                        "warmup must be a non-negative integer")
     rng = np.random.default_rng(seed)
 
     def time_axis(cells: list[np.ndarray]) -> list[tuple[float, float]]:
@@ -221,16 +226,12 @@ def timing_probe_wstep(
         q75, q50, q25 = np.percentile(samples, [75, 50, 25], axis=0)
         return [(float(m), float(hi - lo)) for m, hi, lo in zip(q50, q75, q25)]
 
-    def squared_norms(d: int) -> np.ndarray:
-        data = rng.standard_normal((fixed_t, d))
-        return np.einsum("ij,ij->i", data, data)
-
     t_cells = [rng.standard_normal(t) for t in t_grid]
     rows: list[dict] = []
     for t, (median, iqr) in zip(t_grid, time_axis(t_cells)):
         rows.append({"axis": "T", "T": t, "D": None,
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})
-    d_cells = [squared_norms(d) for d in d_grid]
+    d_cells = [rng.chisquare(d, fixed_t) for d in d_grid]
     for d, (median, iqr) in zip(d_grid, time_axis(d_cells)):
         rows.append({"axis": "D", "T": fixed_t, "D": d,
                      "median_s": median, "iqr_s": iqr, "repeats": repeats})

@@ -8,21 +8,22 @@ the wrong type are rejected with the key path.  Each command is a thin
 layer over public library functions.  Every run writes ``report.json``
 with the full effective config, plus command-specific CSVs; identical
 config and seed reproduce identical numeric outputs (wall-clock timings
-and timestamps excluded).  affinity streams its rows into ``affinity.csv``
-one block of anchors at a time, so no T x (T-1) matrix is held; a row that
-fails leaves no ``affinity.csv``.  From 200,000 floats on, where fork exists
-and a second CPU is usable, the anchors are split in two halves: this
-process computes and writes the first, and one forked child the second,
-with the same bytes as one process.  A child that does not finish its half
-has those anchors drawn again in this process, so an error in them is
-raised as one process raises it and a killed child costs time, not the run.
-No other output is written by a child, and no option or environment
-variable sets the split.
+and timestamps excluded).  affinity streams ``affinity.csv`` one chunk per
+anchor block of ``affinity_blocks``, so no T x (T-1) matrix is held; a row
+that fails leaves no ``affinity.csv``.  One writer draws the anchors in this
+process below 200,000 floats, without fork or with one usable CPU, and else
+in two halves: this process computes and writes the first, and one forked
+child the second, with the same bytes as one process.  Anchors a child does
+not finish are drawn again here, so an error in them is raised as one
+process raises it and a killed child costs time, not the run.  A child
+writes nothing else, and no option or environment variable sets the split.
 
-robust-train without ``robust_train.alpha`` selects alpha with
-``select_alpha``, whose fits use ``eos.tol`` and ``eos.max_iters`` but
-always start from uniform weights: ``eos.init_policy`` and ``seed`` apply
-only when ``robust_train.alpha`` is set.
+Every command checks the ``eos`` section and echoes it in ``report.json``.
+Only detect without calibration reads ``eos.alpha`` (set by ``--alpha``);
+mislabel-bench, affinity and timing read no ``eos`` key.  robust-train
+without ``robust_train.alpha`` selects alpha with ``select_alpha``, whose fits
+use ``eos.tol`` and ``eos.max_iters`` but always start from uniform weights:
+``eos.init_policy`` and ``seed`` apply only when ``robust_train.alpha`` is set.
 """
 
 from __future__ import annotations
@@ -265,8 +266,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 # text that reads back as the same float) for a float cell and ``%s`` or ``%d``
 # for the rest.  Cells are numbers and fixed identifiers, so none needs quoting.
 
-# Float cells per block: weights.csv rows per block, and affinity.csv's T - 1
-# values per anchor times anchors per block (at least one).
+# weights.csv rows per block.
 _BLOCK_FLOATS = 4096
 # From this many float cells on, affinity.csv's anchors are split in two
 # contiguous halves: this process computes and writes the first, and one
@@ -283,16 +283,6 @@ _SPLIT_MIN_FLOATS = 200_000
 _COPY_CHARS = 2**20
 
 
-def _affinity_processes(t: int) -> int:
-    """Processes that write affinity.csv of ``t`` anchors: 2, this one and one
-    forked child, from ``_SPLIT_MIN_FLOATS`` floats on where fork exists and a
-    second CPU is usable, else 1."""
-    if t * (t - 1) < _SPLIT_MIN_FLOATS or not hasattr(os, "fork"):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, 2)
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[str]) -> None:
     """Write a CSV atomically: the header line, then ``rows``, drawn while the temp file is open."""
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
@@ -301,8 +291,9 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[str]) -> None:
 def _write_split(path: Path, header: list[str], t: int,
                  rows: Callable[[range, list[float]], Iterator[str]],
                  row_sigma_sq: list[float]) -> None:
-    """Write the CSV of anchors [0, t) drawn by ``rows(anchors, row_sigma_sq)``
-    as ``_write_csv`` does, with anchors [cut, t) drawn in one forked child.
+    """Write the CSV of anchors [0, t) drawn by ``rows(anchors, row_sigma_sq)``:
+    through ``_write_csv`` below ``_SPLIT_MIN_FLOATS`` floats, without fork or
+    with one usable CPU, else with anchors [cut, t) drawn in one forked child.
 
     The child writes its anchors' rows into a temp part file beside ``path``
     and sends their sigma_sq through a pipe as raw float64 bytes.  Once this
@@ -310,9 +301,12 @@ def _write_split(path: Path, header: list[str], t: int,
     exited with status 0 and sent one float per anchor, the part is copied
     in; on any other ending (an error in its rows, a signal, a short payload)
     this process draws those anchors itself with the same ``rows``, so an
-    error is raised as one process raises it.  An error in the first half
+    error is raised as one process raises it, and an error in the first half
     wins.  No child, pipe descriptor or part file outlives the call.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if t * (t - 1) < _SPLIT_MIN_FLOATS or not hasattr(os, "fork") or cpus < 2:
+        return _write_csv(path, header, rows(range(t), row_sigma_sq))
     cut = (t + 1) // 2
     first = rows(range(cut), row_sigma_sq)  # checks the arguments before the fork
     fd, part_path = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".part")
@@ -376,21 +370,18 @@ def _weight_blocks(row: str, *columns: np.ndarray) -> Iterator[str]:
 
 def _affinity_blocks(blocks: Iterable[tuple[range, np.ndarray, np.ndarray]], t: int,
                      row_sigma_sq: list[float]) -> Iterator[str]:
-    """affinity.csv's blocks of whole anchors, rows ``anchor,neighbor,repr(value)``,
-    cut from the anchor blocks of ``affinity_blocks``.  Each anchor's sigma_sq
-    is appended to ``row_sigma_sq`` as its block is drawn."""
+    """affinity.csv's text, one chunk of rows ``anchor,neighbor,repr(value)``
+    per anchor block of ``affinity_blocks``.  Each anchor's sigma_sq is
+    appended to ``row_sigma_sq`` as its block is drawn."""
     cells = [f"{j},%r\n" for j in range(t)]
 
     def anchor_template(i: int) -> str:
         prefix = f"{i},"
         return prefix + prefix.join(cells[:i] + cells[i + 1:])
 
-    size = max(1, _BLOCK_FLOATS // (t - 1))
     for anchors, values, sigma_sq in blocks:
         row_sigma_sq.extend(sigma_sq.tolist())
-        for start in range(0, len(anchors), size):
-            template = "".join(map(anchor_template, anchors[start:start + size]))
-            yield template % tuple(values[start:start + size].ravel().tolist())
+        yield "".join(map(anchor_template, anchors)) % tuple(values.ravel().tolist())
 
 
 def _csv_row(*cells) -> str:
@@ -476,12 +467,9 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
         blocks = affinity_blocks(data, **bandwidth, anchors=anchors)
         return _affinity_blocks(blocks, t, row_sigma_sq)
 
-    path, header = out_dir / "affinity.csv", ["row_index", "col_index", "value"]
     row_sigma_sq: list[float] = []
-    if _affinity_processes(t) == 1:
-        _write_csv(path, header, rows(range(t), row_sigma_sq))
-    else:
-        _write_split(path, header, t, rows, row_sigma_sq)
+    _write_split(out_dir / "affinity.csv", ["row_index", "col_index", "value"], t, rows,
+                 row_sigma_sq)
     [mode] = [key for key, value in bandwidth.items() if value is not None]
     return {
         "T": data.n_instances,
@@ -624,7 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output", default=None, help="override the output directory")
-    parser.add_argument("--alpha", type=float, default=None, help="override the fit alpha")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="override eos.alpha, read only by detect without calibration")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
 

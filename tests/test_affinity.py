@@ -200,6 +200,18 @@ def test_affinity_blocks_rejects_bad_anchors_at_the_call(anchors):
     with pytest.raises(InvalidInputError, match="anchors must be a non-empty range of step 1"):
         affinity_blocks(Dataset(np.eye(5)), alpha=1.0, anchors=anchors)
 
+
+@pytest.mark.parametrize("i", [1.0, 1.5], ids=["integral-float", "fraction"])
+def test_gaussian_affinity_row_rejects_a_non_integer_anchor(i):
+    with pytest.raises(InvalidInputError, match=rf"^anchor index must be an integer, got {i!r}$"):
+        gaussian_affinity_row(Dataset(np.eye(5)), i, 0.5)
+
+
+@pytest.mark.parametrize("i", [-1, 5])
+def test_gaussian_affinity_row_rejects_an_anchor_outside_the_data(i):
+    with pytest.raises(InvalidInputError, match="anchors must be a non-empty range of step 1"):
+        gaussian_affinity_row(Dataset(np.eye(5)), i, 0.5)
+
 # ---------------------------------------------------------------------------
 # batched calibration
 # ---------------------------------------------------------------------------

@@ -192,6 +192,9 @@ def test_timing_probe_validation():
         timing_probe_wstep([], [2], repeats=5)
     with pytest.raises(InvalidInputError):
         timing_probe_wstep([100], [2], repeats=3)
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"warmup": "x"}, {"warmup": -1}):
+        with pytest.raises(InvalidInputError, match="must be a non-negative integer"):
+            timing_probe_wstep([100], [2], repeats=5, **bad)
 
 
 def test_synth_benchmark_structure_and_quality():

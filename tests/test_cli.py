@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eos.affinity
 import eos.anomaly
 import eos.cli
 from eos.cli import RunConfig, main
@@ -581,9 +582,14 @@ def test_split_affinity_run_loads_no_pool_modules(tmp_path):
     code = f"""
 import os, sys
 os.sched_getaffinity = lambda pid: {{0, 1}}
+forks, real_fork = [], os.fork
+def fork():
+    forks.append(os.getpid())
+    return real_fork()
+os.fork = fork
 import eos.cli
-assert eos.cli._affinity_processes(448) == 2
 assert eos.cli.main(["--config", {str(cfg_path)!r}, "--quiet"]) == 0
+assert len(forks) == 1, forks
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
 """
     assert _run_fresh(code) == "[]"
@@ -881,13 +887,17 @@ def test_killed_child_has_its_anchors_drawn_in_process(tmp_path, monkeypatch):
     assert _report(out)["results"]["row_sigma_sq"] == _report(alone)["results"]["row_sigma_sq"]
 
 
-_SPLIT_FAULTS = [None, "first-raises", "child-raises", "child-sends-nothing", "child-sends-short",
-                 "fork-fails"]
+_SPLIT_FAULTS = [None, "one-cpu", "first-raises", "child-raises", "child-sends-nothing",
+                 "child-sends-short", "fork-fails"]
 
 
 @pytest.mark.parametrize("fault", _SPLIT_FAULTS)
 def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, monkeypatch,
                                                                      fault):
+    # With the cut-off lowered, 5 anchors are split on two CPUs and not on one.
+    monkeypatch.setattr(eos.cli, "_SPLIT_MIN_FLOATS", 1)
+    _use_cpus(monkeypatch, 1 if fault == "one-cpu" else 2)
+    forks = _spy_on_fork(monkeypatch)
     path = tmp_path / "out.csv"
     test_pid = os.getpid()
     drawn_here = []
@@ -898,8 +908,9 @@ def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, m
             drawn_here.append(anchors)
         for i in anchors:
             yield f"{i}\n"
-            if i == 0:
-                assert list(tmp_path.glob("out.csv*.part")) and list(tmp_path.glob("out.csv*.tmp"))
+            if i == 0:  # a part file only where the anchors are split
+                assert bool(list(tmp_path.glob("out.csv*.part"))) == (fault != "one-cpu")
+                assert list(tmp_path.glob("out.csv*.tmp"))
             if fault == "first-raises" and i == 1:  # wins over the child's error: its rows come first
                 raise OSError("disk full")
             if fault in ("first-raises", "child-raises") and i == 4:
@@ -914,8 +925,9 @@ def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, m
             raise OSError("no fork")
         monkeypatch.setattr(os, "fork", no_fork)
     sigma_sq = []
+    succeeds = fault in (None, "one-cpu") or fault.startswith("child-sends")
     with _leaves_nothing(tmp_path):
-        if fault is None or fault.startswith("child-sends"):
+        if succeeds:
             eos.cli._write_split(path, ["head"], 5, rows, sigma_sq)
         else:
             error, match = {
@@ -925,12 +937,15 @@ def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, m
             }[fault]
             with pytest.raises(error, match=match):
                 eos.cli._write_split(path, ["head"], 5, rows, sigma_sq)
-    if fault is None or fault.startswith("child-sends"):
+    assert len(forks) == (0 if fault in ("one-cpu", "fork-fails") else 1)
+    if succeeds:
         assert path.read_bytes() == b"head\n0\n1\n2\n3\n4\n"
         assert sigma_sq == [0.0, 0.125, 0.25, 0.375, 0.5]
         assert list(tmp_path.iterdir()) == [path]
-        # The second half is drawn here only when the child does not send it whole.
-        assert drawn_here == [range(3)] + ([range(3, 5)] if fault else [])
+        if fault == "one-cpu":
+            assert drawn_here == [range(5)]
+        else:  # the second half is drawn here only when the child does not send it whole
+            assert drawn_here == [range(3)] + ([range(3, 5)] if fault else [])
     else:
         assert list(tmp_path.iterdir()) == []
         if fault == "child-raises":  # raised here from the child's anchors, as one process does
@@ -940,28 +955,28 @@ def test_split_write_reports_the_child_and_leaves_no_file_or_process(tmp_path, m
 def test_affinity_is_split_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch):
     t = _CUT_OFF_T
     assert t * (t - 1) >= eos.cli._SPLIT_MIN_FLOATS > (t - 1) * (t - 2)
-    _use_cpus(monkeypatch, 2)
-    assert eos.cli._affinity_processes(t) == 2
-    assert eos.cli._affinity_processes(t - 1) == 1
-    _use_cpus(monkeypatch, 64)
-    assert eos.cli._affinity_processes(10**6) == 2  # one child at most
-    data_path = _write_csv(tmp_path / "data.csv", np.random.default_rng(4).standard_normal((t, 3)))
-    cfg_path = _write_config(tmp_path / "cfg.json", {
-        "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
-    })
+    x = np.random.default_rng(4).standard_normal((t, 3))
     forks = _spy_on_fork(monkeypatch)
-    written = []
-    for cpus, fork, processes in ((2, True, 2), (1, True, 1), (2, False, 1)):
+
+    def run(n, cpus):
+        """The forks and affinity.csv of a run over the first ``n`` instances of x."""
         _use_cpus(monkeypatch, cpus)
-        if not fork:  # any fork would now raise AttributeError
-            monkeypatch.delattr(os, "fork")
-        assert eos.cli._affinity_processes(t) == processes
-        out = tmp_path / f"out-{cpus}-{fork}"
+        data_path = _write_csv(tmp_path / f"data-{n}.csv", x[:n])
+        cfg_path = _write_config(tmp_path / "cfg.json", {
+            "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
+        })
+        out, before = tmp_path / f"out-{n}-{cpus}-{hasattr(os, 'fork')}", len(forks)
         assert main(["--config", str(cfg_path), "--output", str(out), "--quiet"]) == 0
-        written.append((out / "affinity.csv").read_bytes())
-    assert len(forks) == 1  # the first run's
-    assert written[1:] == written[:1] * 2
-    assert _no_child_left()
+        assert _no_child_left()
+        return len(forks) - before, (out / "affinity.csv").read_bytes()
+
+    assert run(t - 1, 2)[0] == 0
+    split, written = run(t, 2)
+    assert split == 1
+    assert run(t, 64) == (1, written)  # one child at most
+    assert run(t, 1) == (0, written)
+    monkeypatch.delattr(os, "fork")  # any fork would now raise AttributeError
+    assert run(t, 2) == (0, written)
 
 
 def _weight_data(t):
@@ -981,11 +996,12 @@ def test_weights_csv_matches_csv_writer_at_block_edges(tmp_path, t):
 
 
 def test_affinity_csv_blocks_hold_whole_anchors(tmp_path, monkeypatch):
+    # One text chunk per anchor block of affinity_blocks, here four anchors a
+    # block: 15 anchors make three full blocks and one of three.
+    monkeypatch.setattr(eos.affinity, "_BLOCK_FLOATS", 4 * 14)
     data_path, _ = _affinity_config(tmp_path, {})
     data = parse_csv_dataset(data_path)
     blocks = list(affinity_blocks(data, perplexity=5.0))
-    # Four anchors per block: 15 anchors make three full blocks and one of three.
-    monkeypatch.setattr(eos.cli, "_BLOCK_FLOATS", 4 * 14)
     sigma_sq = []
     chunks = list(eos.cli._affinity_blocks(affinity_blocks(data, perplexity=5.0), 15, sigma_sq))
     anchors = [[int(line.split(",")[0]) for line in chunk.splitlines()] for chunk in chunks]

@@ -91,6 +91,8 @@ SITES = [
      InvalidConfigError),
     ("gaussian_affinity_row.sigma_sq", lambda v: gaussian_affinity_row(POINTS, 3, v),
      np.int64(2), InvalidConfigError),
+    ("gaussian_affinity_row.i", lambda v: gaussian_affinity_row(POINTS, v, 0.5), np.int64(3),
+     InvalidInputError),
     ("calibrate_row_alpha.target_perplexity", lambda v: calibrate_row_alpha(ERRORS, v),
      np.float32(3.5), InvalidInputError),
     ("affinity_blocks.sigma_sq", lambda v: list(affinity_blocks(POINTS, sigma_sq=v)),
@@ -136,6 +138,9 @@ SITES = [
     ("timing_probe_wstep.t_grid", lambda v: _timing_rows(t_grid=[v]), np.int64(16),
      InvalidInputError),
     ("timing_probe_wstep.d_grid", lambda v: _timing_rows(d_grid=[v]), np.int64(2),
+     InvalidInputError),
+    ("timing_probe_wstep.seed", lambda v: _timing_rows(seed=v), np.int64(3), InvalidInputError),
+    ("timing_probe_wstep.warmup", lambda v: _timing_rows(warmup=v), np.int64(1),
      InvalidInputError),
     ("run_synth_benchmark.n_seeds",
      lambda v: run_synth_benchmark(SyntheticSpec(**SPEC), v), np.int64(2),
