@@ -17,7 +17,7 @@ from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real,
                    effective_sample_size, fit, w_step)
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
-from .models import GaussianModel, GaussianParams, gaussian_error
+from .models import GaussianModel, GaussianParams
 
 __all__ = [
     "FlagRule",
@@ -125,8 +125,8 @@ def flag_outliers(
     """Convert the converged weights of a Gaussian fit at ``alpha`` to flags.
 
     RELATIVE_THRESHOLD flags instances with weight below rule_param/T.
-    TOP_K flags the rule_param smallest weights, breaking ties by larger
-    error and then by smaller index; exactly min(k, T-1) flags are set.
+    TOP_K flags the min(rule_param, T-1) smallest weights, breaking ties by
+    larger error and then, as the sort is stable, by smaller index.
     """
     n, d = dataset.n_instances, dataset.n_features
     if n < d + 2:
@@ -144,8 +144,7 @@ def flag_outliers(
             flags[int(np.argmax(w))] = False
     else:
         k_eff = min(param, n - 1)
-        errors = gaussian_error(dataset, result.theta)
-        order = np.lexsort((np.arange(n), -errors, w))
+        order = np.lexsort((-result.errors, w))
         flags = np.zeros(n, dtype=bool)
         flags[order[:k_eff]] = True
 
@@ -236,7 +235,7 @@ def calibrate_alpha(
         fractions[alpha] = fraction
         if alpha in _BRACKET or abs(fraction - target) <= _ESS_TOL:
             returnable[alpha] = result
-        errors = gaussian_error(dataset, result.theta)
+        errors = result.errors
 
     def verdict(alpha: float, fraction: float) -> int:
         """The bisection's verdict at a node; it never falls as the fraction rises."""

@@ -120,11 +120,15 @@ class FitResult:
     non-increasing up to a 1e-10 relative slack; a model that breaks this
     aborts the fit instead of producing a result.  ``iterations`` counts the
     calls of the model's ``step``, dropped proposals of the acceleration
-    included, so it can exceed the trajectory's length.
+    included, so it can exceed the trajectory's length.  ``errors`` is the
+    error vector of ``theta``, the array the last kept step returned, not a
+    copy; ``calibrate_alpha`` and ``flag_outliers`` read it instead of
+    evaluating the model again.
     """
 
     weights: np.ndarray
     theta: Any
+    errors: np.ndarray
     objective_trajectory: np.ndarray
     iterations: int
     termination: Termination
@@ -137,7 +141,7 @@ class ErrorModel(Protocol):
     weights and the per-instance errors g_t under them.  theta must not
     increase the weighted error sum(w_t * g_t) beyond a 1e-10 relative
     slack; this is what guarantees the monotone objective trajectory of fit.
-    ``fit`` takes the errors array over and may overwrite it.
+    ``fit`` may overwrite a step's errors array, but never the one it returns.
     """
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[Any, np.ndarray]: ...
@@ -220,8 +224,10 @@ def _softmax(shifted: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
 
 def _wlogw(weights: np.ndarray) -> float:
     """sum(w*log w) over the positive entries, i.e. with 0*log(0) = 0."""
-    pos = weights > 0
-    return float(np.sum(weights[pos] * np.log(weights[pos])))
+    p = weights if weights.all() else weights[weights > 0]
+    terms = np.log(p)
+    terms *= p
+    return float(np.sum(terms))
 
 
 def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
@@ -317,8 +323,8 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
     alpha = config.alpha
     iterations = 0
 
-    def advance(w: np.ndarray) -> tuple[Any, np.ndarray, np.ndarray, float]:
-        """One model step from w: theta, its errors, their w-step and the objective."""
+    def advance(w: np.ndarray) -> tuple[Any, np.ndarray]:
+        """One model step from w: theta and its errors."""
         nonlocal iterations
         iterations += 1
         try:
@@ -333,6 +339,10 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
         g = np.require(g, dtype=float, requirements="W")
         if g.shape != (n,):
             raise InvalidInputError(f"error model returned shape {g.shape}, expected ({n},)")
+        return theta, g
+
+    def weigh(g: np.ndarray) -> tuple[np.ndarray, float]:
+        """The w-step of a step's errors and the objective there."""
         low = float(g.min())
         if not (math.isfinite(low) and math.isfinite(float(g.max()))):
             raise NumericalError(f"error model produced non-finite errors at iteration {iterations}")
@@ -342,17 +352,22 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
         value = low + alpha * math.log(float(w.max()))
         if not math.isfinite(value):
             raise NumericalError(f"objective became non-finite at iteration {iterations}")
-        return theta, g, w, value
+        return w, value
 
-    theta, g, w, value = advance(_initial_weights(n, config))
+    theta, g = advance(_initial_weights(n, config))
+    w, value = weigh(g)
     trajectory = [value]
     cycle = [g]
     step_max = 1.0
     termination = Termination.MAX_ITERS_REACHED
 
+    # Each T-vector is released as soon as it is dead, so a step's input
+    # weights, g0 and g1 are the most that sit beside the step's own errors.
     while iterations < config.max_iters:
         if len(cycle) < 3:
-            theta, g, w, latest = advance(w)
+            theta, g = advance(w)
+            del w
+            w, latest = weigh(g)
             slack = DESCENT_RTOL * max(abs(latest), abs(value))
             if latest - value > slack + DESCENT_ATOL:
                 raise ContractViolationError(
@@ -361,6 +376,7 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
                 )
             cycle.append(g)
         else:
+            del w  # drawn again from g if the proposal is dropped
             proposal, capped = _extrapolate(*cycle, step_max)
             cycle = [g]
             stepped = None
@@ -368,15 +384,19 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
             if math.isfinite(low) and math.isfinite(float(proposal.max())):
                 try:
                     stepped = advance(_softmax(np.subtract(proposal, low, out=proposal), alpha))
+                    stepped += weigh(stepped[1])
                 except (ModelError, NumericalError):
-                    pass
+                    stepped = None
             del proposal
             if stepped is None or not stepped[3] < value:
+                del stepped
+                w = weigh(g)[0]  # the same _softmax of the same g: the weights released above
                 step_max = max(1.0, step_max / 4.0)
                 continue
             if capped:
                 step_max *= 4.0
             theta, g, w, latest = stepped
+            del stepped
             cycle = [g]
         trajectory.append(latest)
         delta, value = value - latest, latest
@@ -387,6 +407,7 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
     return FitResult(
         weights=w,
         theta=theta,
+        errors=g,
         objective_trajectory=np.asarray(trajectory),
         iterations=iterations,
         termination=termination,

@@ -2,15 +2,17 @@
 
 Every value comes from one ``np.loadtxt`` pass over the whole file, which
 rounds like ``float()``; label and dropped columns go through converters so
-that each row's cells are still counted.  Only when that pass refuses a file
-does a row-by-row scan read it again, to word the ``ParseError`` with its
-line and column; the scan never returns values.
+that each row's cells are still counted.  A line pass before it only counts
+lines, so a blank line, which ``np.loadtxt`` skips, is a missing row.  Only
+when the parse refuses a file or misses a row does a row-by-row scan read it
+again, to word the ``ParseError`` with line and column; it returns no values.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
@@ -68,19 +70,14 @@ def parse_csv_dataset(
             for i, name in enumerate(header)
             if name not in dropped and name != label_column
         ]
+        if not feature_cols:
+            error = InvalidConfigError if header else ParseError  # no header: the file's fault
+            raise error(f"{path}: no feature column left in header {header}; drop columns "
+                        f"{list(drop_columns)}, label column {label_column!r}")
         label_idx = header.index(label_column) if label_column is not None else None
 
-        # np.loadtxt skips blank lines and never looks at the header, so a
-        # blank data line is refused here and the row count checked below.
         header_lines = reader.line_num
-        n_lines = 0
-        for line in handle:
-            n_lines += 1
-            if not line.strip():
-                _raise_row_error(
-                    path, header, feature_cols, label_idx, label_map,
-                    f"line {header_lines + n_lines} is blank",
-                )
+        n_lines = sum(1 for _ in handle)
     if n_lines == 0:
         raise ParseError(f"{path}: no data rows")
 
@@ -91,10 +88,12 @@ def parse_csv_dataset(
             lambda cell: _parse_label(path, cell.strip(), label_map, 0)
         )
     try:
-        values = np.loadtxt(
-            path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
-            ndmin=2, encoding="utf-8", converters=converters or None,
-        )
+        with warnings.catch_warnings():  # all data lines empty: no rows, worded by the row scan
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(
+                path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
+                ndmin=2, encoding="utf-8", converters=converters or None,
+            )
         if values.shape != (n_lines, len(header)):
             raise ValueError(
                 f"read {values.shape[0]} rows of {values.shape[1]} cells from {n_lines} data lines"

@@ -66,6 +66,16 @@ def test_topk_tie_break_by_index_on_symmetric_data():
     assert list(np.flatnonzero(report.flags)) == [0, 1]
 
 
+@pytest.mark.parametrize("k, flagged", [(1, [1]), (2, [1, 3]), (3, [1, 2, 3]), (4, [0, 1, 2, 3])])
+def test_topk_breaks_weight_ties_by_the_fits_larger_error_then_index(k, flagged):
+    data = Dataset(np.random.default_rng(0).normal(size=(8, 2)))
+    errors = np.array([0.0, 2.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    tied = replace(fit(data, GaussianModel(), EosConfig(alpha=1.0)),
+                   weights=np.full(8, 0.125), errors=errors)
+    report = eos.anomaly.flag_outliers(data, tied, 1.0, FlagRule.TOP_K, k)
+    assert np.flatnonzero(report.flags).tolist() == flagged
+
+
 def test_topk_monotone_in_k():
     data, _ = planted_gaussian_2d(seed=4)
     previous: set[int] = set()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,71 @@ def test_fit_falls_back_to_plain_steps_when_proposals_fail(failure):
     assert len(traj) == result.iterations - model.failures
     assert len(traj) == plain_calls
     np.testing.assert_allclose(result.weights, plain_w, rtol=1e-9)
+
+
+class _RecordingModel:
+    """Another model's steps, keeping every errors array they return."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.returned = []
+
+    def step(self, dataset, weights):
+        theta, g = self.inner.step(dataset, weights)
+        self.returned.append(g)
+        return theta, g
+
+
+@pytest.mark.parametrize(
+    "alpha, inner, max_iters, calls, last_kept",
+    [
+        (1.0, GaussianModel, 500, 14, 14),
+        (3.0, GaussianModel, 500, 10, 10),
+        (1.0, lambda: _FailingProposalModel("worse"), 4, 4, 3),
+    ],
+    ids=["converged-on-a-plain-step", "converged-on-a-kept-proposal",
+         "stopped-after-a-dropped-proposal"],
+)
+def test_fit_returns_the_errors_of_its_theta(alpha, inner, max_iters, calls, last_kept):
+    """``errors`` is the last kept step's own array, equal bit for bit to
+    evaluating theta again, and the weights are its w-step, also where a
+    dropped proposal made the fit draw them a second time."""
+    data, _ = planted_gaussian_2d(seed=3)
+    model = _RecordingModel(inner())
+    result = fit(data, model, EosConfig(alpha=alpha, max_iters=max_iters))
+    assert result.iterations == len(model.returned) == calls
+    # Calls 4, 7, 10, ... are the proposals; only the dropped one is off the trajectory.
+    assert len(result.objective_trajectory) == calls - (last_kept != calls)
+    assert (result.termination is Termination.CONVERGED) == (max_iters > calls)
+    assert result.errors is model.returned[last_kept - 1]
+    assert result.errors.tobytes() == gaussian_error(data, result.theta).tobytes()
+    assert result.weights.tobytes() == w_step(result.errors, alpha).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model", [GaussianModel, lambda: _FailingProposalModel("worse")],
+    ids=["proposals-kept", "proposals-dropped"],
+)
+def test_fit_and_ess_hold_few_instance_vectors(model):
+    """At T = 200,000 and D = 2 a fit holds at most the step's input weights,
+    g0, g1 and the step's errors with its row blocks at once, and the ESS of
+    its weights one log vector."""
+    data = Dataset(np.random.default_rng(3).normal(size=(200_000, 2)))
+    data.mean_variance  # cached on the dataset, not part of the fit
+    vector = 8 * data.n_instances
+    tracemalloc.start()
+    try:
+        result = fit(data, model(), EosConfig(alpha=2.0))
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        effective_sample_size(result.weights)
+        ess_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 7  # two proposals were stepped from
+    assert fit_peak <= 4.75 * vector
+    assert ess_peak <= 1.25 * vector
 
 
 def test_an_overflowing_proposal_is_non_finite_and_silent():

@@ -67,14 +67,30 @@ def test_whitespace_padded_cells_parse_and_blank_cells_do_not(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [{"drop_columns": ("id", "y")}, {"drop_columns": ("id",), "label_column": "y"}],
-    ids=["all-dropped", "dropped-and-label"],
+    "header, kwargs, expected",
+    [
+        ("id,y", {"drop_columns": ("id", "y")},
+         (InvalidConfigError, "['id', 'y']; drop columns ['id', 'y'], label column None")),
+        ("id,y", {"drop_columns": ("id",), "label_column": "y"},
+         (InvalidConfigError, "['id', 'y']; drop columns ['id'], label column 'y'")),
+        ("y", {"label_column": "y"}, (InvalidConfigError, "['y']; drop columns [], label column 'y'")),
+        ("", {}, (ParseError, "[]; drop columns [], label column None")),
+    ],
+    ids=["all-dropped", "dropped-and-label", "label-only", "empty-header-line"],
 )
-def test_no_feature_columns_left(tmp_path, kwargs):
-    path = _write(tmp_path, "data.csv", "id,y\n1,0\n2,1\n3,1\n")
-    with pytest.raises(InvalidInputError, match=r"at least 1x1, got \(3, 0\)"):
+def test_no_feature_columns_left(tmp_path, monkeypatch, header, kwargs, expected):
+    # Refused from the header alone: the rows, a whitespace-only line among them, are never read.
+    path = _write(tmp_path, "data.csv", f"{header}\n1,0\n  \n3,1\n")
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    error, names = expected
+    with pytest.raises(EosError) as info:
         parse_csv_dataset(path, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: no feature column left in header {names}"
 
 
 @pytest.mark.parametrize("label", ["0.5", "1.9", "-0.7", "inf", "nan"])
@@ -200,6 +216,10 @@ _MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
         ("a,b\n 1.5 ,\t2\n3\t, -4e0 \n", {}, ([[1.5, 2.0], [3.0, -4.0]], None, ("a", "b"))),
         ("a,b\r\n1,2\r\n3,4\r\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None, ("a", "b"))),
         ("a,b\r1,2\r3,4\r", {}, ([[1.0, 2.0], [3.0, 4.0]], None, ("a", "b"))),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", {}, (ParseError, "<path>: line 3 has 0 cells, header has 2")),
+        ("a,b\r1,2\r\r3,4\r", {}, (ParseError, "<path>: line 3 has 0 cells, header has 2")),
+        ("a,b\n1,2\n\f\n3,4\n", {}, (ParseError, "<path>: line 3 has 1 cells, header has 2")),
+        ("a,b\n\n\n", {}, (ParseError, "<path>: line 2 has 0 cells, header has 2")),
         ("a,b\n1,2\n3\n5,6\n", {}, (ParseError, "<path>: line 3 has 1 cells, header has 2")),
         ("a,b\n1\n3\n", {}, (ParseError, "<path>: line 2 has 1 cells, header has 2")),
         ("a,b\n1,2,\n", {}, (ParseError, "<path>: line 2 has 3 cells, header has 2")),
@@ -245,7 +265,8 @@ _MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
     ],
     ids=[
         "blank-middle", "blank-end", "comment-line", "comment-cell", "underscore",
-        "arabic-indic-digits", "quoted", "padded", "crlf", "bare-cr", "one-short-row",
+        "arabic-indic-digits", "quoted", "padded", "crlf", "bare-cr", "blank-crlf", "blank-bare-cr",
+        "form-feed-line", "blank-lines-only", "one-short-row",
         "all-rows-short", "trailing-comma", "whitespace-line", "whitespace-line-one-column",
         "no-final-newline", "header-only", "header-only-no-newline", "nan", "overflow",
         "subnormal", "signs-and-points", "quoted-label", "quoted-label-with-comma",
