@@ -250,11 +250,15 @@ def _jsonify(obj):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Stream ``chunks`` into a temp file beside ``path``, then rename it over ``path``."""
+    """Stream ``chunks`` into a temp file beside ``path``, then rename it over
+    ``path`` with the mode a plain ``open`` gives: 0o666 less the umask."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0o077)  # reading the umask sets it; it is put back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -405,17 +409,16 @@ def _write_report(out_dir: Path, config: RunConfig, results: dict) -> None:
 def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
     if config.input_path is None:
         raise InvalidConfigError(f"command {config.command!r} requires input_path")
-    data = parse_csv_dataset(
+    if require_labels and config.csv.label_column is None:
+        raise InvalidConfigError(
+            f"command {config.command!r} requires a label column (set csv.label_column)"
+        )
+    return parse_csv_dataset(
         config.input_path,
         label_column=config.csv.label_column,
         drop_columns=config.csv.drop_columns,
         label_map=config.csv.label_map,
     )
-    if require_labels and data.labels is None:
-        raise InvalidConfigError(
-            f"command {config.command!r} requires a label column (set csv.label_column)"
-        )
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ Newton steps on the weighted log-loss.  Wrapping it in the alternating fit
 downweights training instances the classifier cannot explain, which is
 where randomly flipped labels end up.  Training and the per-sample error
 share one log-loss kernel computed from the log-odds, with no probability
-clamp, and the solver takes one path from any start, cold or warm.
+clamp, and the solver takes one path from any start, cold or warm.  Steps
+take ``fit``'s weights unchecked; the public functions check their inputs.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -152,17 +154,23 @@ def train_weighted_classifier(
     grad_tol = _check_real(grad_tol, _positive, InvalidConfigError, "grad_tol must be positive")
     max_iters = _check_int(max_iters, lambda n: n >= 1, InvalidConfigError,
                            "max_iters must be an integer >= 1")
+    d = dataset.n_features
+    if initial is not None and initial.coefficients.shape != (d,):
+        raise InvalidInputError(
+            f"initial coefficients must have length {d}, got {initial.coefficients.shape}"
+        )
+    design = np.hstack([dataset.instances, np.ones((dataset.n_instances, 1))])
+    return _newton(design, y, w, l2_strength, initial, grad_tol, max_iters)
 
-    x = dataset.instances
-    n, d = x.shape
-    design = np.hstack([x, np.ones((n, 1))])
+
+def _newton(design: np.ndarray, y: np.ndarray, w: np.ndarray, l2_strength: float,
+            initial: ClassifierParams | None, grad_tol: float, max_iters: int) -> ClassifierParams:
+    """``train_weighted_classifier``'s solver, unchecked: the design ``[x, 1]``,
+    float 0/1 labels ``y`` and weights ``w``, none of which it writes."""
+    d = design.shape[1] - 1
     penalty = np.zeros(d + 1)
     penalty[:d] = 2.0 * l2_strength
     if initial is not None:
-        if initial.coefficients.shape != (d,):
-            raise InvalidInputError(
-                f"initial coefficients must have length {d}, got {initial.coefficients.shape}"
-            )
         theta = np.concatenate([initial.coefficients, [initial.intercept]])
     else:
         theta = np.zeros(d + 1)
@@ -176,7 +184,7 @@ def train_weighted_classifier(
         return val, grad, p
 
     val, grad, p = value_grad(theta)
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = math.sqrt(grad @ grad)
     for _ in range(max_iters):
         if gnorm <= grad_tol:
             break
@@ -190,7 +198,7 @@ def train_weighted_classifier(
         cand = theta - step
         while not np.array_equal(cand, theta):
             cval, cgrad, cp = value_grad(cand)
-            cgnorm = float(np.linalg.norm(cgrad))
+            cgnorm = math.sqrt(cgrad @ cgrad)
             if cval <= val - 1e-4 * stepsize * slope or (
                 slope <= noise and cval <= val + noise and cgnorm < gnorm
             ):
@@ -254,8 +262,9 @@ class ClassifierLossModel:
     any warm start, even one fitted to one-hot weights that saturates every
     probability (a proposal that ``fit`` then dropped).  The warm-start
     cache makes an instance stateful: use one instance per fit, not across
-    concurrent fits.  The step calls the public, checked trainer: its
-    weight check is cheap next to a solve.
+    concurrent fits, on one dataset.  The step takes ``fit``'s weights
+    unchecked and builds the design ``[x, 1]`` once, on its first step; a
+    ``copy.copy`` of a stepped model starts warm and shares that design.
     """
 
     l2_strength: float = _L2_STRENGTH
@@ -263,9 +272,13 @@ class ClassifierLossModel:
     def __post_init__(self) -> None:
         self.l2_strength = _check_l2(self.l2_strength, InvalidConfigError)
         self._warm: ClassifierParams | None = None
+        self._problem: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
-        params = train_weighted_classifier(dataset, weights, self.l2_strength, initial=self._warm)
+        if self._problem is None:
+            x = dataset.instances
+            self._problem = np.hstack([x, np.ones((len(x), 1))]), _require_labels(dataset).astype(float)
+        params = _newton(*self._problem, weights, self.l2_strength, self._warm, 1e-8, 100)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
         return params, classifier_loss_error(dataset, params) + penalty
@@ -430,12 +443,13 @@ def select_alpha(
 
     ``alpha_grid`` holds multipliers of the plain fit's mean per-sample loss
     (see ``MislabelExperimentConfig``).  Every grid entry gets a robust fit
-    on ``corrupted`` with ``tol`` and ``max_iters``.  Among the fits
-    that converged, the one whose decision scores best separate the classes
-    of ``reference`` (``_separation``, the binormal AUC) is selected; ties
-    go to the earlier grid entry.  ``reference`` carries the labels to
-    trust: the uncorrupted training labels in the experiment, the training
-    data itself in ``robust-train``.
+    on ``corrupted`` with ``tol`` and ``max_iters``, started from the plain
+    fit's parameters: its first step returns them, the same bits as a cold
+    start.  Among the fits that converged, the one whose decision scores
+    best separate the classes of ``reference`` (``_separation``, the
+    binormal AUC) is selected; ties go to the earlier grid entry.
+    ``reference`` carries the labels to trust: the uncorrupted training
+    labels in the experiment, the training data itself in ``robust-train``.
 
     The mean log-loss on ``reference`` is not the criterion because it
     rewards calibration as much as ranking; on the label-flip task it
@@ -444,8 +458,8 @@ def select_alpha(
     """
     grid = _check_alpha_grid(alpha_grid)
     n = corrupted.n_instances
-    uniform = np.full(n, 1.0 / n)
-    plain = train_weighted_classifier(corrupted, uniform, l2_strength)
+    model = ClassifierLossModel(l2_strength)
+    plain, _ = model.step(corrupted, np.full(n, 1.0 / n))
     loss_scale = max(float(classifier_loss_error(corrupted, plain).mean()), 1e-6)
     labels = _require_labels(reference)
 
@@ -455,11 +469,7 @@ def select_alpha(
     unconverged: list[float] = []
     for multiplier in grid:
         alpha = multiplier * loss_scale
-        result = robust_fit(
-            corrupted,
-            EosConfig(alpha=alpha, tol=tol, max_iters=max_iters),
-            l2_strength=l2_strength,
-        )
+        result = fit(corrupted, copy.copy(model), EosConfig(alpha=alpha, tol=tol, max_iters=max_iters))
         if result.termination is not Termination.CONVERGED:
             unconverged.append(alpha)
             continue

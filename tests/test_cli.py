@@ -533,6 +533,21 @@ def test_label_map_value_other_than_zero_or_one_exits_2(tmp_path, capsys):
     assert "label map value for '1' must be 0 or 1, got 5" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["robust-train", "mislabel-bench"])
+def test_missing_label_column_exits_2_before_the_input_is_read(tmp_path, monkeypatch, capsys,
+                                                               command):
+    cfg_path = _robust_train_config(tmp_path, command=command, csv={})
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError", "message":
+                     f"command {command!r} requires a label column (set csv.label_column)"}
+
+
 def test_timing_command(tmp_path):
     cfg_path = _write_config(
         tmp_path / "cfg.json",
@@ -977,6 +992,31 @@ def test_affinity_is_split_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch
     assert run(t, 1) == (0, written)
     monkeypatch.delattr(os, "fork")  # any fork would now raise AttributeError
     assert run(t, 2) == (0, written)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_mode_a_plain_open_gives(detect_setup, monkeypatch, umask, mode):
+    tmp_path, cfg_path, _ = detect_setup
+    data_path = _write_csv(tmp_path / "points.csv",
+                           np.random.default_rng(5).standard_normal((_CUT_OFF_T, 3)))
+    affinity_cfg = _write_config(tmp_path / "affinity.json", {
+        "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
+    })
+    forks = _spy_on_fork(monkeypatch)
+    _use_cpus(monkeypatch, 2)
+    outs = [tmp_path / "detect", tmp_path / "affinity"]
+    previous = os.umask(umask)
+    try:
+        for cfg, out in zip((cfg_path, affinity_cfg), outs):
+            assert main(["--config", str(cfg), "--output", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(previous)
+    assert len(forks) == 1  # affinity.csv was written in two parts
+    modes = {f"{out.name}/{p.name}": oct(p.stat().st_mode & 0o777)
+             for out in outs for p in out.iterdir()}
+    written = ("detect/report.json", "detect/weights.csv",
+               "affinity/report.json", "affinity/affinity.csv")
+    assert modes == dict.fromkeys(written, oct(mode))
 
 
 def _weight_data(t):

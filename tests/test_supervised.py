@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from eos import (
     train_weighted_classifier,
 )
 
+import eos.supervised
 from eos.supervised import _separation, _two_gaussian_dataset, select_alpha
 
 from conftest import finite_difference_gradient
@@ -200,18 +202,36 @@ def test_flipped_duplicate_has_larger_loss():
     assert losses[-1] > losses[deep]
 
 
+def _assert_public_pair(step, data, w, l2, initial=None):
+    """``step`` equals, bit for bit, the public trainer from ``initial`` and its loss."""
+    params, errors = step
+    public = train_weighted_classifier(data, w, l2, initial=initial)
+    assert np.array_equal(params.coefficients, public.coefficients)
+    assert params.intercept == public.intercept
+    penalty = l2 * float(public.coefficients @ public.coefficients)
+    assert np.array_equal(errors, classifier_loss_error(data, public) + penalty)
+
+
 def test_classifier_step_equals_the_public_pair():
     rng = np.random.default_rng(16)
     data = _two_gaussian_dataset(150, 3, rng)
     l2 = 1e-3
-    for w in (np.full(150, 1 / 150), rng.dirichlet(np.ones(150))):
+    uniform, skewed = np.full(150, 1 / 150), rng.dirichlet(np.ones(150))
+    for w in (uniform, skewed):
         # A fresh model, so the step trains from the same cold start.
-        params, errors = ClassifierLossModel(l2_strength=l2).step(data, w)
-        public = train_weighted_classifier(data, w, l2)
-        assert np.array_equal(params.coefficients, public.coefficients)
-        assert params.intercept == public.intercept
-        penalty = l2 * float(public.coefficients @ public.coefficients)
-        assert np.array_equal(errors, classifier_loss_error(data, public) + penalty)
+        _assert_public_pair(ClassifierLossModel(l2_strength=l2).step(data, w), data, w, l2)
+
+    # A second step of the same model starts warm from the first.
+    model = ClassifierLossModel(l2_strength=l2)
+    first, _ = model.step(data, uniform)
+    _assert_public_pair(model.step(data, skewed), data, skewed, l2, initial=first)
+
+    # A copy of a stepped model starts warm from the original's last step,
+    # and stepping the copy leaves the original's warm start alone.
+    last, _ = model.step(data, uniform)
+    copied = copy.copy(model)
+    _assert_public_pair(copied.step(data, skewed), data, skewed, l2, initial=last)
+    _assert_public_pair(model.step(data, skewed), data, skewed, l2, initial=last)
 
 
 def test_classifier_step_converges_from_a_saturated_warm_start():
@@ -461,6 +481,47 @@ def test_select_alpha_raises_when_no_fit_converges():
     with pytest.raises(NonConvergenceError, match="max_iters=1") as info:
         select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=1)
     assert str(info.value).count(",") == 1  # both alpha values are named
+
+
+def test_select_alpha_solves_the_plain_fit_once(monkeypatch):
+    # The plain fit is the one cold solve; every grid fit starts from it and
+    # shares its design.
+    data, corrupted = _corrupted_task()
+    starts, designs = [], []
+    newton, hstack = eos.supervised._newton, np.hstack
+
+    def counted_newton(design, y, w, l2_strength, initial, *args):
+        starts.append(initial)
+        return newton(design, y, w, l2_strength, initial, *args)
+
+    def counted_hstack(*args, **kwargs):
+        designs.append(hstack(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(eos.supervised, "_newton", counted_newton)
+    monkeypatch.setattr(np, "hstack", counted_hstack)
+    select_alpha(corrupted, data, (0.1, 1.0, 10.0), 1e-4)
+    assert starts[0] is None
+    assert sum(initial is None for initial in starts) == 1
+    assert len(starts) > 3
+    assert len(designs) == 1
+
+
+def test_select_alpha_result_equals_a_cold_robust_fit():
+    # Warm-starting the grid fits from the plain fit changes no bit.
+    data, corrupted = _corrupted_task()
+    plain, alpha, result = select_alpha(corrupted, data, (0.1, 1.0, 10.0), 1e-4)
+    cold_plain = train_weighted_classifier(corrupted, np.full(200, 1 / 200), 1e-4)
+    assert np.array_equal(plain.coefficients, cold_plain.coefficients)
+    assert plain.intercept == cold_plain.intercept
+    cold = robust_fit(corrupted, EosConfig(alpha=alpha), l2_strength=1e-4)
+    assert np.array_equal(result.weights, cold.weights)
+    assert np.array_equal(result.errors, cold.errors)
+    assert np.array_equal(result.theta.coefficients, cold.theta.coefficients)
+    assert result.theta.intercept == cold.theta.intercept
+    assert np.array_equal(result.objective_trajectory, cold.objective_trajectory)
+    assert result.iterations == cold.iterations
+    assert result.termination is cold.termination
 
 
 @pytest.mark.parametrize("grid", [(), (1.0, 0.0), (1.0, math.inf)])
