@@ -140,7 +140,6 @@ def flag_outliers(
         flags = w < param / n
         if bool(flags.all()):
             # Defensive: never flag everything, keep the best-explained point.
-            flags = flags.copy()
             flags[int(np.argmax(w))] = False
     else:
         k_eff = min(param, n - 1)
@@ -180,7 +179,6 @@ def check_flag_rule(rule: FlagRule, rule_param: float) -> tuple[FlagRule, float 
 
 _BRACKET = (1e-6, 1e6)
 _ESS_TOL = 0.01
-_MAX_STEPS = 100
 
 # Verdicts at a node of the bisection: raise the low end, stop, or lower the
 # high end.  An endpoint that does not stop leaves the bracket as it is.
@@ -199,8 +197,8 @@ def calibrate_alpha(
     """Bisect log(alpha) so the fitted ESS fraction matches the target.
 
     The bisection searches alpha in [1e-6, 1e6] and stops within 0.01 of the
-    target.  It raises ``CalibrationError`` after 100 steps, or as soon as
-    the bracket has closed to two neighbouring floats: the fraction then
+    target.  It raises ``CalibrationError`` once the bracket has closed to
+    two neighbouring floats, within about 60 midpoints: the fraction then
     jumps across the target between them, and no alpha reaches it.  If even
     the bracket endpoints cannot reach the target, the nearer endpoint is
     returned with ``saturated=True``.  The fit at the returned alpha, an
@@ -220,8 +218,8 @@ def calibrate_alpha(
     """
     target = _check_real(target_ess_fraction, lambda f: 0.0 < f <= 1.0, InvalidInputError,
                          "target ESS fraction must lie in (0, 1]")
-    path: list[tuple[float, float]] = []
     probe_fits: list[tuple[int, Termination]] = []
+    # Each probe's fraction by alpha, in probe order.
     fractions: dict[float, float] = {}
     # Only fits that could be returned are kept: within the band, or at an endpoint.
     returnable: dict[float, FitResult] = {}
@@ -230,7 +228,6 @@ def calibrate_alpha(
     def probe(alpha: float) -> None:
         nonlocal errors
         fraction, result = _probe(dataset, replace(config, alpha=alpha))
-        path.append((alpha, fraction))
         probe_fits.append((result.iterations, result.termination))
         fractions[alpha] = fraction
         if alpha in _BRACKET or abs(fraction - target) <= _ESS_TOL:
@@ -260,8 +257,8 @@ def calibrate_alpha(
         """The bisection walked on settled verdicts and surrogate guesses.
 
         Returns the guessed (alpha, verdict) nodes in walk order and the
-        nodes the walk ends on: the node that stops it, the two neighbouring
-        floats of a jump, or the last node of an exhausted walk.
+        nodes the walk ends on: the node that stops it, or the two
+        neighbouring floats of a jump.
         """
         guesses = []
 
@@ -277,7 +274,7 @@ def calibrate_alpha(
             if judge(end) == _STOP:
                 return guesses, (end,)
         low, high = _BRACKET
-        for _ in range(_MAX_STEPS):
+        while True:
             alpha = math.sqrt(low * high)
             if alpha in (low, high):
                 return guesses, (low, high)
@@ -288,7 +285,6 @@ def calibrate_alpha(
                 low = alpha
             else:
                 high = alpha
-        return guesses, (alpha,)
 
     def next_probe(guesses: list[tuple[float, int]]) -> tuple[float, int]:
         """The smallest guessed high node, else the largest guessed low node,
@@ -323,13 +319,8 @@ def calibrate_alpha(
         )
     (alpha,) = end
     fraction = fractions[alpha]
-    if verdict(alpha, fraction) != _STOP:
-        raise CalibrationError(
-            f"ESS calibration did not converge in {_MAX_STEPS} steps "
-            f"(achieved fraction {fraction:.4f}, target {target})"
-        )
     # An endpoint stops on the far side of the target, a midpoint within the band.
     saturated = abs(fraction - target) > _ESS_TOL
     return AlphaCalibration(
-        alpha, fraction, saturated, tuple(path), tuple(probe_fits), returnable[alpha]
+        alpha, fraction, saturated, tuple(fractions.items()), tuple(probe_fits), returnable[alpha]
     )

@@ -636,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.alpha is not None:
             config = replace(config, eos=replace(config.eos, alpha=args.alpha))
         return run(config, quiet=args.quiet)
-    except EosError as exc:
+    except (EosError, MemoryError) as exc:  # MemoryError: a config size numpy cannot allocate
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 2 if isinstance(exc, (InvalidConfigError, ParseError)) else 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import _check_real, check_weights
 from .data import Dataset, _centered_blocks
-from .exceptions import InvalidInputError, ModelError
+from .exceptions import InvalidInputError
 
 __all__ = [
     "GaussianParams",
@@ -43,8 +43,8 @@ class GaussianParams:
     """Mean and covariance of a multivariate Gaussian model.
 
     ``ridge`` records any diagonal regularization that was actually added
-    to keep the covariance positive definite.  Definiteness itself is
-    checked lazily, at the first factorization.
+    to keep the covariance positive definite.  Definiteness is checked at
+    construction, by the eigendecomposition every evaluation then uses.
     """
 
     mu: np.ndarray
@@ -70,8 +70,13 @@ class GaussianParams:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "ridge", _check_real(
             self.ridge, lambda r: r >= 0.0, InvalidInputError, "ridge must be non-negative"))
-        # Eigenvalues and eigenvectors of sigma, set on first use; see _spectrum.
-        object.__setattr__(self, "_spectrum", None)
+        eigenvalues, eigenvectors = np.linalg.eigh(sigma)
+        if not float(eigenvalues[0]) > 0.0:
+            raise InvalidInputError(
+                f"covariance is not positive definite (smallest eigenvalue {eigenvalues[0]:.6e})"
+            )
+        # Eigenvalues lambda and eigenvectors V of sigma.
+        object.__setattr__(self, "_spectrum", (eigenvalues, eigenvectors))
 
     @classmethod
     def _unchecked(
@@ -82,8 +87,8 @@ class GaussianParams:
         spectrum: tuple[np.ndarray, np.ndarray],
     ) -> GaussianParams:
         """Params from arrays the caller owns and has already made valid:
-        finite, sigma symmetric, and its spectrum computed.  The checks of
-        the public constructor cost a tenth of a Gaussian ``step``."""
+        finite, sigma symmetric and positive definite, its spectrum computed.
+        The checks of the public constructor cost a tenth of a Gaussian ``step``."""
         params = object.__new__(cls)
         mu.setflags(write=False)
         sigma.setflags(write=False)
@@ -114,7 +119,7 @@ def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _quadratic_form(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     """q_t = ||(x_t - mu) V / sqrt(lambda)||^2, the Mahalanobis distance,
     written block by block into one T-vector."""
-    eigenvalues, eigenvectors = _spectrum(params)
+    eigenvalues, eigenvectors = params._spectrum
     whitener = eigenvectors / np.sqrt(eigenvalues)
     q = np.empty(x.shape[0])
     for rows, centered in _centered_blocks(x, params.mu):
@@ -123,28 +128,12 @@ def _quadratic_form(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     return q
 
 
-def _spectrum(params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lambda and eigenvectors V of sigma.
-
-    These are the spectrum ``_floored_params`` chose; any other params are
-    eigendecomposed here on first use.
-    """
-    if params._spectrum is None:
-        eigenvalues, eigenvectors = np.linalg.eigh(params.sigma)
-        if not float(eigenvalues[0]) > 0.0:
-            raise ModelError(
-                f"covariance is not positive definite (smallest eigenvalue {eigenvalues[0]:.6e})"
-            )
-        object.__setattr__(params, "_spectrum", (eigenvalues, eigenvectors))
-    return params._spectrum
-
-
 def _negative_log_likelihood(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     """g_t = (0.5*log det Sigma + 0.5*q_t) / D, computed in place on the
     quadratic form q; log det Sigma = sum(log lambda)."""
     g = _quadratic_form(x, params)
     g *= 0.5
-    g += 0.5 * float(np.sum(np.log(_spectrum(params)[0])))
+    g += 0.5 * float(np.sum(np.log(params._spectrum[0])))
     g /= x.shape[1]
     return g
 

@@ -52,6 +52,9 @@ __all__ = [
 VALUE_NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # The classifier's default l2 strength, everywhere one is taken.
 _L2_STRENGTH = 1e-4
+# The Newton solver's default gradient tolerance and step budget.
+_GRAD_TOL = 1e-8
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ def train_weighted_classifier(
     weights: np.ndarray,
     l2_strength: float = _L2_STRENGTH,
     *,
-    grad_tol: float = 1e-8,
-    max_iters: int = 100,
+    grad_tol: float = _GRAD_TOL,
+    max_iters: int = _MAX_NEWTON_STEPS,
     initial: ClassifierParams | None = None,
 ) -> ClassifierParams:
     """Minimize sum_t w_t * logloss_t + l2_strength * ||coef||^2.
@@ -278,7 +281,8 @@ class ClassifierLossModel:
         if self._problem is None:
             x = dataset.instances
             self._problem = np.hstack([x, np.ones((len(x), 1))]), _require_labels(dataset).astype(float)
-        params = _newton(*self._problem, weights, self.l2_strength, self._warm, 1e-8, 100)
+        params = _newton(*self._problem, weights, self.l2_strength, self._warm, _GRAD_TOL,
+                         _MAX_NEWTON_STEPS)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
         return params, classifier_loss_error(dataset, params) + penalty

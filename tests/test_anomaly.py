@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,28 @@ def test_calibration_reports_a_non_monotone_path(monkeypatch):
     assert not result.monotone
 
 
+@pytest.mark.parametrize("step", [3.7e-6, 0.806, 123456.7])
+def test_calibration_walk_closes_on_neighbouring_floats(monkeypatch, step):
+    # The fraction steps from 0 to 1 at ``step``, so no alpha attains 0.5 and
+    # the bisection runs until the bracket is two neighbouring floats: the
+    # deepest walk there is, about 60 midpoints of [1e-6, 1e6].
+    probe = eos.anomaly._probe
+    probed = []
+
+    def faked(dataset, config):
+        probed.append(config.alpha)
+        return float(config.alpha >= step), probe(dataset, config)[1]
+
+    monkeypatch.setattr(eos.anomaly, "_probe", faked)
+    data, _ = planted_gaussian_2d(seed=11)
+    with pytest.raises(CalibrationError, match="^ESS fraction jumps from 0.0000 at alpha=") as info:
+        calibrate_alpha(data, 0.5, EosConfig(alpha=1.0))
+    low, high = (float(a) for a in re.findall(r"alpha=([^ ]+) ", str(info.value)))
+    assert low < step <= high == np.nextafter(low, np.inf)
+    assert {low, high} <= set(probed)
+    assert 50 < len(probed) < 64
+
+
 def _bisect_alpha(dataset, target_ess_fraction, config):
     """calibrate_alpha as plain bisection: a cold fit at every node, in order."""
     n = dataset.n_instances
@@ -243,7 +266,7 @@ def _bisect_alpha(dataset, target_ess_fraction, config):
     if shortfall >= 0.0:
         return replace(high, saturated=shortfall > 0.01)
 
-    for _ in range(100):
+    while True:
         alpha = math.sqrt(low.alpha * high.alpha)
         if alpha in (low.alpha, high.alpha):
             raise CalibrationError(
@@ -259,10 +282,6 @@ def _bisect_alpha(dataset, target_ess_fraction, config):
             low = probed
         else:
             high = probed
-    raise CalibrationError(
-        f"ESS calibration did not converge in 100 steps "
-        f"(achieved fraction {probed.attained_fraction:.4f}, target {target_ess_fraction})"
-    )
 
 
 def _synthetic(seed, t=1000):

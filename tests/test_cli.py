@@ -291,6 +291,38 @@ def test_config_integer_beyond_float_range_exits_2(detect_setup, capsys):
                      "message": f"eos.tol must be a number in the float range, got {10**400!r}"}
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [({"csv": {"drop_columns": "id"}}, "csv.drop_columns must be a list, got 'id'"),
+     ({"csv": {"label_map": ["a"]}}, "csv.label_map must be an object, got ['a']"),
+     ({"input_path": None}, "command 'detect' requires input_path")],
+    ids=["drop-columns-not-a-list", "label-map-not-an-object", "no-input-path"],
+)
+def test_malformed_csv_section_or_missing_input_exits_2(detect_setup, capsys, change, message):
+    tmp_path, _, config = detect_setup
+    cfg_path = _write_config(tmp_path / "bad.json", {**config, **change})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError", "message": message}
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_unallocatable_size_exits_1_with_one_json_line(detect_setup, capsys, monkeypatch):
+    # As numpy raises it for synth_bench.d = 100000, where np.eye asks for 74.5 GiB.
+    message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+               "and data type float64")
+
+    def runner(config, out_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(eos.cli._RUNNERS, "detect", runner)
+    _, cfg_path, _ = detect_setup
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": {"type": "MemoryError", "message": message}}
+
+
 @pytest.mark.parametrize("calibrate", [None, 0.9], ids=["fixed-alpha", "calibrated"])
 @pytest.mark.parametrize(
     "key, change, message",

@@ -12,7 +12,6 @@ from eos import (
     GaussianModel,
     GaussianParams,
     InvalidInputError,
-    ModelError,
     SquaredEuclideanModel,
     calibrate_alpha,
     fit,
@@ -71,10 +70,9 @@ def test_error_matches_dense_inverse_on_random_spd():
 
 
 def test_error_reports_smallest_eigenvalue_when_not_pd():
-    data = Dataset(np.zeros((2, 2)))
-    params = GaussianParams(mu=np.zeros(2), sigma=np.array([[1.0, 0.0], [0.0, -0.5]]))
-    with pytest.raises(ModelError, match="-5"):
-        gaussian_error(data, params)
+    # Definiteness is checked where the params are built, not where they are used.
+    with pytest.raises(InvalidInputError, match=r"not positive definite \(smallest eigenvalue -5"):
+        GaussianParams(mu=np.zeros(2), sigma=np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
 def test_error_dimension_mismatch():

@@ -4,7 +4,9 @@ Each row calls a public entry point with one scalar parameter set to the
 value under test.  A numpy scalar must give the same result, bit for bit and
 type for type, as the Python number or string it equals; a string, None or
 a bool must raise the entry point's own error class with a message that
-ends in ``, got {value!r}``, as must a negative seed.
+ends in ``, got {value!r}``, as must a negative seed.  A second table holds
+the array checks of the public boundary: each row builds one malformed array
+or value and names the error class and a fragment of its message.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from eos import (
+    CalibrationError,
     ClassifierLossModel,
     ClassifierParams,
     Dataset,
@@ -30,6 +33,7 @@ from eos import (
     OutlierReport,
     SyntheticSpec,
     affinity_blocks,
+    auc,
     calibrate_alpha,
     calibrate_row_alpha,
     check_flag_rule,
@@ -44,6 +48,7 @@ from eos import (
     robust_fit,
     run_synth_benchmark,
     select_alpha,
+    squared_euclidean_error,
     timing_probe_wstep,
     train_weighted_classifier,
     w_step,
@@ -204,6 +209,55 @@ BAD = [pytest.param(*site, bad, id=f"{site[0]}-{label}")
                  None, InvalidConfigError, None, id="select_alpha.alpha_grid-whole-None"),
 ] + [pytest.param(*site, -1, id=f"{site[0]}-negative")
      for site in SITES if site[0].endswith(".seed")]
+
+
+# (id, call, error class, message fragment).
+ARRAY_SITES = [
+    ("Dataset.instances-1d", lambda: Dataset(np.zeros(3)), InvalidInputError,
+     "instances must be a 2-D matrix, got ndim=1"),
+    ("Dataset.instances-no-rows", lambda: Dataset(np.zeros((0, 2))), InvalidInputError,
+     "instances must be at least 1x1, got (0, 2)"),
+    ("Dataset.labels-length", lambda: Dataset(_X, np.zeros(39, dtype=int)), InvalidInputError,
+     "labels must be a vector of length 40, got shape (39,)"),
+    ("Dataset.feature_names-length", lambda: Dataset(_X, feature_names=("a",)),
+     InvalidInputError, "feature_names has 1 entries for 2 columns"),
+    ("auc.shape", lambda: auc(np.zeros(3), np.array([0, 1])), InvalidInputError,
+     "scores and labels must be 1-D vectors of equal length"),
+    ("auc.non-finite", lambda: auc(np.array([0.0, np.nan]), np.array([0, 1])),
+     InvalidInputError, "scores must be finite"),
+    ("auc.label", lambda: auc(np.zeros(2), np.array([0, 2])), InvalidInputError,
+     "labels must be binary 0/1"),
+    ("ClassifierParams.coefficients-2d", lambda: ClassifierParams(np.zeros((2, 1)), 0.0, 0.0),
+     InvalidInputError, "coefficients must be a vector, got shape (2, 1)"),
+    ("ClassifierParams.coefficients-non-finite",
+     lambda: ClassifierParams(np.array([np.inf, 0.0]), 0.0, 0.0), InvalidInputError,
+     "classifier parameters must be finite"),
+    ("train_weighted_classifier.initial",
+     lambda: train_weighted_classifier(LABELED, UNIFORM,
+                                       initial=ClassifierParams(np.zeros(3), 0.0, 0.0)),
+     InvalidInputError, "initial coefficients must have length 2, got (3,)"),
+    ("GaussianParams.mu-2d", lambda: GaussianParams(np.zeros((2, 1)), np.eye(2)),
+     InvalidInputError, "mu must be a vector, got shape (2, 1)"),
+    ("GaussianParams.mu-non-finite", lambda: GaussianParams(np.array([np.nan, 0.0]), np.eye(2)),
+     InvalidInputError, "mu and sigma must be finite"),
+    ("squared_euclidean_error.center",
+     lambda: squared_euclidean_error(POINTS, np.array([np.inf, 0.0])), InvalidInputError,
+     "center must be finite"),
+    ("SyntheticSpec.inlier_cov", lambda: SyntheticSpec(**SPEC, inlier_cov=np.eye(3)),
+     InvalidConfigError, "inlier_cov must be 4x4, got (3, 3)"),
+    # The largest bracket end cannot spread the weight of an error near the
+    # float maximum evenly, so perplexity 2 of two neighbors is out of reach.
+    ("calibrate_row_alpha.above-range", lambda: calibrate_row_alpha([0.0, 1.7e308], 2),
+     CalibrationError, "target perplexity 2.0 above achievable range [1, "),
+]
+
+
+@pytest.mark.parametrize("name, call, error, fragment", ARRAY_SITES,
+                         ids=[site[0] for site in ARRAY_SITES])
+def test_malformed_array_raises_the_sites_error(name, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("name, call, value, error", SITES, ids=IDS)
