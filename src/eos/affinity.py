@@ -74,8 +74,10 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> np.ndarr
 # and dH/dlog(alpha) is the weighted variance of g/alpha.  A step bisects the
 # log-bracket instead when the Newton point leaves the open bracket, or when
 # it is longer than half the step before the last, so a stalling Newton
-# sequence falls back to bisection.  Every reduction runs along a row, so a
-# row's alpha and values do not depend on which rows share its batch.
+# sequence falls back to bisection.  Only the rows still searching after the
+# last step are evaluated at their bracket ends, to word why they failed.
+# Every reduction runs along a row, so a row's alpha and values do not
+# depend on which rows share its batch.
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
 _HUGE = float(np.finfo(float).max)
@@ -116,9 +118,12 @@ def _calibrate(
     safeguarded Newton.
 
     Each row holds finite errors shifted to a zero minimum, and ``target``
-    is a perplexity in [1, n].  Returns each
-    row's alpha, the row's w-step at that alpha, and the rows that cannot be
-    calibrated, each with the reason.
+    is a perplexity in [1, n].  Returns each row's alpha, the row's w-step
+    at that alpha, and the rows that cannot be calibrated, each with the
+    reason.  A flat row is uniform at alpha = 1 and fails unless the target
+    is n; every other row searches until it meets the target, and a row
+    still searching after the last step fails with the reason its bracket
+    ends give.
     """
     n_rows, n = shifted.shape
     tol = _REL_TOL * target
@@ -129,6 +134,7 @@ def _calibrate(
     failures: dict[int, str] = {}
 
     flat = spread == 0.0
+    values[flat] = _softmax(shifted[flat], 1.0)
     if abs(n - target) > tol:
         for i in np.flatnonzero(flat).tolist():
             failures[i] = (
@@ -141,28 +147,6 @@ def _calibrate(
     lo = np.maximum(spread[active] * 1e-12, _LEAST_ALPHA)
     with np.errstate(over="ignore"):
         hi = np.minimum(spread[active] * 1e12, _HUGE)
-    p_lo = np.exp(_entropy_pass(shifted[active], lo[:, None])[1]).tolist()
-    p_hi = np.exp(_entropy_pass(shifted[active], hi[:, None])[1]).tolist()
-    searching = []
-    for k, i in enumerate(active.tolist()):
-        achievable = f"achievable range [{p_lo[k]:.6g}, {p_hi[k]:.6g}]"
-        if target < p_lo[k] - tol:
-            failures[i] = (
-                f"target perplexity {target} below {achievable} (duplicate smallest errors)"
-            )
-        elif target > p_hi[k] + tol:
-            failures[i] = f"target perplexity {target} above {achievable}"
-        elif abs(p_lo[k] - target) <= tol:
-            alpha[i] = lo[k]
-        elif abs(p_hi[k] - target) <= tol:
-            alpha[i] = hi[k]
-        else:
-            searching.append(k)
-    settled = np.setdiff1d(np.arange(n_rows), active[searching])
-    values[settled] = _softmax(shifted[settled], alpha[settled, None])
-    active, lo, hi = active[searching], lo[searching], hi[searching]
-    achieved = np.asarray(p_lo)[searching]
-
     # Start from half the target-th smallest error, where about target
     # neighbors carry weight; a start outside the open bracket bisects it.
     kth = min(int(target), n) - 1
@@ -173,7 +157,7 @@ def _calibrate(
     last = before = log_hi - log_lo
     for _ in range(_MAX_STEPS):
         if active.size == 0:
-            break
+            return alpha, values, failures
         a = np.exp(x)
         w, entropy, slope = _entropy_pass(shifted[active], a[:, None])
         achieved = np.exp(entropy)
@@ -187,14 +171,24 @@ def _calibrate(
         following = np.where(newton, x + step, 0.5 * (log_lo + log_hi))
         before, last = last, np.abs(following - x)
         keep = ~done
-        active, x, log_lo, log_hi, before, last, achieved = (
-            v[keep] for v in (active, following, log_lo, log_hi, before, last, achieved)
+        active, x, lo, hi, log_lo, log_hi, before, last, achieved = (
+            v[keep] for v in (active, following, lo, hi, log_lo, log_hi, before, last, achieved)
         )
-    for i, reached in zip(active.tolist(), achieved.tolist()):
-        failures[i] = (
-            f"perplexity calibration did not converge in {_MAX_STEPS} steps "
-            f"(achieved {reached:.6g}, target {target})"
-        )
+    p_lo = np.exp(_entropy_pass(shifted[active], lo[:, None])[1]).tolist()
+    p_hi = np.exp(_entropy_pass(shifted[active], hi[:, None])[1]).tolist()
+    for i, low, high, reached in zip(active.tolist(), p_lo, p_hi, achieved.tolist()):
+        achievable = f"achievable range [{low:.6g}, {high:.6g}]"
+        if target < low - tol:
+            failures[i] = (
+                f"target perplexity {target} below {achievable} (duplicate smallest errors)"
+            )
+        elif target > high + tol:
+            failures[i] = f"target perplexity {target} above {achievable}"
+        else:
+            failures[i] = (
+                f"perplexity calibration did not converge in {_MAX_STEPS} steps "
+                f"(achieved {reached:.6g}, target {target})"
+            )
     return alpha, values, failures
 
 
@@ -202,13 +196,15 @@ def calibrate_row_alpha(errors_for_anchor: np.ndarray, target_perplexity: float)
     """Solve for alpha at which exp(row entropy) matches the target perplexity.
 
     The perplexity of a row is non-decreasing in alpha, ranging from the
-    multiplicity of the smallest error up to the number of neighbors.
-    Targets outside that range raise ``CalibrationError`` naming the
-    achievable interval.  The bracket is [spread*1e-12, spread*1e12] for the
-    spread max - min of the errors; spreads from 1e-300 to 1e300 calibrate.
-    Newton steps on log(alpha), bisecting the bracket whenever a step would
-    leave it or stalls, stop within a relative 1e-4 of the target, or raise
-    ``CalibrationError`` after 256 steps.
+    multiplicity of the smallest error up to the number of neighbors.  The
+    bracket is [spread*1e-12, spread*1e12] for the spread max - min of the
+    errors; spreads from 1e-300 to 1e300 calibrate.  Newton steps on
+    log(alpha), bisecting the bracket whenever a step would leave it or
+    stalls, stop within a relative 1e-4 of the target, so a target at an end
+    of the achievable range gets an alpha inside the bracket.  A search that
+    has not stopped after 256 steps raises ``CalibrationError``: naming the
+    achievable interval when the target lies outside it, else the perplexity
+    reached.
     This is the one-row case of the batched search in ``affinity_blocks``
     and returns the same alpha as that row there.
     """

@@ -595,12 +595,28 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
-    """Execute the configured command, writing report.json and CSVs."""
+    """Execute the configured command, writing report.json and CSVs.
+
+    A run that fails removes the directories it made while they are empty.
+    """
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or not writable
+        raise InvalidConfigError(
+            f"output_dir {str(out_dir)!r} cannot be made: {exc.strerror}"
+        ) from None
     if not quiet:
         print(f"eos {config.command}: seed={config.seed} output={out_dir}")
-    results = _RUNNERS[config.command](config, out_dir)
+    try:
+        results = _RUNNERS[config.command](config, out_dir)
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     _write_report(out_dir, config, results)
     if not quiet:
         print(f"eos {config.command}: wrote {out_dir / 'report.json'}")

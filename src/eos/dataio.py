@@ -35,7 +35,9 @@ def parse_csv_dataset(
     ``drop_columns`` are removed before anything else (an id column, say).
     ``label_column`` values go through ``label_map`` (e.g. {"M": 1, "B": 0});
     without a map they must already be 0/1.  Every remaining cell must be a
-    non-blank number; violations name the file line and column.
+    non-blank number; violations name the file line and column.  A file
+    that is missing, cannot be read or is not UTF-8 raises ``ParseError``
+    naming the path.
     """
     for key, value in (label_map or {}).items():
         if value not in (0, 1):
@@ -43,9 +45,24 @@ def parse_csv_dataset(
                 f"label map value for {key!r} must be 0 or 1, got {value!r}"
             )
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
+    try:
+        return _read_csv(path, label_column, drop_columns, label_map)
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
 
+
+def _read_csv(
+    path: Path,
+    label_column: str | None,
+    drop_columns: tuple[str, ...],
+    label_map: dict[str, int] | None,
+) -> Dataset:
+    """``parse_csv_dataset`` after its label map is checked; OS and decoding
+    errors pass through to it."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:

@@ -123,15 +123,55 @@ def test_calibration_mid_target_self_consistency():
 def test_calibration_duplicate_points_unattainable():
     # Two zero-distance neighbors force minimum perplexity 2.
     errors = np.array([0.0, 0.0, 4.0, 9.0])
-    with pytest.raises(CalibrationError, match="range"):
+    with pytest.raises(CalibrationError) as error:
         calibrate_row_alpha(errors, 1.0)
+    assert str(error.value) == (
+        "target perplexity 1.0 below achievable range [2, 4] (duplicate smallest errors)"
+    )
 
 
 def test_calibration_identical_errors():
     errors = np.full(5, 2.0)
     assert calibrate_row_alpha(errors, 5.0) > 0
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError) as error:
         calibrate_row_alpha(errors, 2.0)
+    assert str(error.value) == (
+        "all neighbor errors are identical; only perplexity 5 is achievable (target 2.0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "points, target",
+    [([0.0, 0.1, 1.0, 2.0, 5.0], 1.0), ([0.0, 0.1, 1.0, 2.0, 5.0], 4.0),
+     ([0.0, 0.0, 0.0, 4.0, 9.0], 2.0)],
+    ids=["unique-nearest-at-1", "all-neighbors-at-n", "duplicate-nearest-at-multiplicity"],
+)
+def test_end_of_range_target_is_met_inside_the_bracket(points, target):
+    # Anchor 0 sits at the origin, so its errors are the squares of the others.
+    data = Dataset(np.sqrt(points)[:, np.newaxis])
+    errors = _row_errors(data, 0)
+    alpha = calibrate_row_alpha(errors, target)
+    spread = errors.max() - errors.min()
+    assert spread * 1e-12 < alpha < spread * 1e12
+    assert math.exp(shannon_entropy(w_step(errors, alpha))) == pytest.approx(target, rel=1e-4)
+    [(_, rows, sigma_sq)] = affinity_blocks(data, perplexity=target, anchors=range(1))
+    assert rows[0].tobytes() == w_step(errors, alpha).tobytes()
+    assert sigma_sq[0] == alpha / 2.0
+
+
+def test_search_out_of_steps_words_the_failure_after_it_ends(monkeypatch):
+    monkeypatch.setattr(eos.affinity, "_MAX_STEPS", 1)
+    with pytest.raises(CalibrationError) as error:
+        calibrate_row_alpha(np.array([0.1, 1.0, 2.0, 5.0]), 2.5)
+    message = str(error.value)
+    assert message.startswith("perplexity calibration did not converge in 1 steps (achieved ")
+    assert message.endswith(", target 2.5)")
+    # A target out of range keeps its reason however few the steps.
+    with pytest.raises(CalibrationError) as error:
+        calibrate_row_alpha(np.array([0.0, 0.0, 4.0, 9.0]), 1.0)
+    assert str(error.value) == (
+        "target perplexity 1.0 below achievable range [2, 4] (duplicate smallest errors)"
+    )
 
 
 def test_calibration_target_out_of_range():
@@ -263,8 +303,7 @@ def test_entropy_pass_matches_w_step_and_shannon_entropy(scale):
 
 
 def test_perplexity_search_takes_few_steps_per_row(monkeypatch):
-    # Bisection needed 22.5 row evaluations per row here; the two bracket
-    # endpoints count towards the 8.
+    # Bisection needed 22.5 row evaluations per row here.
     data = Dataset(np.random.default_rng(5).standard_normal((1000, 10)))
     real = eos.affinity._entropy_pass
     evaluated = []
@@ -275,7 +314,7 @@ def test_perplexity_search_takes_few_steps_per_row(monkeypatch):
 
     monkeypatch.setattr(eos.affinity, "_entropy_pass", counting)
     rows = np.vstack([values for _, values, _ in affinity_blocks(data, perplexity=30.0)])
-    assert sum(evaluated) <= 8 * 1000
+    assert sum(evaluated) <= 5 * 1000
     for row in rows:
         assert math.exp(shannon_entropy(row)) == pytest.approx(30.0, rel=1e-4)
 

@@ -307,6 +307,45 @@ def test_malformed_csv_section_or_missing_input_exits_2(detect_setup, capsys, ch
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "change, code, error",
+    [(lambda tmp: {"input_path": None}, 2,
+      {"type": "InvalidConfigError", "message": "command 'detect' requires input_path"}),
+     (lambda tmp: {"input_path": str(tmp)}, 2,
+      {"type": "ParseError", "message": "cannot read {tmp}: Is a directory"}),
+     (lambda tmp: {"detect": {"calibrate_ess_fraction": 2}}, 1,
+      {"type": "InvalidInputError", "message": "target ESS fraction must lie in (0, 1], got 2.0"})],
+    ids=["no-input-path", "input-path-a-directory", "ess-fraction-above-1"],
+)
+def test_failed_run_removes_the_empty_directories_it_made(detect_setup, capsys, change, code,
+                                                          error):
+    tmp_path, _, config = detect_setup
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "out" / "a" / "b", kept / "new", kept):
+        cfg_path = _write_config(tmp_path / "bad.json",
+                                 {**config, **change(tmp_path), "output_dir": str(out)})
+        assert main(["--config", str(cfg_path), "--quiet"]) == code
+        message = error["message"].format(tmp=tmp_path)
+        assert json.loads(capsys.readouterr().err)["error"] == {**error, "message": message}
+    assert not (tmp_path / "out").exists()
+    assert list(kept.iterdir()) == []  # made before the run, so kept
+
+
+def test_output_dir_naming_a_file_exits_2(detect_setup, capsys):
+    tmp_path, _, config = detect_setup
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept", encoding="utf-8")
+    for out, reason in ((blocker, "File exists"), (blocker / "sub", "Not a directory")):
+        cfg_path = _write_config(tmp_path / "bad.json", {**config, "output_dir": str(out)})
+        assert main(["--config", str(cfg_path), "--quiet"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "InvalidConfigError",
+            "message": f"output_dir {str(out)!r} cannot be made: {reason}",
+        }
+    assert blocker.read_text(encoding="utf-8") == "kept"
+
+
 def test_unallocatable_size_exits_1_with_one_json_line(detect_setup, capsys, monkeypatch):
     # As numpy raises it for synth_bench.d = 100000, where np.eye asks for 74.5 GiB.
     message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
@@ -775,7 +814,7 @@ def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         main(["--config", str(cfg_path), "--quiet"])
     assert open_during_failure, "the failure should strike while the file is being written"
-    assert sorted(p.name for p in out.iterdir()) == []
+    assert not out.exists()  # the run made it, and removes it while empty
 
 
 def _spy_on_fork(monkeypatch):
@@ -894,7 +933,7 @@ def test_late_calibration_error_in_the_childs_half_leaves_nothing(tmp_path, monk
     assert error["message"].startswith("anchor 447: target perplexity 1.5 below")
     assert error == alone
     assert len(forks) == 1
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_errors_in_both_halves_name_the_lower_anchor(tmp_path, monkeypatch, capsys):
@@ -906,7 +945,7 @@ def test_errors_in_both_halves_name_the_lower_anchor(tmp_path, monkeypatch, caps
     assert error["type"] == "CalibrationError"
     assert error["message"].startswith("anchor 10: target perplexity 1.5 below")
     assert len(forks) == 1
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_killed_child_has_its_anchors_drawn_in_process(tmp_path, monkeypatch):

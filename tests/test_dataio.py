@@ -193,6 +193,28 @@ def test_empty_and_missing_files(tmp_path):
         parse_csv_dataset(header_only)
 
 
+_DECODE = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read {path}: Is a directory"),
+     (b"a,b\xff\n1,2\n", "{path}: " + _DECODE + "3: invalid start byte"),
+     # Past the first read of the file, so the header decodes.
+     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n", "{path}: " + _DECODE)],
+    ids=["directory", "header-byte", "data-row-byte"],
+)
+def test_unreadable_file_raises_parse_error_naming_the_path(tmp_path, content, message):
+    path = tmp_path / "data.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ParseError) as error:
+        parse_csv_dataset(path)
+    assert str(error.value).startswith(message.format(path=path))
+
+
 # ---------------------------------------------------------------------------
 # the whole-file parse keeps the outcomes of the row-by-row reader
 # ---------------------------------------------------------------------------
