@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _positive,
-                   effective_sample_size, fit, w_step)
+                   _softmax, _wlogw, effective_sample_size, fit)
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams
@@ -223,16 +223,17 @@ def calibrate_alpha(
     fractions: dict[float, float] = {}
     # Only fits that could be returned are kept: within the band, or at an endpoint.
     returnable: dict[float, FitResult] = {}
-    errors = None
+    errors = least = None
 
     def probe(alpha: float) -> None:
-        nonlocal errors
+        nonlocal errors, least
         fraction, result = _probe(dataset, replace(config, alpha=alpha))
         probe_fits.append((result.iterations, result.termination))
         fractions[alpha] = fraction
         if alpha in _BRACKET or abs(fraction - target) <= _ESS_TOL:
             returnable[alpha] = result
         errors = result.errors
+        least = float(errors.min())
 
     def verdict(alpha: float, fraction: float) -> int:
         """The bisection's verdict at a node; it never falls as the fraction rises."""
@@ -266,7 +267,9 @@ def calibrate_alpha(
             known = settled(alpha)
             if known is not None:
                 return known
-            guess = verdict(alpha, effective_sample_size(w_step(errors, alpha)) / len(errors))
+            # effective_sample_size(w_step(errors, alpha)), less the checks fit's errors passed.
+            ess = math.exp(max(-_wlogw(_softmax(errors - least, alpha)), 0.0))
+            guess = verdict(alpha, ess / len(errors))
             guesses.append((alpha, guess))
             return guess
 

@@ -285,7 +285,7 @@ def run_synth_benchmark(
     Seeds run independently, and rows are returned in seed order.
     """
     n_seeds = _check_int(n_seeds, lambda n: n >= 1, InvalidInputError, "n_seeds must be positive")
-    cfg = config if config is not None else EosConfig(alpha=1.0)
+    cfg = config if config is not None else EosConfig()
     rows = [_synth_seed_row(replace(spec, seed=spec.seed + i), cfg, ess_target, quantile)
             for i in range(n_seeds)]
     methods = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust")

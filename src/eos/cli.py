@@ -6,24 +6,30 @@ per module.  Each section is a frozen dataclass, and one parser reads any
 of them from its field annotations and defaults; unknown keys and values of
 the wrong type are rejected with the key path.  Each command is a thin
 layer over public library functions.  Every run writes ``report.json``
-with the full effective config, plus command-specific CSVs; identical
-config and seed reproduce identical numeric outputs (wall-clock timings
-and timestamps excluded).  affinity streams ``affinity.csv`` one chunk per
-anchor block of ``affinity_blocks``, so no T x (T-1) matrix is held; a row
-that fails leaves no ``affinity.csv``.  One writer draws the anchors in this
-process below 200,000 floats, without fork or with one usable CPU, and else
-in two halves: this process computes and writes the first, and one forked
-child the second, with the same bytes as one process.  Anchors a child does
-not finish are drawn again here, so an error in them is raised as one
-process raises it and a killed child costs time, not the run.  A child
-writes nothing else, and no option or environment variable sets the split.
+with the full effective config, plus command-specific CSVs.  affinity
+streams ``affinity.csv`` one chunk per anchor block of ``affinity_blocks``,
+so no T x (T-1) matrix is held; a row that fails leaves no
+``affinity.csv``.  One writer draws the anchors in this process below
+200,000 floats, without fork or with one usable CPU, and else in two
+halves: this process computes and writes the first, and one forked child
+the second, with the same bytes as one process.  Anchors a child does not
+finish are drawn again here, so an error in them is raised as one process
+raises it and a killed child costs time, not the run.  A child writes
+nothing else, and no option or environment variable sets the split.
 
-Every command checks the ``eos`` section and echoes it in ``report.json``.
-Only detect without calibration reads ``eos.alpha`` (set by ``--alpha``);
-mislabel-bench, affinity and timing read no ``eos`` key.  robust-train
-without ``robust_train.alpha`` selects alpha with ``select_alpha``, whose fits
-use ``eos.tol`` and ``eos.max_iters`` but always start from uniform weights:
-``eos.init_policy`` and ``seed`` apply only when ``robust_train.alpha`` is set.
+The ``eos`` section is the library's ``EosConfig``, so every command checks
+it when the config is parsed and echoes it in ``report.json``.  Only detect
+without calibration reads ``eos.alpha`` (set by ``--alpha``); mislabel-bench,
+affinity and timing read no ``eos`` key.  robust-train reads ``eos.tol`` and
+``eos.max_iters``, with ``robust_train.alpha`` or with the alpha that
+``select_alpha`` selects when it is unset.  Only synth-bench, mislabel-bench
+and timing read the root ``seed``; every fit starts from uniform weights.
+
+The same config and seed give the same ``report.json`` and CSVs byte for
+byte, but for ``created_at`` and timing's wall-clock times, under the same
+numpy and scipy versions and the same BLAS thread count.  Across thread
+counts the bytes of detect and robust-train can differ: OpenBLAS splits a
+sum over all rows between its threads, so the order of the sum changes.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from . import __version__
 from .affinity import affinity_blocks
 from .anomaly import FlagRule, calibrate_alpha, check_flag_rule, detect, flag_outliers
 from .bench import SyntheticSpec, run_synth_benchmark, timing_probe_wstep, timing_ratios
-from .core import EosConfig, InitPolicy
+from .core import EosConfig
 from .data import Dataset
 from .dataio import parse_csv_dataset
 from .exceptions import EosError, InvalidConfigError, ParseError
@@ -71,17 +77,6 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # config sections (strict parsing: unknown keys are errors)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EosSection:
-    alpha: float = 1.0
-    tol: float = EosConfig.tol
-    max_iters: int = EosConfig.max_iters
-    init_policy: InitPolicy = EosConfig.init_policy
-
-    def build(self, seed: int) -> EosConfig:
-        return EosConfig(**dataclasses.asdict(self), seed=seed)
-
 
 @dataclass(frozen=True)
 class CsvSection:
@@ -148,7 +143,7 @@ class RunConfig:
     output_dir: str = "eos-output"
     input_path: str | None = None
     seed: int = 0
-    eos: EosSection = field(default_factory=EosSection)
+    eos: EosConfig = field(default_factory=EosConfig)
     csv: CsvSection = field(default_factory=CsvSection)
     detect: DetectSection = field(default_factory=DetectSection)
     affinity: AffinitySection = field(default_factory=AffinitySection)
@@ -162,7 +157,11 @@ class RunConfig:
             raise InvalidConfigError(
                 f"command must be one of {list(_RUNNERS)}, got {self.command!r}"
             )
-        self.eos.build(self.seed)  # checks the seed and eos section, whatever the command
+        seed = self.seed
+        if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+                and 0 <= seed < 2**64):
+            raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -426,15 +425,14 @@ def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _run_detect(config: RunConfig, out_dir: Path) -> dict:
-    eos_cfg = config.eos.build(config.seed)
     section = config.detect
     check_flag_rule(section.rule, section.rule_param)  # before the input is read
     data = _load_input(config, require_labels=False)
     calibration = None
     if section.calibrate_ess_fraction is None:
-        report = detect(data, eos_cfg, section.rule, section.rule_param)
+        report = detect(data, config.eos, section.rule, section.rule_param)
     else:
-        calibration = calibrate_alpha(data, section.calibrate_ess_fraction, eos_cfg)
+        calibration = calibrate_alpha(data, section.calibrate_ess_fraction, config.eos)
         report = flag_outliers(
             data, calibration.fit, calibration.alpha, section.rule, section.rule_param
         )
@@ -485,9 +483,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=True)
     section = config.robust_train
     if section.alpha is not None:
-        result = robust_fit(
-            data, replace(config.eos.build(config.seed), alpha=section.alpha), section.l2_strength
-        )
+        result = robust_fit(data, replace(config.eos, alpha=section.alpha), section.l2_strength)
         alpha = section.alpha
     else:
         _, alpha, result = select_alpha(
@@ -526,7 +522,7 @@ def _run_synth_bench(config: RunConfig, out_dir: Path) -> dict:
         section.n_seeds,
         ess_target=section.ess_target,
         quantile=section.quantile,
-        config=config.eos.build(config.seed),
+        config=config.eos,
     )
     metrics = ("precision_eos_topk", "precision_chi2_mle", "precision_chi2_robust", "alpha")
     rows = [_csv_row("synth-bench", row["seed"], metric, row[metric])

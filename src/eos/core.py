@@ -17,7 +17,8 @@ tolerance.  The alternation is a fixed-point map on the error vector,
 g -> errors(step(w_step(g))), which ``fit`` accelerates with SQUAREM: any
 real error vector gives valid weights, so extrapolated errors are safe to
 step from.  The public functions check their inputs and call the unchecked
-kernels ``_softmax`` and ``_wlogw``; ``fit`` calls ``_softmax`` directly.
+kernels ``_softmax`` and ``_wlogw``; ``fit`` and the calibrations in
+``anomaly`` and ``affinity`` call them directly on arrays already checked.
 
 Scalar parameters, here and in the other modules, are checked by
 ``_check_real`` or ``_check_int``: one rule for what counts as a number
@@ -48,7 +49,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "InitPolicy",
     "Termination",
     "EosConfig",
     "FitResult",
@@ -69,11 +69,6 @@ DESCENT_RTOL = 1e-10
 DESCENT_ATOL = 1e-15
 
 
-class InitPolicy(str, Enum):
-    UNIFORM = "uniform"
-    SEEDED_DIRICHLET = "seeded_dirichlet"
-
-
 class Termination(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS_REACHED = "max_iters_reached"
@@ -81,18 +76,16 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class EosConfig:
-    """Knobs for one alternating fit.
+    """Knobs for one alternating fit, which always starts from uniform weights.
 
     ``alpha`` is the entropy-regularization strength, in the same units as
-    the error function.  Larger alpha spreads weight more evenly; smaller
-    alpha concentrates it on low-error instances.
+    the error function, 1.0 unless given.  Larger alpha spreads weight more
+    evenly; smaller alpha concentrates it on low-error instances.
     """
 
-    alpha: float
+    alpha: float = 1.0
     tol: float = 1e-12
     max_iters: int = 500
-    init_policy: InitPolicy = InitPolicy.UNIFORM
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
@@ -101,14 +94,6 @@ class EosConfig:
         object.__setattr__(self, "max_iters", _check_int(
             self.max_iters, lambda n: n >= 1, InvalidConfigError,
             "max_iters must be an integer >= 1"))
-        try:
-            object.__setattr__(self, "init_policy", InitPolicy(self.init_policy))
-        except ValueError:
-            raise InvalidConfigError(f"init_policy must be one of {[p.value for p in InitPolicy]}, "
-                                     f"got {self.init_policy!r}") from None
-        object.__setattr__(self, "seed", _check_int(
-            self.seed, lambda n: 0 <= n < 2**64, InvalidConfigError,
-            "seed must be an unsigned 64-bit integer"))
 
 
 @dataclass(frozen=True)
@@ -259,13 +244,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return math.exp(shannon_entropy(weights))
 
 
-def _initial_weights(n: int, config: EosConfig) -> np.ndarray:
-    if config.init_policy is InitPolicy.UNIFORM:
-        return np.full(n, 1.0 / n)
-    rng = np.random.default_rng(config.seed)
-    return rng.dirichlet(np.ones(n))
-
-
 def _extrapolate(
     g0: np.ndarray, g1: np.ndarray, g2: np.ndarray, step_max: float
 ) -> tuple[np.ndarray, bool]:
@@ -294,8 +272,9 @@ def _extrapolate(
 
 
 def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
-    """Alternate the error model's ``step`` with the closed-form w-step,
-    accelerated by SQUAREM on the error vector (Varadhan and Roland 2008).
+    """Alternate the error model's ``step`` with the closed-form w-step from
+    uniform weights, accelerated by SQUAREM on the error vector (Varadhan and
+    Roland 2008).
 
     A cycle runs two plain steps, g0 -> g1 -> g2, and then one step from the
     extrapolated errors g0 + 2*s*r + s^2*v, where r = g1 - g0,
@@ -354,7 +333,7 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
             raise NumericalError(f"objective became non-finite at iteration {iterations}")
         return w, value
 
-    theta, g = advance(_initial_weights(n, config))
+    theta, g = advance(np.full(n, 1.0 / n))
     w, value = weigh(g)
     trajectory = [value]
     cycle = [g]

@@ -36,8 +36,8 @@ def parse_csv_dataset(
     ``label_column`` values go through ``label_map`` (e.g. {"M": 1, "B": 0});
     without a map they must already be 0/1.  Every remaining cell must be a
     non-blank number; violations name the file line and column.  A file
-    that is missing, cannot be read or is not UTF-8 raises ``ParseError``
-    naming the path.
+    that is missing or cannot be read raises ``ParseError`` naming the path,
+    and one that is not UTF-8 names the first line that does not decode.
     """
     for key, value in (label_map or {}).items():
         if value not in (0, 1):
@@ -52,7 +52,7 @@ def parse_csv_dataset(
     except OSError as exc:  # a directory, or not readable
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+        raise ParseError(_undecodable(path, exc)) from None
 
 
 def _read_csv(
@@ -123,6 +123,19 @@ def _read_csv(
         values = values.take([i for i, _ in feature_cols], axis=1)
     values.setflags(write=False)
     return Dataset(values, labels, tuple(name for _, name in feature_cols))
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8: the first physical line whose
+    bytes do not decode and where in that line.  The decoder's own position
+    counts from the start of the chunk it was given, not of the file."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"{path}: line {line_no} is not valid UTF-8: {bad}"
+    return f"{path}: not valid UTF-8: {exc}"  # the file changed since it was read
 
 
 def _raise_row_error(

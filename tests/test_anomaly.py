@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eos.anomaly
+import eos.core
 
 from eos import (
     AlphaCalibration,
@@ -197,6 +198,22 @@ def test_calibration_records_its_bisection_path():
     assert np.array_equal(result.fit.weights, at_alpha.weights)
 
 
+def test_calibration_checks_weights_once_per_probe(monkeypatch):
+    # Only each probe's fitted weights are checked; the surrogate's guesses
+    # (11 at this target, besides 5 probes) reuse the probes' checked errors.
+    checked = []
+    check_weights = eos.core.check_weights
+
+    def counting(*args):
+        checked.append(args)
+        return check_weights(*args)
+
+    monkeypatch.setattr(eos.core, "check_weights", counting)
+    data, _ = planted_gaussian_2d(seed=7)
+    result = calibrate_alpha(data, 0.9, EosConfig())
+    assert len(checked) == len(result.path) == 5
+
+
 def test_calibration_reports_a_non_monotone_path(monkeypatch):
     # Fractions by alpha, with a bump: 0.98 on [1e-4, 0.5) lies above the
     # 0.97 of [0.5, 1e3), which the bisection's monotonicity assumption rules
@@ -317,7 +334,7 @@ _EQUIVALENCE_CASES = [
 )
 def test_calibration_returns_what_plain_bisection_returns(make_data, target):
     data = make_data()
-    config = EosConfig(alpha=1.0, seed=3)
+    config = EosConfig(alpha=1.0)
     try:
         expected = _bisect_alpha(data, target, config)
     except CalibrationError as error:

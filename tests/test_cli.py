@@ -93,7 +93,7 @@ def test_config_round_trip_is_fixpoint():
         "input_path": "x.csv",
         "output_dir": "out",
         "seed": 7,
-        "eos": {"alpha": 2.0, "tol": 1e-10, "init_policy": "seeded_dirichlet"},
+        "eos": {"alpha": 2.0, "tol": 1e-10},
         "csv": {"label_column": "y", "drop_columns": ["id", "ts"], "label_map": {"a": 0, "b": 1}},
         "detect": {"rule": "top_k", "rule_param": 5},
         "timing": {"t_grid": [1000, 2000]},
@@ -103,7 +103,6 @@ def test_config_round_trip_is_fixpoint():
     assert first == second
     assert first["eos"]["alpha"] == 2.0
     assert first["eos"]["max_iters"] == 500  # default filled in
-    assert first["eos"]["init_policy"] == "seeded_dirichlet"
     assert first["csv"]["drop_columns"] == ["id", "ts"]
     assert first["csv"]["label_map"] == {"a": 0, "b": 1}
     assert first["timing"]["t_grid"] == [1000, 2000]
@@ -212,7 +211,7 @@ def test_calibrated_detect_flags_from_the_calibration_fit(
     cli_fits = len(fits)
 
     data = parse_csv_dataset(config["input_path"])
-    eos_cfg = EosConfig(alpha=1.0, seed=config["seed"])
+    eos_cfg = EosConfig(alpha=1.0)
     fits.clear()
     calibration = calibrate_alpha(data, target, eos_cfg)
     assert cli_fits == len(fits) == len(calibration.path)
@@ -242,7 +241,7 @@ def test_calibration_across_an_ess_jump_fails_cleanly(detect_setup, capsys):
     tmp_path, _, config = detect_setup
     data = parse_csv_dataset(config["input_path"])
     with pytest.raises(CalibrationError, match="jumps from") as info:
-        calibrate_alpha(data, 0.95, EosConfig(alpha=1.0, seed=config["seed"]))
+        calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
     message = str(info.value)
     low, high = (float(word.removeprefix("alpha=")) for word in message.split()
                  if word.startswith("alpha="))
@@ -406,6 +405,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"]["type"] == "InvalidConfigError"
+
+
+def test_eos_init_policy_is_an_unknown_key(tmp_path, capsys):
+    # Every fit starts from uniform weights; no key selects another start.
+    cfg_path = _write_config(tmp_path / "cfg.json",
+                             {"command": "detect", "eos": {"init_policy": "uniform"}})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidConfigError",
+                     "message": "unknown key(s) ['init_policy'] in config section 'eos'"}
 
 
 @pytest.mark.parametrize(
@@ -594,6 +603,27 @@ def test_robust_train_alpha_selection_honours_eos_max_iters(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonConvergenceError"
 
 
+def test_robust_train_at_the_selected_alpha_reproduces_the_selection(tmp_path):
+    # Both paths fit from uniform weights with eos.tol and eos.max_iters, so
+    # fixing robust_train.alpha to the selected alpha gives the selected fit.
+    rng = np.random.default_rng(8)
+    x = np.vstack([rng.normal(-1.0, 1.0, (150, 2)), rng.normal(1.0, 1.0, (150, 2))])
+    y = np.repeat([0, 1], 150)
+    y[rng.choice(300, size=30, replace=False)] ^= 1
+    data_path = _write_csv(tmp_path / "labeled.csv", x, y)
+    config = {"command": "robust-train", "input_path": str(data_path),
+              "csv": {"label_column": "label"}}
+    selected, fixed = tmp_path / "selected", tmp_path / "fixed"
+    cfg_path = _write_config(tmp_path / "selected.json", {**config, "output_dir": str(selected)})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    results = _report(selected)["results"]
+    cfg_path = _write_config(tmp_path / "fixed.json", {
+        **config, "output_dir": str(fixed), "robust_train": {"alpha": results["alpha_selected"]}})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    assert (fixed / "weights.csv").read_bytes() == (selected / "weights.csv").read_bytes()
+    assert _report(fixed)["results"] == results
+
+
 def test_label_map_value_other_than_zero_or_one_exits_2(tmp_path, capsys):
     cfg_path = _robust_train_config(
         tmp_path, csv={"label_column": "label", "label_map": {"0": 0, "1": 5}}
@@ -776,7 +806,7 @@ def test_detect_csv_matches_csv_writer(detect_setup):
     tmp_path, cfg_path, config = detect_setup
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
     report = detect(
-        parse_csv_dataset(config["input_path"]), EosConfig(alpha=1.0, seed=3), FlagRule.TOP_K, 4
+        parse_csv_dataset(config["input_path"]), EosConfig(alpha=1.0), FlagRule.TOP_K, 4
     )
     expected = _oracle_csv(
         ["index", "weight", "flag"],

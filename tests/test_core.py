@@ -15,7 +15,6 @@ from eos import (
     Dataset,
     EosConfig,
     GaussianModel,
-    InitPolicy,
     InvalidConfigError,
     InvalidInputError,
     ModelError,
@@ -259,12 +258,21 @@ def test_fit_bit_reproducible_with_uniform_init():
     assert first.iterations == second.iterations
 
 
-def test_fit_dirichlet_init_seeded():
+def test_fit_starts_from_uniform_weights():
     data, _ = planted_gaussian_2d(seed=3)
-    config = EosConfig(alpha=0.8, init_policy=InitPolicy.SEEDED_DIRICHLET, seed=99)
-    first = fit(data, GaussianModel(), config)
-    second = fit(data, GaussianModel(), config)
-    assert np.array_equal(first.weights, second.weights)
+    seen = []
+
+    class Recording(GaussianModel):
+        def step(self, dataset, weights):
+            seen.append(weights.copy())
+            return super().step(dataset, weights)
+
+    config = EosConfig()
+    assert config.alpha == 1.0
+    result = fit(data, Recording(), config)
+    n = data.n_instances
+    assert seen[0].tobytes() == np.full(n, 1.0 / n).tobytes()
+    assert result.weights.tobytes() == fit(data, GaussianModel(), config).weights.tobytes()
 
 
 def test_fit_respects_iteration_cap():
@@ -551,5 +559,3 @@ def test_config_validation():
         EosConfig(alpha=1.0, tol=0.0)
     with pytest.raises(InvalidConfigError):
         EosConfig(alpha=1.0, max_iters=0)
-    with pytest.raises(InvalidConfigError):
-        EosConfig(alpha=1.0, seed=-1)

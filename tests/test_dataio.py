@@ -193,16 +193,19 @@ def test_empty_and_missing_files(tmp_path):
         parse_csv_dataset(header_only)
 
 
-_DECODE = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+_DECODE = " is not valid UTF-8: 'utf-8' codec can't decode byte"
 
 
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read {path}: Is a directory"),
-     (b"a,b\xff\n1,2\n", "{path}: " + _DECODE + "3: invalid start byte"),
+     (b"a,b\xff\n1,2\n", "{path}: line 1" + _DECODE + " 0xff in position 3: invalid start byte"),
      # Past the first read of the file, so the header decodes.
-     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n", "{path}: " + _DECODE)],
-    ids=["directory", "header-byte", "data-row-byte"],
+     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n",
+      "{path}: line 5002" + _DECODE + " 0xff in position 2: invalid start byte"),
+     (b"a,b\r\n1,2\r\n3,4\xe2\x82",
+      "{path}: line 3" + _DECODE + "s in position 3-4: unexpected end of data")],
+    ids=["directory", "header-byte", "data-row-byte", "cut-last-line"],
 )
 def test_unreadable_file_raises_parse_error_naming_the_path(tmp_path, content, message):
     path = tmp_path / "data.csv"
@@ -212,7 +215,7 @@ def test_unreadable_file_raises_parse_error_naming_the_path(tmp_path, content, m
         path.write_bytes(content)
     with pytest.raises(ParseError) as error:
         parse_csv_dataset(path)
-    assert str(error.value).startswith(message.format(path=path))
+    assert str(error.value) == message.format(path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ def test_public_names():
         "detect", "flag_outliers",
         "MetricReport", "SyntheticSpec", "generate", "mahalanobis_chi2_baseline", "precision",
         "run_synth_benchmark", "timing_probe_wstep", "timing_ratios",
-        "EosConfig", "ErrorModel", "FitResult", "InitPolicy", "Termination",
+        "EosConfig", "ErrorModel", "FitResult", "Termination",
         "effective_sample_size", "fit", "objective", "shannon_entropy", "w_step",
         "Dataset",
         "parse_csv_dataset",
@@ -24,6 +24,6 @@ def test_public_names():
         "mislabel_experiment", "predict_proba", "robust_fit", "select_alpha",
         "summarize_mislabel", "train_weighted_classifier",
     ])
-    assert len(eos.__all__) == 61
+    assert len(eos.__all__) == 60
     for name in eos.__all__:
         assert hasattr(eos, name), name

@@ -27,7 +27,6 @@ from eos import (
     GaussianModel,
     GaussianParams,
     InvalidConfigError,
-    InitPolicy,
     InvalidInputError,
     MislabelExperimentConfig,
     OutlierReport,
@@ -53,6 +52,7 @@ from eos import (
     train_weighted_classifier,
     w_step,
 )
+from eos.cli import RunConfig
 
 _RNG = np.random.default_rng(20)
 _X = np.vstack([_RNG.standard_normal((36, 2)), _RNG.uniform(5.0, 8.0, (4, 2))])
@@ -86,9 +86,7 @@ SITES = [
     ("EosConfig.tol", lambda v: EosConfig(alpha=1.0, tol=v), np.float32(1e-6), InvalidConfigError),
     ("EosConfig.max_iters", lambda v: EosConfig(alpha=1.0, max_iters=v), np.int64(50),
      InvalidConfigError),
-    ("EosConfig.seed", lambda v: EosConfig(alpha=1.0, seed=v), np.int64(7), InvalidConfigError),
-    ("EosConfig.init_policy", lambda v: EosConfig(alpha=1.0, init_policy=v),
-     np.str_(InitPolicy.SEEDED_DIRICHLET.value), InvalidConfigError),
+    ("RunConfig.seed", lambda v: RunConfig("timing", seed=v), np.int64(7), InvalidConfigError),
     ("w_step.alpha", lambda v: w_step(ERRORS, v), np.float32(0.3), InvalidConfigError),
     ("objective.alpha", lambda v: objective(ERRORS, np.full(9, 1 / 9), v), np.int64(2),
      InvalidConfigError),
