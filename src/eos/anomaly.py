@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _positive,
-                   _softmax, _wlogw, effective_sample_size, fit)
+                   _softmax, _wlogw, fit)
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams
@@ -188,7 +188,8 @@ _LOW, _STOP, _HIGH = -1, 0, 1
 def _probe(dataset: Dataset, config: EosConfig) -> tuple[float, FitResult]:
     """One cold Gaussian fit at ``config.alpha`` and its ESS fraction."""
     result = fit(dataset, GaussianModel(), config)
-    return effective_sample_size(result.weights) / dataset.n_instances, result
+    # effective_sample_size(result.weights), less the checks fit's own weights pass.
+    return math.exp(max(-_wlogw(result.weights), 0.0)) / dataset.n_instances, result
 
 
 def calibrate_alpha(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import _check_real, check_weights
 from .data import Dataset, _centered_blocks
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NumericalError
 
 __all__ = [
     "GaussianParams",
@@ -36,6 +36,7 @@ __all__ = [
 # minimizer over one fixed feasible set, which is what guarantees descent
 # even when the weights collapse onto a handful of points.
 RIDGE_FACTOR = 1e-8
+_OVERFLOW_ADVICE = "squares of features above about 1e154 overflow; rescale the features"
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,13 @@ def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     """mu = w @ x and Sigma = sum_t w_t (x_t-mu)(x_t-mu)^T, one block at a time."""
     mu = w @ x
     sigma = None
-    for rows, centered in _centered_blocks(x, mu):
-        term = (centered * w[rows, None]).T @ centered
-        if sigma is None:
-            sigma = term
-        else:
-            sigma += term
+    with np.errstate(over="ignore", invalid="ignore"):  # _floored_params refuses an overflow
+        for rows, centered in _centered_blocks(x, mu):
+            term = (centered * w[rows, None]).T @ centered
+            if sigma is None:
+                sigma = term
+            else:
+                sigma += term
     return mu, sigma
 
 
@@ -192,6 +194,8 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
 
 def _floored_params(dataset: Dataset, mu: np.ndarray, sigma: np.ndarray) -> GaussianParams:
     """Symmetrize sigma and raise its eigenvalues to the dataset's floor."""
+    if not np.isfinite(sigma).all():
+        raise NumericalError(f"the weighted covariance overflowed: {_OVERFLOW_ADVICE}")
     sigma = 0.5 * (sigma + sigma.T)
     floor = covariance_floor(dataset)
     ridge = 0.0

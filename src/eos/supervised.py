@@ -27,7 +27,9 @@ from .exceptions import (
     InvalidConfigError,
     InvalidInputError,
     NonConvergenceError,
+    NumericalError,
 )
+from .models import _OVERFLOW_ADVICE
 
 __all__ = [
     "ClassifierParams",
@@ -106,6 +108,14 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z) - y * z
 
 
+def _design(x: np.ndarray) -> np.ndarray:
+    """The solver's design ``[x, 1]``.  The Hessian sums squares of the features,
+    so a feature whose square overflows, beyond about 1.34e154, is refused."""
+    if max(float(x.max()), -float(x.min())) > math.sqrt(np.finfo(float).max):
+        raise NumericalError(f"features are too large for the classifier: {_OVERFLOW_ADVICE}")
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
 def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
     damping = 0.0
     base = max(1.0, float(np.abs(np.diag(hessian)).max()))
@@ -118,7 +128,7 @@ def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if step is not None and np.all(np.isfinite(step)):
             return step
         damping = base * 1e-12 if damping == 0.0 else damping * 100.0
-    return np.linalg.lstsq(hessian, grad, rcond=None)[0]
+    raise NumericalError(f"the damped Newton system has no finite solution; {_OVERFLOW_ADVICE}")
 
 
 def train_weighted_classifier(
@@ -162,8 +172,7 @@ def train_weighted_classifier(
         raise InvalidInputError(
             f"initial coefficients must have length {d}, got {initial.coefficients.shape}"
         )
-    design = np.hstack([dataset.instances, np.ones((dataset.n_instances, 1))])
-    return _newton(design, y, w, l2_strength, initial, grad_tol, max_iters)
+    return _newton(_design(dataset.instances), y, w, l2_strength, initial, grad_tol, max_iters)
 
 
 def _newton(design: np.ndarray, y: np.ndarray, w: np.ndarray, l2_strength: float,
@@ -279,8 +288,7 @@ class ClassifierLossModel:
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[ClassifierParams, np.ndarray]:
         if self._problem is None:
-            x = dataset.instances
-            self._problem = np.hstack([x, np.ones((len(x), 1))]), _require_labels(dataset).astype(float)
+            self._problem = _design(dataset.instances), _require_labels(dataset).astype(float)
         params = _newton(*self._problem, weights, self.l2_strength, self._warm, _GRAD_TOL,
                          _MAX_NEWTON_STEPS)
         self._warm = params

@@ -198,9 +198,10 @@ def test_calibration_records_its_bisection_path():
     assert np.array_equal(result.fit.weights, at_alpha.weights)
 
 
-def test_calibration_checks_weights_once_per_probe(monkeypatch):
-    # Only each probe's fitted weights are checked; the surrogate's guesses
-    # (11 at this target, besides 5 probes) reuse the probes' checked errors.
+def test_calibration_checks_no_weights(monkeypatch):
+    # A probe reads the ESS of its fit's own weights, and the surrogate's
+    # guesses (11 at this target, besides 5 probes) that of a w-step of a
+    # probe's errors: neither needs a check.
     checked = []
     check_weights = eos.core.check_weights
 
@@ -211,7 +212,8 @@ def test_calibration_checks_weights_once_per_probe(monkeypatch):
     monkeypatch.setattr(eos.core, "check_weights", counting)
     data, _ = planted_gaussian_2d(seed=7)
     result = calibrate_alpha(data, 0.9, EosConfig())
-    assert len(checked) == len(result.path) == 5
+    assert len(result.path) == 5
+    assert checked == []
 
 
 def test_calibration_reports_a_non_monotone_path(monkeypatch):

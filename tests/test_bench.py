@@ -56,12 +56,20 @@ def test_generate_deterministic():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidInputError):
-        SyntheticSpec(T=50, D=2, inlier_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(InvalidConfigError):
         SyntheticSpec(T=50, D=2, outlier_box_low=5.0, outlier_box_high=5.0)
     with pytest.raises(InvalidConfigError):
         SyntheticSpec(T=10, D=10, outlier_fraction=0.4)
+    with pytest.raises(InvalidConfigError, match="^outlier_box_low must be finite, got 'x'$"):
+        SyntheticSpec(outlier_box_low="x")
+    with pytest.raises(InvalidConfigError, match="^outlier_box_high must be finite, got inf$"):
+        SyntheticSpec(outlier_box_high=np.inf)
+
+
+def test_equal_specs_compare_equal_and_hash_alike():
+    assert SyntheticSpec(seed=1) == SyntheticSpec(seed=1)
+    assert SyntheticSpec(seed=1) != SyntheticSpec(seed=2)
+    assert hash(SyntheticSpec(outlier_box_low=np.float32(5.0))) == hash(SyntheticSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +216,10 @@ def test_synth_benchmark_structure_and_quality():
     }
     assert len(reports["precision_eos_topk"].per_seed_values) == 3
     assert reports["precision_eos_topk"].mean >= reports["precision_chi2_robust"].mean
+
+
+def test_synth_benchmark_of_one_seed_has_a_point_interval():
+    reports = run_synth_benchmark(SyntheticSpec(T=200, D=4, seed=5), 1)["reports"]
+    for report in reports.values():
+        (value,) = report.per_seed_values
+        assert report.mean == report.ci_low == report.ci_high == value

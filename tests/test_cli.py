@@ -435,6 +435,45 @@ def test_missing_config_file_exits_2(tmp_path, capsys, name, content):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
 
+def test_module_entry_point_reports_a_missing_config(tmp_path):
+    out = subprocess.run([sys.executable, "-m", "eos.cli", "--config", str(tmp_path / "nope.json")],
+                         capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert out.returncode == 2
+    assert out.stderr.count("\n") == 1
+    assert json.loads(out.stderr)["error"]["type"] == "ParseError"
+
+
+_OVERFLOW_ADVICE = "squares of features above about 1e154 overflow; rescale the features"
+
+
+@pytest.mark.parametrize(
+    "command, scale, section, error",
+    [("detect", 1e200, {"detect": {"rule": "top_k", "rule_param": 4}}, "ModelError"),
+     ("robust-train", 1e160, {"robust_train": {"alpha": 1.0}}, "ModelError"),
+     ("robust-train", 1e160, {}, "NumericalError")],
+    ids=["detect", "robust-train-fixed-alpha", "robust-train-selected-alpha"],
+)
+def test_overflowing_features_exit_1_with_one_json_line(tmp_path, capsys, command, scale,
+                                                        section, error):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((200, 3)) * scale
+    labels = (rng.standard_normal(200) > 0).astype(int) if command == "robust-train" else None
+    config = {
+        "command": command,
+        "input_path": str(_write_csv(tmp_path / "data.csv", x, labels)),
+        "output_dir": str(tmp_path / "out"),
+        **({"csv": {"label_column": "label"}} if labels is not None else {}),
+        **section,
+    }
+    cfg_path = _write_config(tmp_path / "cfg.json", config)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)["error"]
+    assert payload["type"] == error
+    assert payload["message"].endswith(_OVERFLOW_ADVICE)
+
+
 # ---------------------------------------------------------------------------
 # other commands
 # ---------------------------------------------------------------------------
@@ -666,13 +705,17 @@ def test_timing_command(tmp_path):
     assert lines[0] == "axis,T,D,median_s,iqr_s,repeats"
 
 
-def _run_fresh(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter that imports eos from src."""
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports eos from src."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True, timeout=120)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports eos from src."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_fresh_env(), check=True, timeout=120)
     return out.stdout.strip()
 
 

@@ -280,6 +280,11 @@ _MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
             (ParseError, "<path>: label value '2' at line 4 is not 0/1; provide a label map"),
         ),
         (
+            "a,y\n1,0\n2,M\n", {"label_column": "y"},
+            (ParseError,
+             "<path>: label value 'M' at line 3 is not numeric; provide a label map"),
+        ),
+        (
             "a,y\n1,M\n2,B\n3,X\n", _MB,
             (ParseError, "<path>: label value 'X' at line 4 not in label map ['B', 'M']"),
         ),
@@ -295,8 +300,8 @@ _MB = {"label_column": "y", "label_map": {"M": 1, "B": 0}}
         "all-rows-short", "trailing-comma", "whitespace-line", "whitespace-line-one-column",
         "no-final-newline", "header-only", "header-only-no-newline", "nan", "overflow",
         "subnormal", "signs-and-points", "quoted-label", "quoted-label-with-comma",
-        "short-row-with-dropped-id", "bad-label-after-valid-rows", "label-not-in-map",
-        "non-numeric-dropped-id",
+        "short-row-with-dropped-id", "bad-label-after-valid-rows", "non-numeric-label-no-map",
+        "label-not-in-map", "non-numeric-dropped-id",
     ],
 )
 def test_whole_file_parse_matches_the_row_reader(tmp_path, text, kwargs, expected):

@@ -132,6 +132,12 @@ SITES = [
      InvalidConfigError),
     ("SyntheticSpec.seed", lambda v: SyntheticSpec(**{**SPEC, "seed": v}), np.int64(3),
      InvalidConfigError),
+    ("SyntheticSpec.outlier_box_low",
+     lambda v: SyntheticSpec(**{**SPEC, "outlier_box_low": v}), np.float32(4.5),
+     InvalidConfigError),
+    ("SyntheticSpec.outlier_box_high",
+     lambda v: SyntheticSpec(**{**SPEC, "outlier_box_high": v}), np.int64(8),
+     InvalidConfigError),
     ("mahalanobis_chi2_baseline.quantile", lambda v: mahalanobis_chi2_baseline(POINTS, v),
      np.float32(0.9), InvalidConfigError),
     ("timing_probe_wstep.repeats", lambda v: _timing_rows(repeats=v), np.int64(5),
@@ -241,8 +247,6 @@ ARRAY_SITES = [
     ("squared_euclidean_error.center",
      lambda: squared_euclidean_error(POINTS, np.array([np.inf, 0.0])), InvalidInputError,
      "center must be finite"),
-    ("SyntheticSpec.inlier_cov", lambda: SyntheticSpec(**SPEC, inlier_cov=np.eye(3)),
-     InvalidConfigError, "inlier_cov must be 4x4, got (3, 3)"),
     # The largest bracket end cannot spread the weight of an error near the
     # float maximum evenly, so perplexity 2 of two neighbors is out of reach.
     ("calibrate_row_alpha.above-range", lambda: calibrate_row_alpha([0.0, 1.7e308], 2),

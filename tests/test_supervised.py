@@ -14,7 +14,9 @@ from eos import (
     InvalidConfigError,
     InvalidInputError,
     MislabelExperimentConfig,
+    ModelError,
     NonConvergenceError,
+    NumericalError,
     Termination,
     auc,
     classifier_loss_error,
@@ -164,6 +166,24 @@ def test_nonconvergence_advice_matches_l2_strength():
         train_weighted_classifier(data, weights, 1e-4, max_iters=1)
     assert "l2_strength > 0" not in str(regularized.value)
     assert "max_iters" in str(regularized.value)
+
+
+def test_overflowing_features_raise_a_typed_error():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((200, 3))
+    y = (rng.standard_normal(200) > 0).astype(int)
+    uniform = np.full(200, 1 / 200)
+    big = Dataset(x * 1e160, y)
+    advice = "squares of features above about 1e154 overflow; rescale the features"
+    message = f"features are too large for the classifier: {advice}"
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        train_weighted_classifier(big, uniform)
+    with pytest.raises(ModelError, match=f"^parameter update failed at iteration 1: {message}$"):
+        robust_fit(big, EosConfig())
+    # At 1e150 the squares still fit in a float: the solver runs and reports
+    # that it could not reach the gradient tolerance.
+    with pytest.raises(NonConvergenceError, match="did not reach gradient norm"):
+        train_weighted_classifier(Dataset(x * 1e150, y), uniform)
 
 
 def test_training_requires_labels():
