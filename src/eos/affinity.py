@@ -17,7 +17,9 @@ log(alpha).  ``affinity_blocks`` computes the rows one block of anchors at
 a time, a fixed number of floats per block, and each step evaluates every
 row of the block still searching in one batch.  A row's alpha and values
 do not depend on its block, and memory does not grow with T^2.  Error
-spreads from 1e-300 to 1e300 are supported.
+spreads from 1e-300 to 1e300 are supported.  A ``Dataset``'s bound keeps
+squared distances below about 9e307, where the bracket's top is cut at the
+float maximum and perplexities near the number of neighbors may not be met.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import _check_alpha, _check_int, _check_real, _checked_errors, _softmax, check_errors
-from .data import Dataset
+from .core import _check_alpha, _check_int, _check_real, _checked_errors, _softmax
+from .data import _FLOAT_MAX, Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import _squared_distances
 
@@ -37,8 +39,8 @@ __all__ = ["gaussian_affinity_row", "calibrate_row_alpha", "affinity_blocks"]
 
 def _check_sigma_sq(sigma_sq: float) -> float:
     """sigma_sq as a float: a positive real whose alpha = 2*sigma_sq is finite."""
-    return _check_real(sigma_sq, lambda s: 0 < s <= _HUGE / 2, InvalidConfigError,
-                       f"sigma_sq must be a real in (0, {_HUGE / 2!r}]")
+    return _check_real(sigma_sq, lambda s: 0 < s <= _FLOAT_MAX / 2, InvalidConfigError,
+                       f"sigma_sq must be a real in (0, {_FLOAT_MAX / 2!r}]")
 
 
 def _check_row_alpha(alpha: float) -> float:
@@ -80,7 +82,6 @@ def gaussian_affinity_row(dataset: Dataset, i: int, sigma_sq: float) -> np.ndarr
 # depend on which rows share its batch.
 _REL_TOL = 1e-4
 _MAX_STEPS = 256
-_HUGE = float(np.finfo(float).max)
 # The least alpha whose half, sigma_sq, is positive: half of 5e-324 rounds to 0.
 _LEAST_ALPHA = 2 * math.ulp(0.0)
 
@@ -146,7 +147,7 @@ def _calibrate(
     # The bracket spread*1e-12 .. spread*1e12, kept off 0 and inf.
     lo = np.maximum(spread[active] * 1e-12, _LEAST_ALPHA)
     with np.errstate(over="ignore"):
-        hi = np.minimum(spread[active] * 1e12, _HUGE)
+        hi = np.minimum(spread[active] * 1e12, _FLOAT_MAX)
     # Start from half the target-th smallest error, where about target
     # neighbors carry weight; a start outside the open bracket bisects it.
     kth = min(int(target), n) - 1
@@ -230,25 +231,19 @@ def _anchor_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values (R x T-1) and sigma_sq (R,) of the rows of ``anchors`` over
     the instances ``x``, at the shared ``alpha`` or, when it is None,
-    calibrated to ``perplexity``.  The rows before the first non-finite one
-    are computed first, so the lowest anchor at fault raises."""
-    errors = np.empty((len(anchors), x.shape[0] - 1))
+    calibrated to ``perplexity``.  The bound of ``Dataset`` instances keeps
+    every squared distance finite."""
+    shifted = np.empty((len(anchors), x.shape[0] - 1))
     for k, i in enumerate(anchors):
-        errors[k] = np.delete(_squared_distances(x, x[i]), i)
-    # Squared distances are >= 0, so a row is finite when its maximum is.
-    finite = np.isfinite(errors.max(axis=1))
-    ok = len(anchors) if finite.all() else int(np.argmin(finite))
-    shifted = errors[:ok]
+        shifted[k] = np.delete(_squared_distances(x, x[i]), i)
     shifted -= shifted.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
     if perplexity is None:
-        values, alphas = _softmax(shifted, alpha), np.full(ok, alpha)
+        values, alphas = _softmax(shifted, alpha), np.full(len(anchors), alpha)
     else:
         alphas, values, failures = _calibrate(shifted, perplexity)
         if failures:
             first = min(failures)
             raise CalibrationError(f"anchor {anchors[first]}: {failures[first]}")
-    if ok < len(anchors):
-        check_errors(errors[ok])  # raises, naming the entry
     return values, alphas / 2.0
 
 
@@ -274,10 +269,8 @@ def affinity_blocks(
     at a fixed bandwidth, and in perplexity mode ``w_step`` on the anchor's
     squared distances at ``calibrate_row_alpha`` of them; a generalized row,
     over any per-pair errors, is that same ``w_step`` on the anchor's errors.
-    Drawing a block with a row that has a non-finite squared distance raises
-    ``InvalidInputError``, and with one that cannot be calibrated
-    ``CalibrationError`` naming its anchor.  When rows of both kinds fail,
-    the lowest anchor at fault raises.
+    Drawing a block with a row that cannot be calibrated raises
+    ``CalibrationError`` naming the lowest such anchor.
 
     ``anchors`` is a non-empty ``range`` of step 1 inside [0, T), by default
     every anchor; blocks are cut from ``anchors.start``.  A row does not

@@ -10,7 +10,7 @@ import numpy as np
 
 from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, _check_int, _check_real, w_step
-from .data import Dataset
+from .data import Dataset, _scale_exponent
 from .exceptions import InvalidConfigError, InvalidInputError
 from .models import GaussianParams, mahalanobis_squared, weighted_gaussian_mle
 
@@ -147,7 +147,9 @@ def mahalanobis_chi2_baseline(
         center = np.median(x, axis=0)
         mad = np.median(np.abs(x - center), axis=0) * 1.4826
         var = mad**2
-        floor = 1e-8 * max(float(var.mean()), float(x.var()), 1e-8)
+        exponent = _scale_exponent(x)  # x.var() sums T*D squares: scaled, it cannot overflow
+        spread = math.ldexp(float(np.ldexp(x, -exponent).var()), 2 * exponent)
+        floor = 1e-8 * max(float(var.mean()), spread, 1e-8)
         params = GaussianParams(center, np.diag(np.maximum(var, floor)))
     else:
         params = weighted_gaussian_mle(dataset, np.full(n, 1.0 / n))

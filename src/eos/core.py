@@ -150,8 +150,8 @@ def check_weights(weights: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def _checked_errors(errors: np.ndarray) -> tuple[np.ndarray, float]:
-    """``check_errors``, also returning the smallest error, which the
-    finiteness test reads anyway."""
+    """Validate an error vector: 1-D, non-empty, every entry finite.  Also
+    returns the smallest error, which the finiteness test reads anyway."""
     g = np.asarray(errors, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise InvalidInputError(f"errors must be a non-empty 1-D vector, got shape {g.shape}")
@@ -161,11 +161,6 @@ def _checked_errors(errors: np.ndarray) -> tuple[np.ndarray, float]:
         bad = int(np.flatnonzero(~np.isfinite(g))[0])
         raise InvalidInputError(f"errors contain a non-finite entry at index {bad}")
     return g, low
-
-
-def check_errors(errors: np.ndarray) -> np.ndarray:
-    """Validate an error vector: 1-D, non-empty, every entry finite."""
-    return _checked_errors(errors)[0]
 
 
 def _check_real(value: Any, ok: Callable[[float], bool], error: type[EosError], text: str) -> float:
@@ -229,7 +224,7 @@ def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
 
 def objective(errors: np.ndarray, weights: np.ndarray, alpha: float) -> float:
     """Evaluate sum(w*g) + alpha*sum(w*log w), with 0*log(0) = 0."""
-    g = check_errors(errors)
+    g, _ = _checked_errors(errors)
     w = check_weights(weights, g.size)
     return float(w @ g) + _check_alpha(alpha) * _wlogw(w)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -14,6 +15,22 @@ __all__ = ["Dataset"]
 # Row blocks of about 256 KiB (2**15 float64 cells), so that a block and its
 # temporaries stay in cache.
 _BLOCK_CELLS = 2**15
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _check_peak(name: str, peak: float, d: int) -> None:
+    """Refuse a largest |entry| ``peak`` past sqrt(float max / (8 d)): within it,
+    d squares of up to (2 peak)^2, and their rounded sum, stay finite."""
+    bound = math.sqrt(_FLOAT_MAX / (8 * d))
+    if peak > bound:
+        raise InvalidInputError(f"|{name}| reaches {peak!r}, beyond {bound!r}, the largest "
+                                f"magnitude whose squared distances stay finite at D = {d}; "
+                                "rescale the features")
+
+
+def _scale_exponent(x: np.ndarray) -> int:
+    """The least e >= 0 with |x| < 2**e: scaling by 2**-e is exact and brings x into (-1, 1)."""
+    return max(math.frexp(max(float(x.max()), -float(x.min())))[1], 0)
 
 
 def _centered_blocks(x: np.ndarray, mu: np.ndarray):
@@ -39,6 +56,13 @@ class Dataset:
     and statistics of the instances can be computed once and cached on it.
     A float64 matrix that is already read-only and owns its data (a fresh
     array its maker froze) is adopted without that copy.
+
+    Every construction, ``subset`` and ``with_labels`` included, refuses
+    instances that are not a 2-D matrix of at least 1x1, hold a non-finite
+    entry, or reach past sqrt(float max / (8 D)) in magnitude; that message
+    states the bound and says to rescale.  Within it every squared distance
+    and weighted second moment is finite, and unweighted sums over T, such
+    as ``mean_variance``, are taken on instances scaled by a power of two.
     """
 
     instances: np.ndarray
@@ -60,11 +84,13 @@ class Dataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise InvalidInputError(f"instances must be at least 1x1, got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        high, low = float(x.max()), float(x.min())
+        if not (math.isfinite(high) and math.isfinite(low)):  # NaN and inf carry through both
             bad = np.argwhere(~np.isfinite(x))[0]
             raise InvalidInputError(
                 f"instances contain a non-finite entry at row {bad[0]}, column {bad[1]}"
             )
+        _check_peak("instances", max(high, -low), x.shape[1])
         x.setflags(write=False)
         object.__setattr__(self, "instances", x)
 
@@ -105,18 +131,25 @@ class Dataset:
 
         It is ``instances.var(axis=0).mean()`` summed one row block at a
         time, so no T x D temporary is made; below one block it is that
-        expression bit for bit.
+        expression bit for bit.  Scaling the centered values by a power of
+        two, exact, keeps the sum of T squares finite.
         """
         x = self.instances
+        exponent = _scale_exponent(x)
         squares = np.zeros(x.shape[1])
         for _, centered in _centered_blocks(x, x.mean(axis=0)):
+            centered *= math.ldexp(1.0, -exponent)
             centered *= centered
             squares += centered.sum(axis=0)
-        return float((squares / x.shape[0]).mean())
+        return math.ldexp(float((squares / x.shape[0]).mean()), 2 * exponent)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Row-select a new Dataset (labels follow when present)."""
-        idx = np.asarray(indices, dtype=np.intp)
+        idx, t = np.asarray(indices), self.n_instances
+        if idx.size and not (idx.dtype.kind in "iu" and -t <= idx.min() and idx.max() < t):
+            raise InvalidInputError(f"indices must be integers in [-{t}, {t}), got "
+                                    f"{idx.dtype} values in [{idx.min()}, {idx.max()}]")
+        idx = idx.astype(np.intp, copy=False)
         labels = self.labels[idx] if self.labels is not None else None
         x = self.instances[idx]
         x.setflags(write=False)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_real, check_weights
-from .data import Dataset, _centered_blocks
-from .exceptions import InvalidInputError, NumericalError
+from .data import Dataset, _centered_blocks, _check_peak
+from .exceptions import InvalidInputError
 
 __all__ = [
     "GaussianParams",
@@ -36,7 +36,6 @@ __all__ = [
 # minimizer over one fixed feasible set, which is what guarantees descent
 # even when the weights collapse onto a handful of points.
 RIDGE_FACTOR = 1e-8
-_OVERFLOW_ADVICE = "squares of features above about 1e154 overflow; rescale the features"
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,8 @@ class GaussianParams:
 
     ``ridge`` records any diagonal regularization that was actually added
     to keep the covariance positive definite.  Definiteness is checked at
-    construction, by the eigendecomposition every evaluation then uses.
+    construction, by the eigendecomposition every evaluation then uses, and
+    ``mu`` is held to the bound of ``Dataset`` instances of its dimension.
     """
 
     mu: np.ndarray
@@ -62,6 +62,7 @@ class GaussianParams:
             raise InvalidInputError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidInputError("mu and sigma must be finite")
+        _check_peak("mu", float(np.abs(mu).max()), d)
         scale = max(1.0, float(np.abs(sigma).max()))
         if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise InvalidInputError("sigma is not symmetric within 1e-10")
@@ -108,13 +109,12 @@ def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     """mu = w @ x and Sigma = sum_t w_t (x_t-mu)(x_t-mu)^T, one block at a time."""
     mu = w @ x
     sigma = None
-    with np.errstate(over="ignore", invalid="ignore"):  # _floored_params refuses an overflow
-        for rows, centered in _centered_blocks(x, mu):
-            term = (centered * w[rows, None]).T @ centered
-            if sigma is None:
-                sigma = term
-            else:
-                sigma += term
+    for rows, centered in _centered_blocks(x, mu):
+        term = (centered * w[rows, None]).T @ centered
+        if sigma is None:
+            sigma = term
+        else:
+            sigma += term
     return mu, sigma
 
 
@@ -194,8 +194,6 @@ def weighted_gaussian_mle(dataset: Dataset, weights: np.ndarray) -> GaussianPara
 
 def _floored_params(dataset: Dataset, mu: np.ndarray, sigma: np.ndarray) -> GaussianParams:
     """Symmetrize sigma and raise its eigenvalues to the dataset's floor."""
-    if not np.isfinite(sigma).all():
-        raise NumericalError(f"the weighted covariance overflowed: {_OVERFLOW_ADVICE}")
     sigma = 0.5 * (sigma + sigma.T)
     floor = covariance_floor(dataset)
     ridge = 0.0
@@ -207,8 +205,8 @@ def _floored_params(dataset: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Gaus
         ridge = floor
     # Evaluate with the spectrum chosen here: re-factoring the rebuilt sigma
     # moves floored eigenvalues by rounding, and with it the log-determinant
-    # by more than fit's descent slack.  eigh has already rejected a
-    # non-finite sigma, so the constructor's checks are skipped.
+    # by more than fit's descent slack.  The bound of the instances keeps
+    # sigma finite, so the constructor's checks are skipped.
     return GaussianParams._unchecked(mu, sigma, float(ridge), (eigenvalues, eigenvectors))
 
 
@@ -221,12 +219,13 @@ class GaussianModel:
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:
-    """g_t = ||x_t - center||^2."""
+    """g_t = ||x_t - center||^2; ``center`` is held to the bound of the instances."""
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or c.shape[0] != dataset.n_features:
         raise InvalidInputError(f"center must have length {dataset.n_features}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("center must be finite")
+    _check_peak("center", float(np.abs(c).max()), c.shape[0])
     return _squared_distances(dataset.instances, c)
 
 

@@ -29,7 +29,6 @@ from .exceptions import (
     NonConvergenceError,
     NumericalError,
 )
-from .models import _OVERFLOW_ADVICE
 
 __all__ = [
     "ClassifierParams",
@@ -87,7 +86,11 @@ def _check_l2(l2_strength: float, error: type[EosError]) -> float:
 
 
 def decision_function(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
-    x = np.asarray(instances, dtype=float)
+    """Each row's log-odds; ``instances`` are checked as ``Dataset`` instances are."""
+    x = Dataset(instances).instances
+    d = params.coefficients.shape[0]
+    if x.shape[1] != d:
+        raise InvalidInputError(f"instances have {x.shape[1]} columns for {d} coefficients")
     return x @ params.coefficients + params.intercept
 
 
@@ -109,10 +112,7 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _design(x: np.ndarray) -> np.ndarray:
-    """The solver's design ``[x, 1]``.  The Hessian sums squares of the features,
-    so a feature whose square overflows, beyond about 1.34e154, is refused."""
-    if max(float(x.max()), -float(x.min())) > math.sqrt(np.finfo(float).max):
-        raise NumericalError(f"features are too large for the classifier: {_OVERFLOW_ADVICE}")
+    """The solver's design ``[x, 1]``."""
     return np.hstack([x, np.ones((len(x), 1))])
 
 
@@ -128,7 +128,7 @@ def _solve_damped(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if step is not None and np.all(np.isfinite(step)):
             return step
         damping = base * 1e-12 if damping == 0.0 else damping * 100.0
-    raise NumericalError(f"the damped Newton system has no finite solution; {_OVERFLOW_ADVICE}")
+    raise NumericalError("the damped Newton system has no finite solution at any damping")
 
 
 def train_weighted_classifier(
@@ -253,7 +253,8 @@ def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndar
     any parameters and unclamped: a certainly-wrong point costs its full
     margin.
     """
-    return _log_loss(decision_function(params, dataset.instances), _require_labels(dataset))
+    z = dataset.instances @ params.coefficients + params.intercept
+    return _log_loss(z, _require_labels(dataset))
 
 
 @dataclass

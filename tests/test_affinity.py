@@ -350,20 +350,6 @@ def test_affinity_blocks_calibration_error_names_the_anchor():
 
 
 @pytest.mark.parametrize(
-    "points, error, match",
-    [([0.0, 0.0, 0.0, 5.0, -1e154, 1e154], CalibrationError, "^anchor 0: "),
-     ([-1e154, 1e154, 0.0, 0.0, 0.0, 5.0], InvalidInputError, "non-finite entry")],
-    ids=["uncalibratable-first", "non-finite-first"],
-)
-def test_lowest_anchor_at_fault_raises(points, error, match):
-    # Only the squared distance between -1e154 and 1e154 overflows, so their
-    # two rows are the non-finite ones; the three coinciding points cannot
-    # reach perplexity 1.5.
-    with pytest.raises(error, match=match):
-        list(affinity_blocks(Dataset(np.array(points)[:, np.newaxis]), perplexity=1.5))
-
-
-@pytest.mark.parametrize(
     "bandwidth",
     [{"alpha": 0.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"sigma_sq": -1.0}],
 )

@@ -443,20 +443,21 @@ def test_module_entry_point_reports_a_missing_config(tmp_path):
     assert json.loads(out.stderr)["error"]["type"] == "ParseError"
 
 
-_OVERFLOW_ADVICE = "squares of features above about 1e154 overflow; rescale the features"
-
-
 @pytest.mark.parametrize(
-    "command, scale, section, error",
-    [("detect", 1e200, {"detect": {"rule": "top_k", "rule_param": 4}}, "ModelError"),
-     ("robust-train", 1e160, {"robust_train": {"alpha": 1.0}}, "ModelError"),
-     ("robust-train", 1e160, {}, "NumericalError")],
-    ids=["detect", "robust-train-fixed-alpha", "robust-train-selected-alpha"],
+    "command, section",
+    [("detect", {"detect": {"rule": "top_k", "rule_param": 4}}),
+     ("affinity", {"affinity": {"perplexity": 4.0}}),
+     ("robust-train", {"robust_train": {"alpha": 1.0}}),
+     ("robust-train", {})],
+    ids=["detect", "affinity", "robust-train-fixed-alpha", "robust-train-selected-alpha"],
 )
-def test_overflowing_features_exit_1_with_one_json_line(tmp_path, capsys, command, scale,
-                                                        section, error):
+def test_overflowing_features_exit_1_with_one_json_line(tmp_path, capsys, command, section):
+    # One float past the bound of D = 3 features is refused as the CSV becomes
+    # a Dataset, before any command runs.
     rng = np.random.default_rng(14)
-    x = rng.standard_normal((200, 3)) * scale
+    x = rng.standard_normal((200, 3))
+    bound = math.sqrt(np.finfo(float).max / 24)
+    x[17, 2] = math.nextafter(bound, math.inf)
     labels = (rng.standard_normal(200) > 0).astype(int) if command == "robust-train" else None
     config = {
         "command": command,
@@ -469,9 +470,11 @@ def test_overflowing_features_exit_1_with_one_json_line(tmp_path, capsys, comman
     assert main(["--config", str(cfg_path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    payload = json.loads(err)["error"]
-    assert payload["type"] == error
-    assert payload["message"].endswith(_OVERFLOW_ADVICE)
+    assert json.loads(err)["error"] == {
+        "type": "InvalidInputError",
+        "message": f"|instances| reaches {float(x[17, 2])!r}, beyond {bound!r}, the largest "
+                   "magnitude whose squared distances stay finite at D = 3; rescale the features",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_fit_validates_nothing_inside_its_loop(model, monkeypatch):
             return check(*args, **kwargs)
         return wrapped
 
-    for module, name in [(eos.core, "check_weights"), (eos.core, "check_errors"),
+    for module, name in [(eos.core, "check_weights"), (eos.core, "_checked_errors"),
                          (eos.models, "check_weights")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     data, _ = planted_gaussian_2d(seed=3)

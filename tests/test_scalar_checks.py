@@ -36,6 +36,7 @@ from eos import (
     calibrate_alpha,
     calibrate_row_alpha,
     check_flag_rule,
+    decision_function,
     detect,
     fit,
     flag_outliers,
@@ -44,6 +45,7 @@ from eos import (
     mahalanobis_chi2_baseline,
     mislabel_experiment,
     objective,
+    predict_proba,
     robust_fit,
     run_synth_benchmark,
     select_alpha,
@@ -225,6 +227,10 @@ ARRAY_SITES = [
      "labels must be a vector of length 40, got shape (39,)"),
     ("Dataset.feature_names-length", lambda: Dataset(_X, feature_names=("a",)),
      InvalidInputError, "feature_names has 1 entries for 2 columns"),
+    ("Dataset.subset-out-of-range", lambda: POINTS.subset([0, 99]), InvalidInputError,
+     "indices must be integers in [-40, 40), got int64 values in [0, 99]"),
+    ("Dataset.subset-non-integer", lambda: POINTS.subset([0.5]), InvalidInputError,
+     "indices must be integers in [-40, 40), got float64 values in [0.5, 0.5]"),
     ("auc.shape", lambda: auc(np.zeros(3), np.array([0, 1])), InvalidInputError,
      "scores and labels must be 1-D vectors of equal length"),
     ("auc.non-finite", lambda: auc(np.array([0.0, np.nan]), np.array([0, 1])),
@@ -236,6 +242,18 @@ ARRAY_SITES = [
     ("ClassifierParams.coefficients-non-finite",
      lambda: ClassifierParams(np.array([np.inf, 0.0]), 0.0, 0.0), InvalidInputError,
      "classifier parameters must be finite"),
+    ("decision_function.columns",
+     lambda: decision_function(ClassifierParams(np.zeros(3), 0.0, 0.0), np.zeros((4, 2))),
+     InvalidInputError, "instances have 2 columns for 3 coefficients"),
+    ("predict_proba.non-finite",
+     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0, 0.0), np.array([[0.0, np.nan]])),
+     InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
+    ("predict_proba.1d",
+     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0, 0.0), np.zeros(2)),
+     InvalidInputError, "instances must be a 2-D matrix, got ndim=1"),
+    ("decision_function.beyond-bound",
+     lambda: decision_function(ClassifierParams(np.zeros(2), 0.0, 0.0), np.array([[0.0, 1e200]])),
+     InvalidInputError, "|instances| reaches 1e+200, beyond 3.35"),
     ("train_weighted_classifier.initial",
      lambda: train_weighted_classifier(LABELED, UNIFORM,
                                        initial=ClassifierParams(np.zeros(3), 0.0, 0.0)),
@@ -244,9 +262,14 @@ ARRAY_SITES = [
      InvalidInputError, "mu must be a vector, got shape (2, 1)"),
     ("GaussianParams.mu-non-finite", lambda: GaussianParams(np.array([np.nan, 0.0]), np.eye(2)),
      InvalidInputError, "mu and sigma must be finite"),
+    ("GaussianParams.mu-beyond-bound", lambda: GaussianParams(np.array([0.0, 1e200]), np.eye(2)),
+     InvalidInputError, "|mu| reaches 1e+200, beyond 3.35"),
     ("squared_euclidean_error.center",
      lambda: squared_euclidean_error(POINTS, np.array([np.inf, 0.0])), InvalidInputError,
      "center must be finite"),
+    ("squared_euclidean_error.center-beyond-bound",
+     lambda: squared_euclidean_error(POINTS, np.array([1e200, 0.0])), InvalidInputError,
+     "|center| reaches 1e+200, beyond 3.35"),
     # The largest bracket end cannot spread the weight of an error near the
     # float maximum evenly, so perplexity 2 of two neighbors is out of reach.
     ("calibrate_row_alpha.above-range", lambda: calibrate_row_alpha([0.0, 1.7e308], 2),
