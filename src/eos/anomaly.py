@@ -143,9 +143,15 @@ def flag_outliers(
             flags[int(np.argmax(w))] = False
     else:
         k_eff = min(param, n - 1)
-        order = np.lexsort((-result.errors, w))
         flags = np.zeros(n, dtype=bool)
-        flags[order[:k_eff]] = True
+        if k_eff:
+            # Only weights at or below the k-th smallest can be flagged.  Sorting
+            # just those, in index order, keeps the full sort's order of them and
+            # so its tie rules; a NaN weight stays a candidate, as it sorts last.
+            kth = np.partition(w, k_eff - 1)[k_eff - 1]
+            candidates = np.flatnonzero(~(w > kth))
+            order = np.lexsort((-result.errors[candidates], w[candidates]))
+            flags[candidates[order[:k_eff]]] = True
 
     return OutlierReport(
         weights=w,

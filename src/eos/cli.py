@@ -238,7 +238,8 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        # tolist() already gives Python scalars, except in an object array.
+        return obj.tolist() if obj.dtype != object else [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, np.generic):
         return obj.item()
     return obj

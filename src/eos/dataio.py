@@ -2,10 +2,13 @@
 
 Every value comes from one ``np.loadtxt`` pass over the whole file, which
 rounds like ``float()``; label and dropped columns go through converters so
-that each row's cells are still counted.  A line pass before it only counts
-lines, so a blank line, which ``np.loadtxt`` skips, is a missing row.  Only
-when the parse refuses a file or misses a row does a row-by-row scan read it
-again, to word the ``ParseError`` with line and column; it returns no values.
+that each row's cells are still counted.  Before it, a pass over the file's
+bytes in large chunks counts its lines, so a blank line, which
+``np.loadtxt`` skips, is a missing row.  It counts bytes, because decoding
+the file and stepping through it one line at a time costs more than the count.
+Only when the parse refuses a file or misses a row does a row-by-row scan
+read it again, to word the ``ParseError`` with line and column; it returns
+no values.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .data import Dataset
 from .exceptions import InvalidConfigError, ParseError
 
 __all__ = ["parse_csv_dataset"]
+
+_LINE_CHUNK = 2**20  # bytes read at a time by the line count
 
 
 def parse_csv_dataset(
@@ -94,7 +99,7 @@ def _read_csv(
         label_idx = header.index(label_column) if label_column is not None else None
 
         header_lines = reader.line_num
-        n_lines = sum(1 for _ in handle)
+    n_lines = _count_lines(path) - header_lines
     if n_lines == 0:
         raise ParseError(f"{path}: no data rows")
 
@@ -123,6 +128,26 @@ def _read_csv(
         values = values.take([i for i, _ in feature_cols], axis=1)
     values.setflags(write=False)
     return Dataset(values, labels, tuple(name for _, name in feature_cols))
+
+
+def _count_lines(path: Path) -> int:
+    """The number of lines a text read of ``path`` with ``newline=""`` yields:
+    ``\n``, ``\r\n`` and a lone ``\r`` each end one, and a last line
+    without an ending counts.  Neither byte occurs inside a UTF-8 sequence.
+    A numpy comparison counts bytes several times faster than ``bytes.count``."""
+    lines, last = 0, b""
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_LINE_CHUNK):
+            codes = np.frombuffer(chunk, dtype=np.uint8)
+            lines += int(np.count_nonzero(codes == ord("\n")))
+            if b"\r" in chunk:  # add the \r count, less the \r\n count
+                cr = codes == ord("\r")
+                lines += int(np.count_nonzero(cr))
+                lines -= int(np.count_nonzero(cr[:-1] & (codes[1:] == ord("\n"))))
+            if last == b"\r" and chunk.startswith(b"\n"):  # a \r\n split between chunks
+                lines -= 1
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
 
 
 def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:

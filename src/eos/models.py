@@ -5,9 +5,12 @@ minimizer of the weighted error (up to a tiny covariance floor) and the
 errors under it, so the alternating fit is guaranteed to descend.  Steps
 take ``fit``'s weights unchecked; the public functions check their inputs.
 
-Every Gaussian pass over the instances runs in cache-sized row blocks: one
-kernel accumulates the weighted moments, one writes the quadratic forms into
-a single T-vector, and no call allocates a T x D array.
+Every Gaussian pass over the instances runs in cache-sized row blocks, and
+no call allocates a T x D array.  The moments pass weights the rows of each
+block and adds one D x D product per block; the quadratic forms are written
+block by block into one T-vector.  Each block is centered by one flat
+subtraction (``data._centered_blocks``), because numpy's broadcast over an
+inner axis of only D elements costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .core import _check_real, check_weights
 from .data import Dataset, _centered_blocks, _check_peak
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NumericalError
 
 __all__ = [
     "GaussianParams",
@@ -58,6 +61,8 @@ class GaussianParams:
         if mu.ndim != 1:
             raise InvalidInputError(f"mu must be a vector, got shape {mu.shape}")
         d = mu.shape[0]
+        if d < 1:
+            raise InvalidInputError("mu must have at least one entry")
         if sigma.shape != (d, d):
             raise InvalidInputError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
@@ -130,14 +135,13 @@ def _quadratic_form(x: np.ndarray, params: GaussianParams) -> np.ndarray:
     return q
 
 
-def _negative_log_likelihood(x: np.ndarray, params: GaussianParams) -> np.ndarray:
+def _negative_log_likelihood(q: np.ndarray, params: GaussianParams) -> np.ndarray:
     """g_t = (0.5*log det Sigma + 0.5*q_t) / D, computed in place on the
     quadratic form q; log det Sigma = sum(log lambda)."""
-    g = _quadratic_form(x, params)
-    g *= 0.5
-    g += 0.5 * float(np.sum(np.log(params._spectrum[0])))
-    g /= x.shape[1]
-    return g
+    q *= 0.5
+    q += 0.5 * float(np.sum(np.log(params._spectrum[0])))
+    q /= params.dim
+    return q
 
 
 def _check_dim(dataset: Dataset, params: GaussianParams) -> None:
@@ -148,9 +152,19 @@ def _check_dim(dataset: Dataset, params: GaussianParams) -> None:
 
 
 def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
-    """(x - mu)^T Sigma^{-1} (x - mu) per row."""
+    """(x - mu)^T Sigma^{-1} (x - mu) per row.
+
+    Raises ``NumericalError`` when a distance overflows, which a covariance
+    far too small for the data's scale can make happen.
+    """
     _check_dim(dataset, params)
-    return _quadratic_form(dataset.instances, params)
+    q = _quadratic_form(dataset.instances, params)
+    if not np.isfinite(q.max()):  # NaN and inf carry through the max
+        raise NumericalError(
+            f"Mahalanobis distances overflow: sigma's smallest eigenvalue "
+            f"{params._spectrum[0][0]:.6e} is too small for the scale of the data"
+        )
+    return q
 
 
 def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
@@ -158,10 +172,10 @@ def gaussian_error(dataset: Dataset, params: GaussianParams) -> np.ndarray:
 
     g_t = (0.5*log(det Sigma) + 0.5*(x_t-mu)^T Sigma^{-1} (x_t-mu)) / D,
     evaluated through the eigendecomposition of Sigma; the covariance is
-    never inverted explicitly.
+    never inverted explicitly.  Raises ``NumericalError`` as
+    ``mahalanobis_squared`` does.
     """
-    _check_dim(dataset, params)
-    return _negative_log_likelihood(dataset.instances, params)
+    return _negative_log_likelihood(mahalanobis_squared(dataset, params), params)
 
 
 def covariance_floor(dataset: Dataset) -> float:
@@ -215,7 +229,7 @@ class GaussianModel:
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
         params = _floored_params(dataset, *_weighted_moments(dataset.instances, weights))
-        return params, _negative_log_likelihood(dataset.instances, params)
+        return params, _negative_log_likelihood(_quadratic_form(dataset.instances, params), params)
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:

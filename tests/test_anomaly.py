@@ -78,6 +78,24 @@ def test_topk_breaks_weight_ties_by_the_fits_larger_error_then_index(k, flagged)
     assert np.flatnonzero(report.flags).tolist() == flagged
 
 
+def test_topk_flags_the_first_k_of_the_full_sort():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(200, 2)))
+    # Five weight levels and four error levels: ties within ties everywhere.
+    w = rng.integers(1, 6, size=200).astype(float)
+    w /= w.sum()
+    errors = rng.integers(0, 4, size=200).astype(float)
+    tied = replace(fit(data, GaussianModel(), EosConfig(alpha=1.0)), weights=w, errors=errors)
+    order = np.lexsort((-errors, w))
+    at_tie = next(k for k in range(1, 199)
+                  if w[order[k - 1]] == w[order[k]] and errors[order[k - 1]] == errors[order[k]])
+    for k in (0, 1, at_tie, 199):
+        expected = np.zeros(200, dtype=bool)
+        expected[order[:k]] = True
+        report = eos.anomaly.flag_outliers(data, tied, 1.0, FlagRule.TOP_K, k)
+        assert np.array_equal(report.flags, expected)
+
+
 def test_topk_monotone_in_k():
     data, _ = planted_gaussian_2d(seed=4)
     previous: set[int] = set()

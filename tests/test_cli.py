@@ -530,6 +530,22 @@ def test_mislabel_bench_per_p_reports(tmp_path):
     assert per_p["0"]["suppression_fraction"] is None
 
 
+def _walk(array):
+    """An array as nested lists of Python scalars, one element at a time."""
+    return [_walk(v) for v in array] if array.ndim else array.item()
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.arange(5), np.arange(-3, 3, dtype=np.int32).reshape(2, 3), np.array([0.1, -2.5, 1e300]),
+     np.linspace(0.0, 1.0, 6).reshape(3, 2), np.array([True, False]), np.eye(2, dtype=bool)],
+    ids=["int-1d", "int32-2d", "float-1d", "float-2d", "bool-1d", "bool-2d"],
+)
+def test_jsonify_of_an_array_is_the_element_walk(array):
+    # repr tells 1 from 1.0 and True, so the element types must agree too.
+    assert repr(eos.cli._jsonify(array)) == repr(_walk(array))
+
+
 def _mislabel_config(tmp_path, flip_proportions):
     return _write_config(
         tmp_path / "cfg.json",

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eos.dataio
 from eos import EosError, InvalidConfigError, InvalidInputError, ParseError, parse_csv_dataset
 
 
@@ -192,6 +193,22 @@ def test_empty_and_missing_files(tmp_path):
     header_only = _write(tmp_path, "header.csv", "a,b\n")
     with pytest.raises(ParseError, match="no data rows"):
         parse_csv_dataset(header_only)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"a,b\r\n1,2\r\n3,4\r\n", b"a,b\r1,2\r\r3,4\r", b"a,b\n1,2\n3,4", b"a,b\r\n1,2\r3,4\n\n5,6\r"],
+    ids=["crlf", "lone-cr", "no-final-newline", "mixed"],
+)
+def test_byte_line_count_equals_the_text_count(tmp_path, monkeypatch, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with open(path, newline="", encoding="utf-8") as handle:
+        expected = sum(1 for _ in handle)
+    # For each \r\n, one of these chunk sizes ends a chunk between its \r and \n.
+    for chunk in (2**20, *range(1, len(content) + 1)):
+        monkeypatch.setattr(eos.dataio, "_LINE_CHUNK", chunk)
+        assert eos.dataio._count_lines(path) == expected
 
 
 _DECODE = " is not valid UTF-8: 'utf-8' codec can't decode byte"

@@ -12,6 +12,7 @@ from eos import (
     GaussianModel,
     GaussianParams,
     InvalidInputError,
+    NumericalError,
     SquaredEuclideanModel,
     Termination,
     calibrate_alpha,
@@ -81,6 +82,16 @@ def test_error_dimension_mismatch():
     params = GaussianParams(mu=np.zeros(2), sigma=np.eye(2))
     with pytest.raises(InvalidInputError):
         gaussian_error(data, params)
+
+
+@pytest.mark.parametrize("evaluate", [gaussian_error, mahalanobis_squared])
+def test_covariance_too_small_for_the_data_raises(evaluate):
+    # The distances overflow to inf without a warning; the suite turns warnings into errors.
+    data = Dataset(np.random.default_rng(0).standard_normal((5, 2)))
+    params = GaussianParams(mu=np.zeros(2), sigma=1e-320 * np.eye(2))
+    with pytest.raises(NumericalError, match=r"sigma's smallest eigenvalue 9\.99\d+e-321 is too "
+                                             r"small for the scale of the data"):
+        evaluate(data, params)
 
 
 def test_params_validation():
@@ -306,6 +317,20 @@ def test_single_block_step_is_the_one_shot_formula(d):
         params, errors = GaussianModel().step(data, w)
         assert np.array_equal(params.mu, mu)
         assert np.array_equal(errors, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 37])
+def test_centered_blocks_are_the_broadcast_difference(d):
+    size = _block_rows(d)
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(2 * size + 5, d)) * 1e3
+    mu = rng.normal(size=d)
+    for layout in (x, np.asfortranarray(x)):
+        starts = []
+        for rows, centered in eos_data._centered_blocks(layout, mu):
+            assert centered.tobytes() == (x[rows] - mu).tobytes()
+            starts.append(rows.start)
+        assert starts == [0, size, 2 * size]
 
 
 def test_step_allocates_no_instance_sized_matrix():

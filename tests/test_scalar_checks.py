@@ -260,6 +260,8 @@ ARRAY_SITES = [
      InvalidInputError, "initial coefficients must have length 2, got (3,)"),
     ("GaussianParams.mu-2d", lambda: GaussianParams(np.zeros((2, 1)), np.eye(2)),
      InvalidInputError, "mu must be a vector, got shape (2, 1)"),
+    ("GaussianParams.mu-empty", lambda: GaussianParams(np.zeros(0), np.zeros((0, 0))),
+     InvalidInputError, "mu must have at least one entry"),
     ("GaussianParams.mu-non-finite", lambda: GaussianParams(np.array([np.nan, 0.0]), np.eye(2)),
      InvalidInputError, "mu and sigma must be finite"),
     ("GaussianParams.mu-beyond-bound", lambda: GaussianParams(np.array([0.0, 1e200]), np.eye(2)),
