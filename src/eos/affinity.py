@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import _check_alpha, _check_int, _check_real, _checked_errors, _softmax
+from .core import _check_int, _check_real, _checked_errors, _softmax
 from .data import _FLOAT_MAX, Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import _squared_distances
@@ -41,14 +41,6 @@ def _check_sigma_sq(sigma_sq: float) -> float:
     """sigma_sq as a float: a positive real whose alpha = 2*sigma_sq is finite."""
     return _check_real(sigma_sq, lambda s: 0 < s <= _FLOAT_MAX / 2, InvalidConfigError,
                        f"sigma_sq must be a real in (0, {_FLOAT_MAX / 2!r}]")
-
-
-def _check_row_alpha(alpha: float) -> float:
-    """alpha as a float: a positive finite real whose half, sigma_sq, is positive."""
-    if _check_alpha(alpha) < _LEAST_ALPHA:
-        raise InvalidConfigError(f"alpha must be at least {_LEAST_ALPHA!r}, so that "
-                                 f"sigma_sq = alpha / 2 is positive, got {alpha!r}")
-    return float(alpha)
 
 
 def _check_perplexity(target_perplexity: float, n: int) -> float:
@@ -251,16 +243,15 @@ def affinity_blocks(
     dataset: Dataset,
     *,
     sigma_sq: float | None = None,
-    alpha: float | None = None,
     perplexity: float | None = None,
     anchors: range | None = None,
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
     """The rows of ``anchors`` of the affinity matrix, one block of anchors
     at a time, in anchor order.
 
-    Exactly one bandwidth mode is given: ``sigma_sq`` or ``alpha`` fix a
-    shared bandwidth (alpha = 2*sigma_sq, at least 1e-323), ``perplexity``
-    calibrates alpha per anchor by safeguarded Newton.  The arguments are
+    Exactly one bandwidth mode is given: ``sigma_sq`` fixes a shared
+    bandwidth, the w-step's alpha = 2*sigma_sq; ``perplexity`` calibrates
+    alpha per anchor by safeguarded Newton.  The arguments are
     checked at the call; the rows are computed as blocks are drawn.  A block
     is ``(anchors, values, sigma_sq)``: a range of anchors, their rows
     (R x T-1, neighbors ascending, the anchor left out) and each row's
@@ -278,20 +269,14 @@ def affinity_blocks(
     matching rows of the whole, and ranges can be drawn in separate
     processes.
     """
-    chosen = [v for v in (sigma_sq, alpha, perplexity) if v is not None]
-    if len(chosen) != 1:
-        raise InvalidConfigError(
-            "exactly one of sigma_sq, alpha, or perplexity must be given"
-        )
+    if (sigma_sq is None) == (perplexity is None):
+        raise InvalidConfigError("exactly one of sigma_sq or perplexity must be given")
     t = dataset.n_instances
     if t < 2:
         raise InvalidInputError("at least two instances are required for affinities")
     if perplexity is not None:
         perplexity = _check_perplexity(perplexity, t - 1)
-    elif sigma_sq is not None:
-        alpha = 2.0 * _check_sigma_sq(sigma_sq)
-    else:
-        alpha = _check_row_alpha(alpha)
+    alpha = None if sigma_sq is None else 2.0 * _check_sigma_sq(sigma_sq)
     if anchors is None:
         anchors = range(t)
     elif not (isinstance(anchors, range) and anchors.step == 1

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _positive,
-                   _softmax, _wlogw, fit)
+from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _ess,
+                   _positive, _softmax, fit)
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
 from .models import GaussianModel, GaussianParams
@@ -37,7 +37,8 @@ class FlagRule(str, Enum):
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Fitted weights, the binary flags derived from them, and how the fit ended."""
+    """What ``flag_outliers`` computed: the fitted weights, the binary flags
+    derived from them, read-only, and how the fit ended."""
 
     weights: np.ndarray
     flags: np.ndarray
@@ -47,16 +48,6 @@ class OutlierReport:
     gaussian: GaussianParams
     iterations: int
     termination: Termination
-
-    def __post_init__(self) -> None:
-        flags = np.array(self.flags, dtype=bool, copy=True)
-        if flags.shape != self.weights.shape:
-            raise InvalidInputError("flags and weights must have the same length")
-        if bool(flags.all()):
-            raise InvalidInputError("an outlier report must never flag every instance")
-        flags.setflags(write=False)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "rule", check_flag_rule(self.rule, self.rule_param)[0])
 
     @property
     def n_flagged(self) -> int:
@@ -153,6 +144,7 @@ def flag_outliers(
             order = np.lexsort((-result.errors[candidates], w[candidates]))
             flags[candidates[order[:k_eff]]] = True
 
+    flags.setflags(write=False)
     return OutlierReport(
         weights=w,
         flags=flags,
@@ -194,8 +186,7 @@ _LOW, _STOP, _HIGH = -1, 0, 1
 def _probe(dataset: Dataset, config: EosConfig) -> tuple[float, FitResult]:
     """One cold Gaussian fit at ``config.alpha`` and its ESS fraction."""
     result = fit(dataset, GaussianModel(), config)
-    # effective_sample_size(result.weights), less the checks fit's own weights pass.
-    return math.exp(max(-_wlogw(result.weights), 0.0)) / dataset.n_instances, result
+    return _ess(result.weights) / dataset.n_instances, result
 
 
 def calibrate_alpha(
@@ -274,9 +265,7 @@ def calibrate_alpha(
             known = settled(alpha)
             if known is not None:
                 return known
-            # effective_sample_size(w_step(errors, alpha)), less the checks fit's errors passed.
-            ess = math.exp(max(-_wlogw(_softmax(errors - least, alpha)), 0.0))
-            guess = verdict(alpha, ess / len(errors))
+            guess = verdict(alpha, _ess(_softmax(errors - least, alpha)) / len(errors))
             guesses.append((alpha, guess))
             return guess
 

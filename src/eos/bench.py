@@ -10,9 +10,9 @@ import numpy as np
 
 from .anomaly import FlagRule, calibrate_alpha, flag_outliers
 from .core import EosConfig, _check_int, _check_real, w_step
-from .data import Dataset, _scale_exponent
+from .data import Dataset
 from .exceptions import InvalidConfigError, InvalidInputError
-from .models import GaussianParams, mahalanobis_squared, weighted_gaussian_mle
+from .models import GaussianParams, covariance_floor, mahalanobis_squared, weighted_gaussian_mle
 
 __all__ = [
     "SyntheticSpec",
@@ -135,7 +135,8 @@ def mahalanobis_chi2_baseline(
 
     robust=False uses the classical MLE mean/covariance (subject to masking
     under heavy contamination); robust=True uses the coordinatewise median
-    and a MAD-rescaled diagonal covariance.
+    and a MAD-rescaled diagonal covariance, each variance raised to at least
+    ``covariance_floor(dataset)``.
     """
     quantile = _check_real(quantile, lambda q: 0.0 < q < 1.0, InvalidConfigError,
                            "quantile must lie in (0, 1)")
@@ -147,10 +148,7 @@ def mahalanobis_chi2_baseline(
         center = np.median(x, axis=0)
         mad = np.median(np.abs(x - center), axis=0) * 1.4826
         var = mad**2
-        exponent = _scale_exponent(x)  # x.var() sums T*D squares: scaled, it cannot overflow
-        spread = math.ldexp(float(np.ldexp(x, -exponent).var()), 2 * exponent)
-        floor = 1e-8 * max(float(var.mean()), spread, 1e-8)
-        params = GaussianParams(center, np.diag(np.maximum(var, floor)))
+        params = GaussianParams(center, np.diag(np.maximum(var, covariance_floor(dataset))))
     else:
         params = weighted_gaussian_mle(dataset, np.full(n, 1.0 / n))
     maha = mahalanobis_squared(dataset, params)

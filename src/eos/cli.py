@@ -19,11 +19,11 @@ nothing else, and no option or environment variable sets the split.
 
 The ``eos`` section is the library's ``EosConfig``, so every command checks
 it when the config is parsed and echoes it in ``report.json``.  Only detect
-without calibration reads ``eos.alpha`` (set by ``--alpha``); mislabel-bench,
-affinity and timing read no ``eos`` key.  robust-train reads ``eos.tol`` and
-``eos.max_iters``, with ``robust_train.alpha`` or with the alpha that
-``select_alpha`` selects when it is unset.  Only synth-bench, mislabel-bench
-and timing read the root ``seed``; every fit starts from uniform weights.
+without calibration reads ``eos.alpha``; mislabel-bench, affinity and timing
+read no ``eos`` key.  robust-train reads ``eos.tol`` and ``eos.max_iters``,
+with ``robust_train.alpha`` or with the alpha that ``select_alpha`` selects
+when it is unset.  Only synth-bench, mislabel-bench and timing read the root
+``seed``; every fit starts from uniform weights.
 
 The same config and seed give the same ``report.json`` and CSVs byte for
 byte, but for ``created_at`` and timing's wall-clock times, under the same
@@ -95,7 +95,6 @@ class DetectSection:
 @dataclass(frozen=True)
 class AffinitySection:
     sigma_sq: float | None = None
-    alpha: float | None = None
     perplexity: float | None = None
 
 
@@ -461,8 +460,7 @@ def _run_affinity(config: RunConfig, out_dir: Path) -> dict:
     data = _load_input(config, require_labels=False)
     section = config.affinity
     t = data.n_instances
-    bandwidth = {"sigma_sq": section.sigma_sq, "alpha": section.alpha,
-                 "perplexity": section.perplexity}
+    bandwidth = {"sigma_sq": section.sigma_sq, "perplexity": section.perplexity}
 
     def rows(anchors: range, row_sigma_sq: list[float]) -> Iterator[str]:
         # affinity_blocks checks its arguments as it is called, not as rows are drawn.
@@ -628,8 +626,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output", default=None, help="override the output directory")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="override eos.alpha, read only by detect without calibration")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
 
@@ -646,8 +642,6 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, seed=args.seed)
         if args.output is not None:
             config = replace(config, output_dir=args.output)
-        if args.alpha is not None:
-            config = replace(config, eos=replace(config.eos, alpha=args.alpha))
         return run(config, quiet=args.quiet)
     except (EosError, MemoryError) as exc:  # MemoryError: a config size numpy cannot allocate
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -17,8 +17,8 @@ tolerance.  The alternation is a fixed-point map on the error vector,
 g -> errors(step(w_step(g))), which ``fit`` accelerates with SQUAREM: any
 real error vector gives valid weights, so extrapolated errors are safe to
 step from.  The public functions check their inputs and call the unchecked
-kernels ``_softmax`` and ``_wlogw``; ``fit`` and the calibrations in
-``anomaly`` and ``affinity`` call them directly on arrays already checked.
+kernels ``_softmax``, ``_wlogw`` and ``_ess``; ``fit`` and the calibrations
+in ``anomaly`` and ``affinity`` call them directly on arrays already checked.
 
 Scalar parameters, here and in the other modules, are checked by
 ``_check_real`` or ``_check_int``: one rule for what counts as a number
@@ -210,6 +210,11 @@ def _wlogw(weights: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
+def _ess(weights: np.ndarray) -> float:
+    """exp(-sum(w*log w)), the effective sample size, with the entropy held at 0 or above."""
+    return math.exp(max(-_wlogw(weights), 0.0))
+
+
 def w_step(errors: np.ndarray, alpha: float) -> np.ndarray:
     """Closed-form entropic weight update.
 
@@ -236,7 +241,7 @@ def shannon_entropy(weights: np.ndarray) -> float:
 
 def effective_sample_size(weights: np.ndarray) -> float:
     """exp(entropy): how many instances effectively carry weight."""
-    return math.exp(shannon_entropy(weights))
+    return _ess(check_weights(weights))
 
 
 def _extrapolate(

@@ -191,8 +191,8 @@ def test_affinity_blocks_modes():
     data = Dataset(rng.normal(size=(8, 2)))
     [(anchors, by_sigma, sigma_sq)] = affinity_blocks(data, sigma_sq=0.5)
     assert anchors == range(8) and by_sigma.shape == (8, 7) and sigma_sq.tolist() == [0.5] * 8
-    [(_, by_alpha, _)] = affinity_blocks(data, alpha=1.0)
-    assert np.abs(by_sigma - by_alpha).max() <= 1e-15
+    # The Gaussian row is the w-step on the squared distances at alpha = 2*sigma_sq.
+    assert np.array_equal(by_sigma[0], w_step(_row_errors(data, 0), 1.0))
     [(_, by_perp, perp_sigma_sq)] = affinity_blocks(data, perplexity=4.0)
     for row in by_perp:
         assert math.exp(shannon_entropy(row)) == pytest.approx(4.0, rel=2e-4)
@@ -200,18 +200,18 @@ def test_affinity_blocks_modes():
         [(_, _, same)] = affinity_blocks(data, perplexity=perplexity)
         assert same.tolist() == perp_sigma_sq.tolist()
     # The generator checks its arguments when called, before any block is drawn.
-    with pytest.raises(InvalidConfigError):
-        affinity_blocks(data, sigma_sq=1.0, alpha=1.0)
-    with pytest.raises(InvalidConfigError):
-        affinity_blocks(data)
+    for both_or_neither in ({"sigma_sq": 1.0, "perplexity": 4.0}, {}):
+        with pytest.raises(InvalidConfigError,
+                           match="^exactly one of sigma_sq or perplexity must be given$"):
+            affinity_blocks(data, **both_or_neither)
     with pytest.raises(InvalidInputError, match="target perplexity"):
         affinity_blocks(data, perplexity=8.0)
 
 
 
 @pytest.mark.parametrize(
-    "bandwidth", [{"perplexity": 7.0}, {"sigma_sq": 0.6}, {"alpha": 1.3}],
-    ids=["perplexity", "sigma_sq", "alpha"],
+    "bandwidth", [{"perplexity": 7.0}, {"sigma_sq": 0.6}, {"sigma_sq": 0.65}],
+    ids=["perplexity", "sigma_sq", "sigma_sq-0.65"],
 )
 def test_affinity_blocks_over_anchor_ranges_equal_the_whole_bit_for_bit(monkeypatch, bandwidth):
     data = Dataset(np.random.default_rng(23).normal(size=(40, 3)))
@@ -238,7 +238,7 @@ def test_affinity_blocks_over_anchor_ranges_equal_the_whole_bit_for_bit(monkeypa
 )
 def test_affinity_blocks_rejects_bad_anchors_at_the_call(anchors):
     with pytest.raises(InvalidInputError, match="anchors must be a non-empty range of step 1"):
-        affinity_blocks(Dataset(np.eye(5)), alpha=1.0, anchors=anchors)
+        affinity_blocks(Dataset(np.eye(5)), sigma_sq=0.5, anchors=anchors)
 
 
 @pytest.mark.parametrize("i", [1.0, 1.5], ids=["integral-float", "fraction"])
@@ -271,7 +271,6 @@ def test_affinity_blocks_equal_single_row_results_bit_for_bit():
         sigma_sq = float(10.0 ** rng.uniform(-2, 2))
         [(_, by_perplexity, perplexity_sigma_sq)] = affinity_blocks(data, perplexity=perplexity)
         [(_, by_sigma, _)] = affinity_blocks(data, sigma_sq=sigma_sq)
-        [(_, by_alpha, _)] = affinity_blocks(data, alpha=2.0 * sigma_sq)
         for i in range(t):
             errors = _row_errors(data, i)
             alpha = calibrate_row_alpha(errors, perplexity)
@@ -279,7 +278,6 @@ def test_affinity_blocks_equal_single_row_results_bit_for_bit():
             assert perplexity_sigma_sq[i] == alpha / 2.0
             fixed = gaussian_affinity_row(data, i, sigma_sq)
             assert np.array_equal(by_sigma[i], fixed)
-            assert np.array_equal(by_alpha[i], fixed)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
@@ -351,7 +349,7 @@ def test_affinity_blocks_calibration_error_names_the_anchor():
 
 @pytest.mark.parametrize(
     "bandwidth",
-    [{"alpha": 0.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"sigma_sq": -1.0}],
+    [{"sigma_sq": 0.0}, {"sigma_sq": math.nan}, {"sigma_sq": math.inf}, {"sigma_sq": -1.0}],
 )
 def test_affinity_blocks_rejects_bad_bandwidth(bandwidth):
     with pytest.raises(InvalidConfigError):
@@ -359,9 +357,6 @@ def test_affinity_blocks_rejects_bad_bandwidth(bandwidth):
 
 
 _SIGMA_SQ_MESSAGE = "sigma_sq must be a real in (0, 8.988465674311579e+307], got "
-_HALF_ALPHA_MESSAGE = (
-    "alpha must be at least 1e-323, so that sigma_sq = alpha / 2 is positive, got 5e-324"
-)
 
 
 _PERPLEXITY_MESSAGE = "target perplexity must be a real in [1, 2] for 2 neighbors, got "
@@ -370,23 +365,19 @@ _PERPLEXITY_MESSAGE = "target perplexity must be a real in [1, 2] for 2 neighbor
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda d: affinity_blocks(d, alpha=-1.0), "alpha must be a positive finite real, got -1.0"),
-        (lambda d: affinity_blocks(d, alpha="2"), "alpha must be a positive finite real, got '2'"),
+        (lambda d: affinity_blocks(d, sigma_sq=-0.5), _SIGMA_SQ_MESSAGE + "-0.5"),
         (lambda d: affinity_blocks(d, sigma_sq=1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
         (lambda d: affinity_blocks(d, sigma_sq="2"), _SIGMA_SQ_MESSAGE + "'2'"),
         (lambda d: gaussian_affinity_row(d, 0, 1e308), _SIGMA_SQ_MESSAGE + "1e+308"),
-        # sigma_sq = alpha / 2 would round to 0.
-        (lambda d: affinity_blocks(d, alpha=5e-324), _HALF_ALPHA_MESSAGE),
         # A perplexity out of range or not a real is bad input, not a bad bandwidth.
         (lambda d: next(affinity_blocks(d, perplexity=3.0)), _PERPLEXITY_MESSAGE + "3.0"),
         (lambda d: next(affinity_blocks(d, perplexity="2")), _PERPLEXITY_MESSAGE + "'2'"),
         (lambda d: calibrate_row_alpha(np.arange(2.0), "2"), _PERPLEXITY_MESSAGE + "'2'"),
         (lambda d: calibrate_row_alpha(np.arange(2.0), None), _PERPLEXITY_MESSAGE + "None"),
     ],
-    ids=["rows-alpha-negative", "rows-alpha-string", "rows-sigma-sq-huge", "rows-sigma-sq-string",
-         "row-sigma-sq-huge", "rows-alpha-half-underflows",
-         "blocks-perplexity-huge", "blocks-perplexity-string", "row-perplexity-string",
-         "row-perplexity-none"],
+    ids=["rows-sigma-sq-negative", "rows-sigma-sq-huge", "rows-sigma-sq-string",
+         "row-sigma-sq-huge", "blocks-perplexity-huge", "blocks-perplexity-string",
+         "row-perplexity-string", "row-perplexity-none"],
 )
 def test_bad_bandwidth_is_named_as_given(call, message):
     error_type = InvalidInputError if message.startswith("target perplexity") else InvalidConfigError

@@ -96,6 +96,15 @@ def test_topk_flags_the_first_k_of_the_full_sort():
         assert np.array_equal(report.flags, expected)
 
 
+@pytest.mark.parametrize("rule, param", [(FlagRule.RELATIVE_THRESHOLD, 0.1), (FlagRule.TOP_K, 3)])
+def test_flags_are_read_only(rule, param):
+    data = Dataset(np.random.default_rng(2).normal(size=(20, 2)))
+    report = eos.anomaly.flag_outliers(data, fit(data, GaussianModel(), EosConfig()), 1.0,
+                                       rule, param)
+    with pytest.raises(ValueError, match="read-only"):
+        report.flags[0] = not report.flags[0]
+
+
 def test_topk_monotone_in_k():
     data, _ = planted_gaussian_2d(seed=4)
     previous: set[int] = set()
@@ -280,8 +289,9 @@ def test_calibration_walk_closes_on_neighbouring_floats(monkeypatch, step):
     assert 50 < len(probed) < 64
 
 
-def _bisect_alpha(dataset, target_ess_fraction, config):
-    """calibrate_alpha as plain bisection: a cold fit at every node, in order."""
+def _bisect_alpha(dataset, target_ess_fraction, config, fraction_at=None):
+    """calibrate_alpha as plain bisection: a cold fit at every node, in order.
+    ``fraction_at(alpha)``, when given, stands in for each fit's ESS fraction."""
     n = dataset.n_instances
     model = GaussianModel()
     path = []
@@ -289,7 +299,8 @@ def _bisect_alpha(dataset, target_ess_fraction, config):
 
     def probe(alpha):
         result = fit(dataset, model, replace(config, alpha=alpha))
-        fraction = effective_sample_size(result.weights) / n
+        fraction = (effective_sample_size(result.weights) / n if fraction_at is None
+                    else fraction_at(alpha))
         path.append((alpha, fraction))
         probe_fits.append((result.iterations, result.termination))
         return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
@@ -319,6 +330,33 @@ def _bisect_alpha(dataset, target_ess_fraction, config):
             low = probed
         else:
             high = probed
+
+
+def test_calibration_fits_an_end_node_the_replay_settled_without_a_fit(monkeypatch):
+    # Monotone fractions, all but the midpoint 1's within 0.01 of the target
+    # 0.3.  The low end's 0.296 stops no search, as it lies below the target,
+    # yet as a midpoint's lower bound it is within the band, as is 0.303 at
+    # the probed 0.0078; so the replay settles the node 1e-3 between them as
+    # the stop without a fit, and that node is fitted before it is returned.
+    def fraction(alpha):
+        return 0.296 if alpha < 9.5e-6 else 0.303 if alpha < 0.318 else 0.3104
+
+    probe = eos.anomaly._probe
+    probed = []
+
+    def faked(dataset, config):
+        probed.append(config.alpha)
+        return fraction(config.alpha), probe(dataset, config)[1]
+
+    monkeypatch.setattr(eos.anomaly, "_probe", faked)
+    data, _ = planted_gaussian_2d(seed=11)
+    config = EosConfig(alpha=1.0)
+    result = calibrate_alpha(data, 0.3, config)
+    expected = _bisect_alpha(data, 0.3, config, fraction)
+    assert probed[-1] == result.alpha == expected.alpha == 1e-3
+    assert result.attained_fraction == expected.attained_fraction
+    assert result.saturated is expected.saturated is False
+    assert np.array_equal(result.fit.weights, expected.fit.weights)
 
 
 def _synthetic(seed, t=1000):

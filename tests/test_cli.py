@@ -178,13 +178,6 @@ def test_negative_seed_override_exits_2(detect_setup, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidConfigError"
 
 
-def test_detect_alpha_override(detect_setup):
-    tmp_path, cfg_path, _ = detect_setup
-    assert main(["--config", str(cfg_path), "--quiet", "--alpha", "2.5",
-                 "--output", str(tmp_path / "out3")]) == 0
-    assert _report(tmp_path / "out3")["results"]["alpha_used"] == 2.5
-
-
 @pytest.mark.parametrize(
     "target, identical",
     [(0.90, False), (1.0, False), (0.5, True)],
@@ -407,14 +400,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert error["error"]["type"] == "InvalidConfigError"
 
 
-def test_eos_init_policy_is_an_unknown_key(tmp_path, capsys):
-    # Every fit starts from uniform weights; no key selects another start.
-    cfg_path = _write_config(tmp_path / "cfg.json",
-                             {"command": "detect", "eos": {"init_policy": "uniform"}})
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [("detect", "eos", "init_policy", "uniform"), ("affinity", "affinity", "alpha", 0.8)],
+    ids=["eos.init_policy", "affinity.alpha"],
+)
+def test_eos_init_policy_is_an_unknown_key(tmp_path, capsys, command, section, key, value):
+    # Every fit starts from uniform weights, and affinity's one fixed
+    # bandwidth is sigma_sq: no key selects another start or spelling.
+    cfg_path = _write_config(tmp_path / "cfg.json", {"command": command, section: {key: value}})
     assert main(["--config", str(cfg_path), "--quiet"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidConfigError",
-                     "message": "unknown key(s) ['init_policy'] in config section 'eos'"}
+                     "message": f"unknown key(s) ['{key}'] in config section '{section}'"}
 
 
 @pytest.mark.parametrize(
@@ -849,8 +847,7 @@ def _affinity_config(tmp_path, section):
 
 
 @pytest.mark.parametrize(
-    "section", [{"perplexity": 5.0}, {"alpha": 0.8}, {"sigma_sq": 0.4}],
-    ids=["perplexity", "alpha", "sigma_sq"],
+    "section", [{"perplexity": 5.0}, {"sigma_sq": 0.4}], ids=["perplexity", "sigma_sq"],
 )
 def test_affinity_csv_matches_csv_writer(tmp_path, section):
     data_path, cfg_path = _affinity_config(tmp_path, section)
@@ -956,10 +953,10 @@ def _use_cpus(monkeypatch, n):
 # The fewest anchors whose affinity.csv reaches the cut-off for a split.
 _CUT_OFF_T = 448
 
-_SECTIONS = [{"perplexity": 5.0}, {"alpha": 0.8}, {"sigma_sq": 0.4}]
+_SECTIONS = [{"perplexity": 5.0}, {"sigma_sq": 0.4}]
 
 
-@pytest.mark.parametrize("section", _SECTIONS, ids=["perplexity", "alpha", "sigma_sq"])
+@pytest.mark.parametrize("section", _SECTIONS, ids=["perplexity", "sigma_sq"])
 @pytest.mark.parametrize(
     "t, min_floats", [(_CUT_OFF_T, None), (_CUT_OFF_T + 1, None), (15, 1)],
     ids=["cut-off", "odd", "one-block-halves"],
@@ -1141,7 +1138,7 @@ def test_affinity_is_split_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch
         _use_cpus(monkeypatch, cpus)
         data_path = _write_csv(tmp_path / f"data-{n}.csv", x[:n])
         cfg_path = _write_config(tmp_path / "cfg.json", {
-            "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
+            "command": "affinity", "input_path": str(data_path), "affinity": {"sigma_sq": 0.4},
         })
         out, before = tmp_path / f"out-{n}-{cpus}-{hasattr(os, 'fork')}", len(forks)
         assert main(["--config", str(cfg_path), "--output", str(out), "--quiet"]) == 0
@@ -1163,7 +1160,7 @@ def test_outputs_get_the_mode_a_plain_open_gives(detect_setup, monkeypatch, umas
     data_path = _write_csv(tmp_path / "points.csv",
                            np.random.default_rng(5).standard_normal((_CUT_OFF_T, 3)))
     affinity_cfg = _write_config(tmp_path / "affinity.json", {
-        "command": "affinity", "input_path": str(data_path), "affinity": {"alpha": 0.8},
+        "command": "affinity", "input_path": str(data_path), "affinity": {"sigma_sq": 0.4},
     })
     forks = _spy_on_fork(monkeypatch)
     _use_cpus(monkeypatch, 2)

@@ -129,7 +129,7 @@ def test_w_step_quotient_beyond_the_float_range_is_weight_zero():
     result = fit(data, SquaredEuclideanModel(), EosConfig(alpha=1e-10))
     assert result.termination is Termination.CONVERGED
     assert np.array_equal(result.weights, [0.5, 0.5, 0.0])
-    [(_, rows, _)] = affinity_blocks(Dataset(np.array([[0.0], [1.0], [3.0]])), alpha=1e-320)
+    [(_, rows, _)] = affinity_blocks(Dataset(np.array([[0.0], [1.0], [3.0]])), sigma_sq=5e-321)
     assert rows.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 

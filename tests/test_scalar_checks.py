@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 import re
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from eos import (
     InvalidConfigError,
     InvalidInputError,
     MislabelExperimentConfig,
-    OutlierReport,
     SyntheticSpec,
     affinity_blocks,
     auc,
@@ -38,6 +38,7 @@ from eos import (
     check_flag_rule,
     decision_function,
     detect,
+    effective_sample_size,
     fit,
     flag_outliers,
     gaussian_affinity_row,
@@ -49,6 +50,7 @@ from eos import (
     robust_fit,
     run_synth_benchmark,
     select_alpha,
+    shannon_entropy,
     squared_euclidean_error,
     timing_probe_wstep,
     train_weighted_classifier,
@@ -70,11 +72,6 @@ def _timing_rows(**kwargs):
     rows = timing_probe_wstep(**{"t_grid": [16], "d_grid": [2], "repeats": 5, "fixed_t": 16,
                                  "warmup": 0, **kwargs})
     return [{k: v for k, v in row.items() if not k.endswith("_s")} for row in rows]
-
-
-def _report(rule):
-    return OutlierReport(UNIFORM, np.zeros(40, dtype=bool), rule, 0.1, 1.0, FIT.theta,
-                         FIT.iterations, FIT.termination)
 
 
 def _mislabel(**sizes):
@@ -102,8 +99,6 @@ SITES = [
      np.float32(3.5), InvalidInputError),
     ("affinity_blocks.sigma_sq", lambda v: list(affinity_blocks(POINTS, sigma_sq=v)),
      np.int64(1), InvalidConfigError),
-    ("affinity_blocks.alpha", lambda v: list(affinity_blocks(POINTS, alpha=v)), np.int64(2),
-     InvalidConfigError),
     ("affinity_blocks.perplexity", lambda v: list(affinity_blocks(POINTS, perplexity=v)),
      np.float32(5.5), InvalidInputError),
     ("detect.relative_threshold",
@@ -114,8 +109,6 @@ SITES = [
     ("flag_outliers.top_k", lambda v: flag_outliers(POINTS, FIT, 1.0, FlagRule.TOP_K, v),
      np.float32(4.0), InvalidConfigError),
     ("flag_outliers.alpha", lambda v: flag_outliers(POINTS, FIT, v), np.float32(1.0),
-     InvalidConfigError),
-    ("OutlierReport.rule", _report, np.str_(FlagRule.RELATIVE_THRESHOLD.value),
      InvalidConfigError),
     ("check_flag_rule.relative_threshold",
      lambda v: check_flag_rule(FlagRule.RELATIVE_THRESHOLD, v), np.float32(0.3),
@@ -201,8 +194,7 @@ SITES = [
 ]
 IDS = [site[0] for site in SITES]
 # None selects another mode at these sites, so it is no bad value there.
-NONE_MEANS_UNSET = {"affinity_blocks.sigma_sq", "affinity_blocks.alpha",
-                    "affinity_blocks.perplexity"}
+NONE_MEANS_UNSET = {"affinity_blocks.sigma_sq", "affinity_blocks.perplexity"}
 BAD = [pytest.param(*site, bad, id=f"{site[0]}-{label}")
        for site in SITES
        for bad, label in (("x", "str"), (None, "None"), (True, "bool"))
@@ -272,6 +264,17 @@ ARRAY_SITES = [
     ("squared_euclidean_error.center-beyond-bound",
      lambda: squared_euclidean_error(POINTS, np.array([1e200, 0.0])), InvalidInputError,
      "|center| reaches 1e+200, beyond 3.35"),
+    ("shannon_entropy.weights-2d", lambda: shannon_entropy(np.full((2, 2), 0.25)),
+     InvalidInputError, "weights must be a non-empty 1-D vector, got shape (2, 2)"),
+    ("effective_sample_size.weights-non-finite",
+     lambda: effective_sample_size(np.array([np.nan, 1.0])), InvalidInputError,
+     "weights contain a non-finite entry"),
+    ("fit.error-model-shape",
+     lambda: fit(POINTS, types.SimpleNamespace(step=lambda data, w: (None, np.zeros(39))),
+                 EosConfig()),
+     InvalidInputError, "error model returned shape (39,), expected (40,)"),
+    ("mislabel_experiment.split-too-small", lambda: _mislabel(task_size=5), InvalidInputError,
+     "split of T=5 leaves too few instances on one side"),
     # The largest bracket end cannot spread the weight of an error near the
     # float maximum evenly, so perplexity 2 of two neighbors is out of reach.
     ("calibrate_row_alpha.above-range", lambda: calibrate_row_alpha([0.0, 1.7e308], 2),
