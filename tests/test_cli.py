@@ -178,6 +178,18 @@ def test_negative_seed_override_exits_2(detect_setup, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidConfigError"
 
 
+def test_detect_alpha_is_set_by_eos_alpha_only(detect_setup, capsys):
+    tmp_path, _, config = detect_setup
+    cfg_path = _write_config(tmp_path / "alpha.json", {**config, "eos": {"alpha": 2.5}})
+    assert main(["--config", str(cfg_path), "--quiet", "--output", str(tmp_path / "out3")]) == 0
+    assert _report(tmp_path / "out3")["results"]["alpha_used"] == 2.5
+    # No flag spells it a second way: --alpha is a usage error.
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(cfg_path), "--quiet", "--alpha", "1.0"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --alpha 1.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "target, identical",
     [(0.90, False), (1.0, False), (0.5, True)],

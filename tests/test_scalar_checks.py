@@ -106,6 +106,11 @@ SITES = [
      np.float32(0.3), InvalidConfigError),
     ("detect.top_k", lambda v: detect(POINTS, EosConfig(alpha=1.0), FlagRule.TOP_K, v),
      np.int64(4), InvalidConfigError),
+    # The flag rule is checked where it is given: a report holds a checked one.
+    ("detect.rule", lambda v: detect(POINTS, EosConfig(alpha=1.0), v, 0.1),
+     np.str_(FlagRule.RELATIVE_THRESHOLD.value), InvalidConfigError),
+    ("flag_outliers.rule", lambda v: flag_outliers(POINTS, FIT, 1.0, v, 0.1),
+     np.str_(FlagRule.RELATIVE_THRESHOLD.value), InvalidConfigError),
     ("flag_outliers.top_k", lambda v: flag_outliers(POINTS, FIT, 1.0, FlagRule.TOP_K, v),
      np.float32(4.0), InvalidConfigError),
     ("flag_outliers.alpha", lambda v: flag_outliers(POINTS, FIT, v), np.float32(1.0),
