@@ -3,6 +3,8 @@
 A fit concentrates weight on instances the Gaussian explains well; points
 whose converged weight is far below the uniform share 1/T are flagged as
 outliers, either by a relative threshold or by taking the k smallest.
+Flags read only a fit's weights and errors, so any model's fit can be
+flagged; each result holds its fit rather than copies of the fit's values.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (EosConfig, FitResult, Termination, _check_alpha, _check_real, _ess,
-                   _positive, _softmax, fit)
+from .core import EosConfig, FitResult, Termination, _check_real, _ess, _positive, _softmax, fit
 from .data import Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
-from .models import GaussianModel, GaussianParams
+from .models import GaussianModel
 
 __all__ = [
     "FlagRule",
@@ -37,17 +38,13 @@ class FlagRule(str, Enum):
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """What ``flag_outliers`` computed: the fitted weights, the binary flags
-    derived from them, read-only, and how the fit ended."""
+    """What ``flag_outliers`` computed: the read-only binary flags that
+    ``rule`` at ``rule_param`` derives from ``fit``, the fit they flag."""
 
-    weights: np.ndarray
+    fit: FitResult = field(repr=False, compare=False)
     flags: np.ndarray
     rule: FlagRule
     rule_param: float
-    alpha_used: float
-    gaussian: GaussianParams
-    iterations: int
-    termination: Termination
 
     @property
     def n_flagged(self) -> int:
@@ -59,17 +56,15 @@ class AlphaCalibration:
     """Result of the ESS-fraction bisection.
 
     ``saturated`` is the warning flag: the target was unattainable inside
-    the bracket and ``alpha`` is the nearer bracket endpoint.  ``path``
+    the bracket and ``fit.alpha`` is the nearer bracket endpoint.  ``path``
     holds every probed (alpha, attained fraction) pair in probe order.  The
     probes are nodes of the bisection, its first midpoint first: the nodes
     that decided the result, the returned alpha among them, not every node
     the bisection passed.  ``probe_fits`` holds each probe's
     (iterations, termination), in the order of ``path``.  ``fit`` is the
-    fit computed at ``alpha``, reused to flag outliers instead of fitting
-    again.
+    fit at the calibrated alpha, ``fit.alpha``: flag outliers from it.
     """
 
-    alpha: float
     attained_fraction: float
     saturated: bool
     path: tuple[tuple[float, float], ...]
@@ -97,35 +92,31 @@ def detect(
 ) -> OutlierReport:
     """Fit the Gaussian model at ``config.alpha`` and flag outliers from it.
 
-    This is one ``fit`` followed by ``flag_outliers``.  After
+    This is one ``fit`` followed by ``flag_outliers``; the report holds that
+    fit.  The rule and T >= D+2 are checked before the fit.  After
     ``calibrate_alpha``, call ``flag_outliers`` on the calibration's fit
     instead: it is the fit this function would compute again.
     """
     check_flag_rule(rule, rule_param)
-    result = fit(dataset, GaussianModel(), config)
-    return flag_outliers(dataset, result, config.alpha, rule, rule_param)
+    _check_enough_instances(dataset)
+    return flag_outliers(fit(dataset, GaussianModel(), config), rule, rule_param)
 
 
 def flag_outliers(
-    dataset: Dataset,
     result: FitResult,
-    alpha: float,
     rule: FlagRule = FlagRule.RELATIVE_THRESHOLD,
     rule_param: float = 0.1,
 ) -> OutlierReport:
-    """Convert the converged weights of a Gaussian fit at ``alpha`` to flags.
+    """Convert the converged weights of a fit to flags, T = ``result.weights.size``.
 
     RELATIVE_THRESHOLD flags instances with weight below rule_param/T.
     TOP_K flags the min(rule_param, T-1) smallest weights, breaking ties by
-    larger error and then, as the sort is stable, by smaller index.
+    larger error and then, as the sort is stable, by smaller index.  Any
+    error model's fit can be flagged; the report holds ``result`` itself.
     """
-    n, d = dataset.n_instances, dataset.n_features
-    if n < d + 2:
-        raise InvalidInputError(
-            f"need at least D+2 = {d + 2} instances for a stable covariance, got T={n}"
-        )
     rule, param = check_flag_rule(rule, rule_param)
     w = result.weights
+    n = w.size
 
     if rule is FlagRule.RELATIVE_THRESHOLD:
         flags = w < param / n
@@ -145,16 +136,15 @@ def flag_outliers(
             flags[candidates[order[:k_eff]]] = True
 
     flags.setflags(write=False)
-    return OutlierReport(
-        weights=w,
-        flags=flags,
-        rule=rule,
-        rule_param=float(rule_param),
-        alpha_used=_check_alpha(alpha),
-        gaussian=result.theta,
-        iterations=result.iterations,
-        termination=result.termination,
-    )
+    return OutlierReport(fit=result, flags=flags, rule=rule, rule_param=float(rule_param))
+
+
+def _check_enough_instances(dataset: Dataset) -> None:
+    """T >= D+2, the least a stable covariance needs; checked before any fit."""
+    n, d = dataset.n_instances, dataset.n_features
+    if n < d + 2:
+        raise InvalidInputError(
+            f"need at least D+2 = {d + 2} instances for a stable covariance, got T={n}")
 
 
 def check_flag_rule(rule: FlagRule, rule_param: float) -> tuple[FlagRule, float | int]:
@@ -200,7 +190,8 @@ def calibrate_alpha(
     jumps across the target between them, and no alpha reaches it.  If even
     the bracket endpoints cannot reach the target, the nearer endpoint is
     returned with ``saturated=True``.  The fit at the returned alpha, an
-    endpoint included, is kept in the result.
+    endpoint included, is kept in the result.  Like ``detect``, it raises
+    ``InvalidInputError`` before any fit unless T >= D+2.
 
     The effective sample size exp(entropy(w)) divided by T is assumed
     non-decreasing in alpha; the result's ``monotone`` reports whether the
@@ -216,6 +207,7 @@ def calibrate_alpha(
     """
     target = _check_real(target_ess_fraction, lambda f: 0.0 < f <= 1.0, InvalidInputError,
                          "target ESS fraction must lie in (0, 1]")
+    _check_enough_instances(dataset)
     probe_fits: list[tuple[int, Termination]] = []
     # Each probe's fraction by alpha, in probe order.
     fractions: dict[float, float] = {}
@@ -321,5 +313,5 @@ def calibrate_alpha(
     # An endpoint stops on the far side of the target, a midpoint within the band.
     saturated = abs(fraction - target) > _ESS_TOL
     return AlphaCalibration(
-        alpha, fraction, saturated, tuple(fractions.items()), tuple(probe_fits), returnable[alpha]
+        fraction, saturated, tuple(fractions.items()), tuple(probe_fits), returnable[alpha]
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anomaly import FlagRule, calibrate_alpha, flag_outliers
+from .anomaly import FlagRule, _check_enough_instances, calibrate_alpha, flag_outliers
 from .core import EosConfig, _check_int, _check_real, w_step
 from .data import Dataset
 from .exceptions import InvalidConfigError, InvalidInputError
@@ -140,9 +140,8 @@ def mahalanobis_chi2_baseline(
     """
     quantile = _check_real(quantile, lambda q: 0.0 < q < 1.0, InvalidConfigError,
                            "quantile must lie in (0, 1)")
+    _check_enough_instances(dataset)
     n, d = dataset.n_instances, dataset.n_features
-    if n < d + 2:
-        raise InvalidInputError(f"need at least D+2 = {d + 2} instances, got T={n}")
     x = dataset.instances
     if robust:
         center = np.median(x, axis=0)
@@ -235,12 +234,10 @@ def _synth_seed_row(
 ) -> dict:
     data, truth = generate(spec)
     calibration = calibrate_alpha(data, ess_target, config)
-    report = flag_outliers(
-        data, calibration.fit, calibration.alpha, FlagRule.TOP_K, len(truth)
-    )
+    report = flag_outliers(calibration.fit, FlagRule.TOP_K, len(truth))
     return {
         "seed": spec.seed,
-        "alpha": calibration.alpha,
+        "alpha": calibration.fit.alpha,
         "ess_fraction": calibration.attained_fraction,
         "precision_eos_topk": precision(report.flags, truth),
         "precision_chi2_mle": precision(

@@ -23,7 +23,9 @@ without calibration reads ``eos.alpha``; mislabel-bench, affinity and timing
 read no ``eos`` key.  robust-train reads ``eos.tol`` and ``eos.max_iters``,
 with ``robust_train.alpha`` or with the alpha that ``select_alpha`` selects
 when it is unset.  Only synth-bench, mislabel-bench and timing read the root
-``seed``; every fit starts from uniform weights.
+``seed``; every fit starts from uniform weights.  A report reads each alpha
+(``alpha_used``, ``calibration.alpha``, ``alpha_selected``) and fit outcome
+from the fit that made the written weights.
 
 The same config and seed give the same ``report.json`` and CSVs byte for
 byte, but for ``created_at`` and timing's wall-clock times, under the same
@@ -433,26 +435,25 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
         report = detect(data, config.eos, section.rule, section.rule_param)
     else:
         calibration = calibrate_alpha(data, section.calibrate_ess_fraction, config.eos)
-        report = flag_outliers(
-            data, calibration.fit, calibration.alpha, section.rule, section.rule_param
-        )
+        report = flag_outliers(calibration.fit, section.rule, section.rule_param)
+    result = report.fit
     _write_csv(out_dir / "weights.csv", ["index", "weight", "flag"],
-               _weight_blocks("%d,%r,%d\n", report.weights, report.flags))
+               _weight_blocks("%d,%r,%d\n", result.weights, report.flags))
     return {
         "T": data.n_instances,
         "D": data.n_features,
-        "alpha_used": report.alpha_used,
-        "calibration": None if calibration is None else {
+        "alpha_used": result.alpha,
+        "calibration": None if calibration is None else {"alpha": result.alpha} | {
             key: getattr(calibration, key)
-            for key in ("alpha", "attained_fraction", "saturated", "path", "probe_fits", "monotone")
+            for key in ("attained_fraction", "saturated", "path", "probe_fits", "monotone")
         },
         "rule": report.rule.value,
         "rule_param": report.rule_param,
         "n_flagged": report.n_flagged,
         "flagged_indices": np.flatnonzero(report.flags),
-        "iterations": report.iterations,
-        "termination": report.termination.value,
-        "gaussian": report.gaussian,
+        "iterations": result.iterations,
+        "termination": result.termination.value,
+        "gaussian": result.theta,
     }
 
 
@@ -483,12 +484,9 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     section = config.robust_train
     if section.alpha is not None:
         result = robust_fit(data, replace(config.eos, alpha=section.alpha), section.l2_strength)
-        alpha = section.alpha
     else:
-        _, alpha, result = select_alpha(
-            data, data, section.alpha_grid, section.l2_strength,
-            tol=config.eos.tol, max_iters=config.eos.max_iters,
-        )
+        _, result = select_alpha(data, data, section.alpha_grid, section.l2_strength,
+                                 tol=config.eos.tol, max_iters=config.eos.max_iters)
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
     _write_csv(out_dir / "weights.csv", ["index", "weight"],
@@ -496,7 +494,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     return {
         "T": data.n_instances,
         "D": data.n_features,
-        "alpha_selected": alpha,
+        "alpha_selected": result.alpha,
         "coefficients": params.coefficients,
         "intercept": params.intercept,
         "l2_strength": params.l2_strength,

@@ -98,7 +98,7 @@ class EosConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of an alternating fit.
+    """Outcome of an alternating fit at ``alpha``, the fit's ``config.alpha``.
 
     ``objective_trajectory`` holds the objective at each kept point: the
     fresh weights and the parameters they were derived from.  It is
@@ -108,9 +108,10 @@ class FitResult:
     included, so it can exceed the trajectory's length.  ``errors`` is the
     error vector of ``theta``, the array the last kept step returned, not a
     copy; ``calibrate_alpha`` and ``flag_outliers`` read it instead of
-    evaluating the model again.
+    evaluating the model again.  ``weights`` is the w-step of ``errors`` at ``alpha``.
     """
 
+    alpha: float
     weights: np.ndarray
     theta: Any
     errors: np.ndarray
@@ -384,6 +385,7 @@ def fit(dataset: Dataset, model: ErrorModel, config: EosConfig) -> FitResult:
             break
 
     return FitResult(
+        alpha=alpha,
         weights=w,
         theta=theta,
         errors=g,

@@ -88,10 +88,14 @@ def _check_l2(l2_strength: float, error: type[EosError]) -> float:
 def decision_function(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
     """Each row's log-odds; ``instances`` are checked as ``Dataset`` instances are."""
     x = Dataset(instances).instances
-    d = params.coefficients.shape[0]
-    if x.shape[1] != d:
-        raise InvalidInputError(f"instances have {x.shape[1]} columns for {d} coefficients")
+    _check_columns(x.shape[1], params)
     return x @ params.coefficients + params.intercept
+
+
+def _check_columns(n_columns: int, params: ClassifierParams) -> None:
+    d = params.coefficients.shape[0]
+    if n_columns != d:
+        raise InvalidInputError(f"instances have {n_columns} columns for {d} coefficients")
 
 
 def predict_proba(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
@@ -253,6 +257,12 @@ def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndar
     any parameters and unclamped: a certainly-wrong point costs its full
     margin.
     """
+    _check_columns(dataset.n_features, params)
+    return _classifier_loss(dataset, params)
+
+
+def _classifier_loss(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
+    """``classifier_loss_error`` unchecked, for parameters fitted to ``dataset``."""
     z = dataset.instances @ params.coefficients + params.intercept
     return _log_loss(z, _require_labels(dataset))
 
@@ -294,7 +304,7 @@ class ClassifierLossModel:
                          _MAX_NEWTON_STEPS)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
-        return params, classifier_loss_error(dataset, params) + penalty
+        return params, _classifier_loss(dataset, params) + penalty
 
 
 def robust_fit(dataset: Dataset, config: EosConfig, l2_strength: float = _L2_STRENGTH) -> FitResult:
@@ -451,7 +461,7 @@ def select_alpha(
     *,
     tol: float = EosConfig.tol,
     max_iters: int = EosConfig.max_iters,
-) -> tuple[ClassifierParams, float, FitResult]:
+) -> tuple[ClassifierParams, FitResult]:
     """Plain fit plus grid selection of alpha by class separation on ``reference``.
 
     ``alpha_grid`` holds multipliers of the plain fit's mean per-sample loss
@@ -460,9 +470,11 @@ def select_alpha(
     fit's parameters: its first step returns them, the same bits as a cold
     start.  Among the fits that converged, the one whose decision scores
     best separate the classes of ``reference`` (``_separation``, the
-    binormal AUC) is selected; ties go to the earlier grid entry.
-    ``reference`` carries the labels to trust: the uncorrupted training
-    labels in the experiment, the training data itself in ``robust-train``.
+    binormal AUC) is selected; ties go to the earlier grid entry.  Returns
+    the plain fit's parameters and the selected fit; its ``alpha`` is the
+    selected one.  ``reference`` carries the labels to trust: the uncorrupted
+    training labels in the experiment, the training data itself in
+    ``robust-train``.
 
     The mean log-loss on ``reference`` is not the criterion because it
     rewards calibration as much as ranking; on the label-flip task it
@@ -473,28 +485,26 @@ def select_alpha(
     n = corrupted.n_instances
     model = ClassifierLossModel(l2_strength)
     plain, _ = model.step(corrupted, np.full(n, 1.0 / n))
-    loss_scale = max(float(classifier_loss_error(corrupted, plain).mean()), 1e-6)
+    loss_scale = max(float(_classifier_loss(corrupted, plain).mean()), 1e-6)
     labels = _require_labels(reference)
 
-    best_alpha = math.nan
     best_separation = -math.inf
     best_result: FitResult | None = None
     unconverged: list[float] = []
     for multiplier in grid:
-        alpha = multiplier * loss_scale
-        result = fit(corrupted, copy.copy(model), EosConfig(alpha=alpha, tol=tol, max_iters=max_iters))
+        result = fit(corrupted, copy.copy(model), EosConfig(multiplier * loss_scale, tol, max_iters))
         if result.termination is not Termination.CONVERGED:
-            unconverged.append(alpha)
+            unconverged.append(result.alpha)
             continue
         separation = _separation(decision_function(result.theta, reference.instances), labels)
         if separation > best_separation:
-            best_alpha, best_separation, best_result = alpha, separation, result
+            best_separation, best_result = separation, result
     if best_result is None:
         raise NonConvergenceError(
             f"no robust fit converged within max_iters={max_iters} at any alpha in "
             f"({', '.join(f'{a:.6g}' for a in unconverged)}); raise max_iters or tol"
         )
-    return plain, best_alpha, best_result
+    return plain, best_result
 
 
 def _run_split(data: Dataset, cfg: MislabelExperimentConfig, rng: np.random.Generator) -> SplitOutcome:
@@ -509,7 +519,7 @@ def _run_split(data: Dataset, cfg: MislabelExperimentConfig, rng: np.random.Gene
     flip_seed = int(rng.integers(0, 2**63 - 1))
     corrupted, flipped = inject_label_flips(train, cfg.flip_proportion, flip_seed)
 
-    plain, alpha_selected, robust = select_alpha(corrupted, train, cfg.alpha_grid, cfg.l2_strength)
+    plain, robust = select_alpha(corrupted, train, cfg.alpha_grid, cfg.l2_strength)
 
     auc_plain = auc(predict_proba(plain, test.instances), test.labels)
     auc_robust = auc(predict_proba(robust.theta, test.instances), test.labels)
@@ -525,7 +535,7 @@ def _run_split(data: Dataset, cfg: MislabelExperimentConfig, rng: np.random.Gene
     return SplitOutcome(
         auc_plain=auc_plain,
         auc_robust=auc_robust,
-        alpha_selected=alpha_selected,
+        alpha_selected=robust.alpha,
         mean_weight_flipped=mean_flipped,
         mean_weight_clean=float(weights[clean_mask].mean()),
         n_flipped=len(flipped),

@@ -7,7 +7,6 @@ summary lines and timings.
 from __future__ import annotations
 
 import json
-import math
 import time
 
 import numpy as np
@@ -35,8 +34,6 @@ from eos import (
     weighted_gaussian_mle,
     gaussian_error,
     GaussianParams,
-    classifier_loss_error,
-    predict_proba,
 )
 from eos.cli import main as cli_main
 from eos.supervised import _two_gaussian_dataset

@@ -23,6 +23,7 @@ from eos import (
     effective_sample_size,
     fit,
     GaussianModel,
+    SquaredEuclideanModel,
     SyntheticSpec,
     Termination,
     generate,
@@ -55,8 +56,9 @@ def test_relative_threshold_separates_planted_outliers():
     planted_idx = np.fromiter(planted, dtype=np.intp)
     inlier_mask = np.ones(n, dtype=bool)
     inlier_mask[planted_idx] = False
-    assert np.all(report.weights[planted_idx] < 0.1 / n)
-    assert report.weights[planted_idx].max() < report.weights[inlier_mask].min()
+    weights = report.fit.weights
+    assert np.all(weights[planted_idx] < 0.1 / n)
+    assert weights[planted_idx].max() < weights[inlier_mask].min()
 
     separated = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 1e-4)
     assert frozenset(int(i) for i in np.flatnonzero(separated.flags)) == planted
@@ -74,7 +76,7 @@ def test_topk_breaks_weight_ties_by_the_fits_larger_error_then_index(k, flagged)
     errors = np.array([0.0, 2.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     tied = replace(fit(data, GaussianModel(), EosConfig(alpha=1.0)),
                    weights=np.full(8, 0.125), errors=errors)
-    report = eos.anomaly.flag_outliers(data, tied, 1.0, FlagRule.TOP_K, k)
+    report = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
     assert np.flatnonzero(report.flags).tolist() == flagged
 
 
@@ -92,15 +94,14 @@ def test_topk_flags_the_first_k_of_the_full_sort():
     for k in (0, 1, at_tie, 199):
         expected = np.zeros(200, dtype=bool)
         expected[order[:k]] = True
-        report = eos.anomaly.flag_outliers(data, tied, 1.0, FlagRule.TOP_K, k)
+        report = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
         assert np.array_equal(report.flags, expected)
 
 
 @pytest.mark.parametrize("rule, param", [(FlagRule.RELATIVE_THRESHOLD, 0.1), (FlagRule.TOP_K, 3)])
 def test_flags_are_read_only(rule, param):
     data = Dataset(np.random.default_rng(2).normal(size=(20, 2)))
-    report = eos.anomaly.flag_outliers(data, fit(data, GaussianModel(), EosConfig()), 1.0,
-                                       rule, param)
+    report = eos.anomaly.flag_outliers(fit(data, GaussianModel(), EosConfig()), rule, param)
     with pytest.raises(ValueError, match="read-only"):
         report.flags[0] = not report.flags[0]
 
@@ -141,10 +142,39 @@ def test_relative_threshold_never_flags_everything():
     assert report.n_flagged < data.n_instances
 
 
-def test_detect_requires_enough_instances():
-    data = Dataset(np.zeros((4, 3)))
-    with pytest.raises(InvalidInputError):
+@pytest.mark.parametrize("shape", [(4, 3), (8, 10)], ids=["4x3", "8x10"])
+def test_detect_requires_enough_instances(monkeypatch, shape):
+    # T >= D+2 is checked before any fit, by detect and by calibrate_alpha.
+    monkeypatch.setattr(eos.anomaly, "fit", lambda *args: pytest.fail("fitted"))
+    data = Dataset(np.random.default_rng(0).normal(size=shape))
+    message = (f"^need at least D\\+2 = {shape[1] + 2} instances for a stable covariance, "
+               f"got T={shape[0]}$")
+    with pytest.raises(InvalidInputError, match=message):
         detect(data, EosConfig(alpha=1.0))
+    with pytest.raises(InvalidInputError, match=message):
+        calibrate_alpha(data, 0.9, EosConfig(alpha=1.0))
+
+
+def test_report_holds_the_fit_it_flags():
+    data, _ = planted_gaussian_2d(seed=7)
+    result = fit(data, GaussianModel(), EosConfig(alpha=2.5))
+    report = eos.anomaly.flag_outliers(result, FlagRule.TOP_K, 10)
+    assert report.fit is result
+    assert result.alpha == 2.5
+    detected = detect(data, EosConfig(alpha=2.5), FlagRule.TOP_K, 10)
+    assert np.array_equal(report.flags, detected.flags)
+
+
+def test_any_models_fit_can_be_flagged():
+    data, _ = planted_gaussian_2d(seed=7)
+    result = fit(data, SquaredEuclideanModel(), EosConfig(alpha=1.0))
+    top = eos.anomaly.flag_outliers(result, FlagRule.TOP_K, 10)
+    assert top.fit is result
+    expected = np.zeros(data.n_instances, dtype=bool)
+    expected[np.lexsort((-result.errors, result.weights))[:10]] = True
+    assert np.array_equal(top.flags, expected)
+    relative = eos.anomaly.flag_outliers(result, FlagRule.RELATIVE_THRESHOLD, 0.1)
+    assert np.array_equal(relative.flags, result.weights < 0.1 / data.n_instances)
 
 
 def test_detect_rejects_bad_rule_params(monkeypatch):
@@ -169,7 +199,7 @@ def test_detect_rejects_bad_rule_params(monkeypatch):
 def test_calibrate_identical_points_saturates_low():
     data = Dataset(np.tile([0.5, 1.0], (20, 1)))
     result = calibrate_alpha(data, 0.5, EosConfig(alpha=1.0))
-    assert result.alpha == pytest.approx(1e-6)
+    assert result.fit.alpha == pytest.approx(1e-6)
     assert result.attained_fraction == pytest.approx(1.0, abs=1e-9)
     assert result.saturated
 
@@ -179,7 +209,7 @@ def test_calibrate_planted_target_hits_band():
     result = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
     assert not result.saturated
     # Self-consistency: refit at the returned alpha.
-    refit = fit(data, GaussianModel(), EosConfig(alpha=result.alpha))
+    refit = fit(data, GaussianModel(), EosConfig(alpha=result.fit.alpha))
     fraction = effective_sample_size(refit.weights) / data.n_instances
     assert 0.94 <= fraction <= 0.96
 
@@ -214,14 +244,14 @@ def test_calibration_records_its_bisection_path():
     # The first probe is the bisection's first midpoint.
     assert result.path[0][0] == math.sqrt(1e-6 * 1e6)
     assert len(result.path) > 2
-    assert result.path[-1] == (result.alpha, result.attained_fraction)
+    assert result.path[-1] == (result.fit.alpha, result.attained_fraction)
     assert len(result.probe_fits) == len(result.path)
     for (alpha, fraction), probe_fit in zip(result.path, result.probe_fits):
         refit = fit(data, GaussianModel(), replace(config, alpha=alpha))
         assert effective_sample_size(refit.weights) / data.n_instances == fraction
         assert probe_fit == (refit.iterations, refit.termination)
     assert result.monotone
-    at_alpha = fit(data, GaussianModel(), replace(config, alpha=result.alpha))
+    at_alpha = fit(data, GaussianModel(), replace(config, alpha=result.fit.alpha))
     assert np.array_equal(result.fit.weights, at_alpha.weights)
 
 
@@ -262,7 +292,7 @@ def test_calibration_reports_a_non_monotone_path(monkeypatch):
     data, _ = planted_gaussian_2d(seed=11)
     result = calibrate_alpha(data, 0.95, EosConfig(alpha=1.0))
     assert all(f == fraction(alpha) for alpha, f in result.path)
-    assert result.alpha == math.sqrt(1e-6 * 1e-3)
+    assert result.fit.alpha == math.sqrt(1e-6 * 1e-3)
     assert result.attained_fraction == 0.95
     assert not result.monotone
 
@@ -303,7 +333,7 @@ def _bisect_alpha(dataset, target_ess_fraction, config, fraction_at=None):
                     else fraction_at(alpha))
         path.append((alpha, fraction))
         probe_fits.append((result.iterations, result.termination))
-        return AlphaCalibration(alpha, fraction, False, tuple(path), tuple(probe_fits), result)
+        return AlphaCalibration(fraction, False, tuple(path), tuple(probe_fits), result)
 
     low = probe(1e-6)
     excess = low.attained_fraction - target_ess_fraction
@@ -315,12 +345,12 @@ def _bisect_alpha(dataset, target_ess_fraction, config, fraction_at=None):
         return replace(high, saturated=shortfall > 0.01)
 
     while True:
-        alpha = math.sqrt(low.alpha * high.alpha)
-        if alpha in (low.alpha, high.alpha):
+        alpha = math.sqrt(low.fit.alpha * high.fit.alpha)
+        if alpha in (low.fit.alpha, high.fit.alpha):
             raise CalibrationError(
-                f"ESS fraction jumps from {low.attained_fraction:.4f} at alpha={low.alpha!r} "
-                f"to {high.attained_fraction:.4f} at alpha={high.alpha!r} with no float between "
-                f"them, so no alpha attains the target {target_ess_fraction} within 0.01; "
+                f"ESS fraction jumps from {low.attained_fraction:.4f} "
+                f"at alpha={low.fit.alpha!r} to {high.attained_fraction:.4f} "
+                f"at alpha={high.fit.alpha!r} with no float between them, so no alpha attains the target {target_ess_fraction} within 0.01; "
                 "choose a target outside that jump"
             )
         probed = probe(alpha)
@@ -353,7 +383,7 @@ def test_calibration_fits_an_end_node_the_replay_settled_without_a_fit(monkeypat
     config = EosConfig(alpha=1.0)
     result = calibrate_alpha(data, 0.3, config)
     expected = _bisect_alpha(data, 0.3, config, fraction)
-    assert probed[-1] == result.alpha == expected.alpha == 1e-3
+    assert probed[-1] == result.fit.alpha == expected.fit.alpha == 1e-3
     assert result.attained_fraction == expected.attained_fraction
     assert result.saturated is expected.saturated is False
     assert np.array_equal(result.fit.weights, expected.fit.weights)
@@ -401,7 +431,8 @@ def test_calibration_returns_what_plain_bisection_returns(make_data, target):
         assert str(info.value) == str(error)
         return
     result = calibrate_alpha(data, target, config)
-    assert result.alpha == expected.alpha
+    assert result.fit.alpha in dict(result.path)
+    assert result.fit.alpha == expected.fit.alpha
     assert result.attained_fraction == expected.attained_fraction
     assert result.saturated is expected.saturated
     assert np.array_equal(result.fit.weights, expected.fit.weights)
@@ -414,7 +445,7 @@ def test_calibration_probes_at_most_half_of_the_bisection():
         config = EosConfig(alpha=1.0)
         result = calibrate_alpha(data, 0.95, config)
         expected = _bisect_alpha(data, 0.95, config)
-        assert result.alpha == expected.alpha
+        assert result.fit.alpha == expected.fit.alpha
         probes.append(len(result.path))
         bisected.append(len(expected.path))
     assert all(p <= b for p, b in zip(probes, bisected))
@@ -439,9 +470,9 @@ def test_calibrate_survives_weights_collapsed_onto_two_points(seed):
 
 def test_detect_reports_fit_termination():
     data, _ = planted_gaussian_2d(seed=7)
-    converged = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10)
+    converged = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10).fit
     assert converged.termination is Termination.CONVERGED
     assert converged.iterations > 1
-    capped = detect(data, EosConfig(alpha=1.0, max_iters=1), FlagRule.TOP_K, 10)
+    capped = detect(data, EosConfig(alpha=1.0, max_iters=1), FlagRule.TOP_K, 10).fit
     assert capped.termination is Termination.MAX_ITERS_REACHED
     assert capped.iterations == 1

@@ -222,15 +222,16 @@ def test_calibrated_detect_flags_from_the_calibration_fit(
     assert cli_fits == len(fits) == len(calibration.path)
     assert calibration.saturated is identical
 
-    report = detect(data, replace(eos_cfg, alpha=calibration.alpha), FlagRule.TOP_K, 4)
+    report = detect(data, replace(eos_cfg, alpha=calibration.fit.alpha), FlagRule.TOP_K, 4)
     expected = ["index,weight,flag"] + [
-        f"{i},{float(w)!r},{int(f)}" for i, (w, f) in enumerate(zip(report.weights, report.flags))
+        f"{i},{float(w)!r},{int(f)}"
+        for i, (w, f) in enumerate(zip(report.fit.weights, report.flags))
     ]
     assert (tmp_path / "out" / "weights.csv").read_text().splitlines() == expected
     results = _report(tmp_path / "out")["results"]
     assert results["flagged_indices"] == np.flatnonzero(report.flags).tolist()
     assert results["calibration"] == {
-        "alpha": calibration.alpha,
+        "alpha": calibration.fit.alpha,
         "attained_fraction": calibration.attained_fraction,
         "saturated": calibration.saturated,
         "path": [list(step) for step in calibration.path],
@@ -881,7 +882,7 @@ def test_detect_csv_matches_csv_writer(detect_setup):
     )
     expected = _oracle_csv(
         ["index", "weight", "flag"],
-        [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(report.weights, report.flags))],
+        [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(report.fit.weights, report.flags))],
     )
     assert (tmp_path / "out" / "weights.csv").read_bytes() == expected
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import eos.core
 import eos.models
 from eos import (
+    ClassifierLossModel,
     ContractViolationError,
     Dataset,
     EosConfig,
@@ -280,6 +281,18 @@ def test_fit_respects_iteration_cap():
     result = fit(data, GaussianModel(), EosConfig(alpha=1.0, max_iters=1))
     assert result.iterations == 1
     assert result.termination is Termination.MAX_ITERS_REACHED
+
+
+@pytest.mark.parametrize("make_model", [GaussianModel, lambda: ClassifierLossModel(1e-4)],
+                         ids=["gaussian", "classifier"])
+def test_fit_result_carries_its_alpha(make_model):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 2))
+    data = Dataset(x, (x[:, 0] + rng.normal(size=40) > 0).astype(int))
+    config = EosConfig(alpha=np.float32(0.75))
+    result = fit(data, make_model(), config)
+    assert result.alpha == config.alpha
+    assert type(result.alpha) is float
 
 
 def test_fit_squared_euclidean_model():

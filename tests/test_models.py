@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +21,7 @@ from eos import (
     squared_euclidean_error,
     weighted_gaussian_mle,
 )
-from eos import data as eos_data, models
+from eos import data as eos_data
 from eos.models import RIDGE_FACTOR, covariance_floor
 
 from conftest import dense_inverse_gaussian_error, planted_gaussian_2d

@@ -36,6 +36,7 @@ from eos import (
     calibrate_alpha,
     calibrate_row_alpha,
     check_flag_rule,
+    classifier_loss_error,
     decision_function,
     detect,
     effective_sample_size,
@@ -109,12 +110,10 @@ SITES = [
     # The flag rule is checked where it is given: a report holds a checked one.
     ("detect.rule", lambda v: detect(POINTS, EosConfig(alpha=1.0), v, 0.1),
      np.str_(FlagRule.RELATIVE_THRESHOLD.value), InvalidConfigError),
-    ("flag_outliers.rule", lambda v: flag_outliers(POINTS, FIT, 1.0, v, 0.1),
+    ("flag_outliers.rule", lambda v: flag_outliers(FIT, v, 0.1),
      np.str_(FlagRule.RELATIVE_THRESHOLD.value), InvalidConfigError),
-    ("flag_outliers.top_k", lambda v: flag_outliers(POINTS, FIT, 1.0, FlagRule.TOP_K, v),
+    ("flag_outliers.top_k", lambda v: flag_outliers(FIT, FlagRule.TOP_K, v),
      np.float32(4.0), InvalidConfigError),
-    ("flag_outliers.alpha", lambda v: flag_outliers(POINTS, FIT, v), np.float32(1.0),
-     InvalidConfigError),
     ("check_flag_rule.relative_threshold",
      lambda v: check_flag_rule(FlagRule.RELATIVE_THRESHOLD, v), np.float32(0.3),
      InvalidConfigError),
@@ -242,6 +241,9 @@ ARRAY_SITES = [
     ("decision_function.columns",
      lambda: decision_function(ClassifierParams(np.zeros(3), 0.0, 0.0), np.zeros((4, 2))),
      InvalidInputError, "instances have 2 columns for 3 coefficients"),
+    ("classifier_loss_error.columns",
+     lambda: classifier_loss_error(LABELED, ClassifierParams(np.zeros(3), 0.0, 0.0)),
+     InvalidInputError, "instances have 2 columns for 3 coefficients"),
     ("predict_proba.non-finite",
      lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0, 0.0), np.array([[0.0, np.nan]])),
      InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
@@ -278,6 +280,9 @@ ARRAY_SITES = [
      lambda: fit(POINTS, types.SimpleNamespace(step=lambda data, w: (None, np.zeros(39))),
                  EosConfig()),
      InvalidInputError, "error model returned shape (39,), expected (40,)"),
+    ("mahalanobis_chi2_baseline.too-few-instances",
+     lambda: mahalanobis_chi2_baseline(Dataset(_X[:3])), InvalidInputError,
+     "need at least D+2 = 4 instances for a stable covariance, got T=3"),
     ("mislabel_experiment.split-too-small", lambda: _mislabel(task_size=5), InvalidInputError,
      "split of T=5 leaves too few instances on one side"),
     # The largest bracket end cannot spread the weight of an error near the

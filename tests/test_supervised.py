@@ -466,7 +466,7 @@ def _corrupted_task():
 def test_select_alpha_skips_unconverged_fits():
     data, corrupted = _corrupted_task()
     cfg = MislabelExperimentConfig(flip_proportion=0.2, alpha_grid=(0.1, 10.0))
-    plain, _, _ = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength)
+    plain, _ = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength)
     scale = float(classifier_loss_error(corrupted, plain).mean())
     # The cap lets the large-alpha fit converge and stops the small one.
     uncapped = [robust_fit(corrupted, EosConfig(alpha=f * scale), l2_strength=1e-4)
@@ -479,10 +479,9 @@ def test_select_alpha_skips_unconverged_fits():
     assert small.termination is Termination.MAX_ITERS_REACHED
     assert large.termination is Termination.CONVERGED
 
-    _, alpha, result = select_alpha(
-        corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=cap
-    )
-    assert alpha == pytest.approx(10.0 * scale, rel=1e-12)
+    _, result = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=cap)
+    # The selected fit's alpha is its grid multiplier times the plain fit's mean loss.
+    assert result.alpha == 10.0 * scale
     assert result.termination is Termination.CONVERGED
 
 
@@ -521,11 +520,11 @@ def test_select_alpha_solves_the_plain_fit_once(monkeypatch):
 def test_select_alpha_result_equals_a_cold_robust_fit():
     # Warm-starting the grid fits from the plain fit changes no bit.
     data, corrupted = _corrupted_task()
-    plain, alpha, result = select_alpha(corrupted, data, (0.1, 1.0, 10.0), 1e-4)
+    plain, result = select_alpha(corrupted, data, (0.1, 1.0, 10.0), 1e-4)
     cold_plain = train_weighted_classifier(corrupted, np.full(200, 1 / 200), 1e-4)
     assert np.array_equal(plain.coefficients, cold_plain.coefficients)
     assert plain.intercept == cold_plain.intercept
-    cold = robust_fit(corrupted, EosConfig(alpha=alpha), l2_strength=1e-4)
+    cold = robust_fit(corrupted, EosConfig(alpha=result.alpha), l2_strength=1e-4)
     assert np.array_equal(result.weights, cold.weights)
     assert np.array_equal(result.errors, cold.errors)
     assert np.array_equal(result.theta.coefficients, cold.theta.coefficients)
