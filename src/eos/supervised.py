@@ -258,11 +258,6 @@ def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndar
     margin.
     """
     _check_columns(dataset.n_features, params)
-    return _classifier_loss(dataset, params)
-
-
-def _classifier_loss(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
-    """``classifier_loss_error`` unchecked, for parameters fitted to ``dataset``."""
     z = dataset.instances @ params.coefficients + params.intercept
     return _log_loss(z, _require_labels(dataset))
 
@@ -304,7 +299,7 @@ class ClassifierLossModel:
                          _MAX_NEWTON_STEPS)
         self._warm = params
         penalty = self.l2_strength * float(params.coefficients @ params.coefficients)
-        return params, _classifier_loss(dataset, params) + penalty
+        return params, classifier_loss_error(dataset, params) + penalty
 
 
 def robust_fit(dataset: Dataset, config: EosConfig, l2_strength: float = _L2_STRENGTH) -> FitResult:
@@ -485,14 +480,15 @@ def select_alpha(
     n = corrupted.n_instances
     model = ClassifierLossModel(l2_strength)
     plain, _ = model.step(corrupted, np.full(n, 1.0 / n))
-    loss_scale = max(float(_classifier_loss(corrupted, plain).mean()), 1e-6)
+    loss_scale = max(float(classifier_loss_error(corrupted, plain).mean()), 1e-6)
     labels = _require_labels(reference)
 
     best_separation = -math.inf
     best_result: FitResult | None = None
     unconverged: list[float] = []
     for multiplier in grid:
-        result = fit(corrupted, copy.copy(model), EosConfig(multiplier * loss_scale, tol, max_iters))
+        config = EosConfig(alpha=multiplier * loss_scale, tol=tol, max_iters=max_iters)
+        result = fit(corrupted, copy.copy(model), config)
         if result.termination is not Termination.CONVERGED:
             unconverged.append(result.alpha)
             continue

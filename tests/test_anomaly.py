@@ -348,9 +348,9 @@ def _bisect_alpha(dataset, target_ess_fraction, config, fraction_at=None):
         alpha = math.sqrt(low.fit.alpha * high.fit.alpha)
         if alpha in (low.fit.alpha, high.fit.alpha):
             raise CalibrationError(
-                f"ESS fraction jumps from {low.attained_fraction:.4f} "
-                f"at alpha={low.fit.alpha!r} to {high.attained_fraction:.4f} "
-                f"at alpha={high.fit.alpha!r} with no float between them, so no alpha attains the target {target_ess_fraction} within 0.01; "
+                f"ESS fraction jumps from {low.attained_fraction:.4f} at alpha={low.fit.alpha!r} "
+                f"to {high.attained_fraction:.4f} at alpha={high.fit.alpha!r} with no float between "
+                f"them, so no alpha attains the target {target_ess_fraction} within 0.01; "
                 "choose a target outside that jump"
             )
         probed = probe(alpha)
