@@ -4,7 +4,8 @@ A fit concentrates weight on instances the Gaussian explains well; points
 whose converged weight is far below the uniform share 1/T are flagged as
 outliers, either by a relative threshold or by taking the k smallest.
 Flags read only a fit's weights and errors, so any model's fit can be
-flagged; each result holds its fit rather than copies of the fit's values.
+flagged; ``detect`` returns the fit beside its flags, and
+``AlphaCalibration`` holds its fit rather than copies of the fit's values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .models import GaussianModel
 
 __all__ = [
     "FlagRule",
-    "OutlierReport",
     "AlphaCalibration",
     "check_flag_rule",
     "detect",
@@ -34,21 +34,6 @@ __all__ = [
 class FlagRule(str, Enum):
     RELATIVE_THRESHOLD = "relative_threshold"
     TOP_K = "top_k"
-
-
-@dataclass(frozen=True)
-class OutlierReport:
-    """What ``flag_outliers`` computed: the read-only binary flags that
-    ``rule`` at ``rule_param`` derives from ``fit``, the fit they flag."""
-
-    fit: FitResult = field(repr=False, compare=False)
-    flags: np.ndarray
-    rule: FlagRule
-    rule_param: float
-
-    @property
-    def n_flagged(self) -> int:
-        return int(self.flags.sum())
 
 
 @dataclass(frozen=True)
@@ -89,30 +74,31 @@ def detect(
     config: EosConfig,
     rule: FlagRule = FlagRule.RELATIVE_THRESHOLD,
     rule_param: float = 0.1,
-) -> OutlierReport:
+) -> tuple[FitResult, np.ndarray]:
     """Fit the Gaussian model at ``config.alpha`` and flag outliers from it.
 
-    This is one ``fit`` followed by ``flag_outliers``; the report holds that
-    fit.  The rule and T >= D+2 are checked before the fit.  After
+    This is one ``fit`` followed by ``flag_outliers``; it returns that fit
+    and its flags.  The rule and T >= D+2 are checked before the fit.  After
     ``calibrate_alpha``, call ``flag_outliers`` on the calibration's fit
     instead: it is the fit this function would compute again.
     """
     check_flag_rule(rule, rule_param)
     _check_enough_instances(dataset)
-    return flag_outliers(fit(dataset, GaussianModel(), config), rule, rule_param)
+    result = fit(dataset, GaussianModel(), config)
+    return result, flag_outliers(result, rule, rule_param)
 
 
 def flag_outliers(
     result: FitResult,
     rule: FlagRule = FlagRule.RELATIVE_THRESHOLD,
     rule_param: float = 0.1,
-) -> OutlierReport:
-    """Convert the converged weights of a fit to flags, T = ``result.weights.size``.
+) -> np.ndarray:
+    """The read-only binary flags of a fit's converged weights, T = ``result.weights.size``.
 
     RELATIVE_THRESHOLD flags instances with weight below rule_param/T.
     TOP_K flags the min(rule_param, T-1) smallest weights, breaking ties by
     larger error and then, as the sort is stable, by smaller index.  Any
-    error model's fit can be flagged; the report holds ``result`` itself.
+    error model's fit can be flagged.
     """
     rule, param = check_flag_rule(rule, rule_param)
     w = result.weights
@@ -136,7 +122,7 @@ def flag_outliers(
             flags[candidates[order[:k_eff]]] = True
 
     flags.setflags(write=False)
-    return OutlierReport(fit=result, flags=flags, rule=rule, rule_param=float(rule_param))
+    return flags
 
 
 def _check_enough_instances(dataset: Dataset) -> None:

@@ -234,12 +234,12 @@ def _synth_seed_row(
 ) -> dict:
     data, truth = generate(spec)
     calibration = calibrate_alpha(data, ess_target, config)
-    report = flag_outliers(calibration.fit, FlagRule.TOP_K, len(truth))
+    flags = flag_outliers(calibration.fit, FlagRule.TOP_K, len(truth))
     return {
         "seed": spec.seed,
         "alpha": calibration.fit.alpha,
         "ess_fraction": calibration.attained_fraction,
-        "precision_eos_topk": precision(report.flags, truth),
+        "precision_eos_topk": precision(flags, truth),
         "precision_chi2_mle": precision(
             mahalanobis_chi2_baseline(data, quantile, robust=False), truth
         ),

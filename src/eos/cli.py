@@ -25,7 +25,10 @@ with ``robust_train.alpha`` or with the alpha that ``select_alpha`` selects
 when it is unset.  Only synth-bench, mislabel-bench and timing read the root
 ``seed``; every fit starts from uniform weights.  A report reads each alpha
 (``alpha_used``, ``calibration.alpha``, ``alpha_selected``) and fit outcome
-from the fit that made the written weights.
+from the fit that made the written weights.  The rest it writes from what
+the command chose or computed itself: detect's ``rule`` and ``rule_param``
+from its section and ``n_flagged`` from the flags, and robust-train's
+``l2_strength`` from its section, the strength every fit used.
 
 The same config and seed give the same ``report.json`` and CSVs byte for
 byte, but for ``created_at`` and timing's wall-clock times, under the same
@@ -428,17 +431,17 @@ def _load_input(config: RunConfig, *, require_labels: bool) -> Dataset:
 
 def _run_detect(config: RunConfig, out_dir: Path) -> dict:
     section = config.detect
-    check_flag_rule(section.rule, section.rule_param)  # before the input is read
+    rule, _ = check_flag_rule(section.rule, section.rule_param)  # before the input is read
     data = _load_input(config, require_labels=False)
     calibration = None
     if section.calibrate_ess_fraction is None:
-        report = detect(data, config.eos, section.rule, section.rule_param)
+        result, flags = detect(data, config.eos, rule, section.rule_param)
     else:
         calibration = calibrate_alpha(data, section.calibrate_ess_fraction, config.eos)
-        report = flag_outliers(calibration.fit, section.rule, section.rule_param)
-    result = report.fit
+        result = calibration.fit
+        flags = flag_outliers(result, rule, section.rule_param)
     _write_csv(out_dir / "weights.csv", ["index", "weight", "flag"],
-               _weight_blocks("%d,%r,%d\n", result.weights, report.flags))
+               _weight_blocks("%d,%r,%d\n", result.weights, flags))
     return {
         "T": data.n_instances,
         "D": data.n_features,
@@ -447,10 +450,10 @@ def _run_detect(config: RunConfig, out_dir: Path) -> dict:
             key: getattr(calibration, key)
             for key in ("attained_fraction", "saturated", "path", "probe_fits", "monotone")
         },
-        "rule": report.rule.value,
-        "rule_param": report.rule_param,
-        "n_flagged": report.n_flagged,
-        "flagged_indices": np.flatnonzero(report.flags),
+        "rule": rule.value,
+        "rule_param": float(section.rule_param),
+        "n_flagged": int(flags.sum()),
+        "flagged_indices": np.flatnonzero(flags),
         "iterations": result.iterations,
         "termination": result.termination.value,
         "gaussian": result.theta,
@@ -485,8 +488,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     if section.alpha is not None:
         result = robust_fit(data, replace(config.eos, alpha=section.alpha), section.l2_strength)
     else:
-        _, result = select_alpha(data, data, section.alpha_grid, section.l2_strength,
-                                 tol=config.eos.tol, max_iters=config.eos.max_iters)
+        _, result = select_alpha(data, data, section.alpha_grid, section.l2_strength, config.eos)
     params = result.theta
     training_auc = auc(predict_proba(params, data.instances), data.labels)
     _write_csv(out_dir / "weights.csv", ["index", "weight"],
@@ -497,7 +499,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
         "alpha_selected": result.alpha,
         "coefficients": params.coefficients,
         "intercept": params.intercept,
-        "l2_strength": params.l2_strength,
+        "l2_strength": section.l2_strength,
         "training_auc": training_auc,
         "iterations": result.iterations,
         "termination": result.termination.value,

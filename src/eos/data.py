@@ -61,8 +61,8 @@ class Dataset:
     ``labels``, when present, must be binary (0/1) and aligned with the rows.
     Arrays are copied and frozen so a Dataset can be shared across threads,
     and statistics of the instances can be computed once and cached on it.
-    A float64 matrix that is already read-only and owns its data (a fresh
-    array its maker froze) is adopted without that copy.
+    Only a matrix the package has just made itself (a parse, a row subset,
+    the matrix a relabeled Dataset shares) is adopted without that copy.
 
     Every construction, ``subset`` and ``with_labels`` included, refuses
     instances that are not a 2-D matrix of at least 1x1, hold a non-finite
@@ -77,14 +77,22 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        x = self.instances
-        if not (
-            type(x) is np.ndarray
-            and x.dtype == np.float64
-            and x.flags.owndata
-            and not x.flags.writeable
-        ):
-            x = np.array(x, dtype=float, copy=True)
+        self._check_and_freeze(np.array(self.instances, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, labels: np.ndarray | None = None,
+               feature_names: tuple[str, ...] | None = None) -> "Dataset":
+        """A Dataset of ``x`` without a copy: a float64 matrix the package has
+        just made and that no caller holds a writable view of.  Checked as a
+        public construction is."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "labels", labels)
+        object.__setattr__(data, "feature_names", feature_names)
+        data._check_and_freeze(x)
+        return data
+
+    def _check_and_freeze(self, x: np.ndarray) -> None:
+        """Check the float64 matrix ``x`` and the other fields, then freeze and set them."""
         if x.ndim != 2:
             raise InvalidInputError(
                 f"instances must be a 2-D matrix, got ndim={x.ndim}"
@@ -158,11 +166,9 @@ class Dataset:
                                     f"{idx.dtype} values in [{idx.min()}, {idx.max()}]")
         idx = idx.astype(np.intp, copy=False)
         labels = self.labels[idx] if self.labels is not None else None
-        x = self.instances[idx]
-        x.setflags(write=False)
-        return Dataset(x, labels, self.feature_names)
+        return Dataset._adopt(self.instances[idx], labels, self.feature_names)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         """Return a Dataset carrying the given label vector; the frozen
         instance matrix is shared, not copied."""
-        return Dataset(self.instances, labels, self.feature_names)
+        return Dataset._adopt(self.instances, labels, self.feature_names)

@@ -126,8 +126,7 @@ def _read_csv(
     labels = values[:, label_idx].astype(np.int64) if label_idx is not None else None
     if len(feature_cols) < len(header):
         values = values.take([i for i, _ in feature_cols], axis=1)
-    values.setflags(write=False)
-    return Dataset(values, labels, tuple(name for _, name in feature_cols))
+    return Dataset._adopt(values, labels, tuple(name for _, name in feature_cols))
 
 
 def _count_lines(path: Path) -> int:

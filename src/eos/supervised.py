@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .core import (EosConfig, FitResult, Termination, _check_int, _check_real, _
                    check_weights, fit)
 from .data import Dataset
 from .exceptions import (
-    EosError,
     InvalidConfigError,
     InvalidInputError,
     NonConvergenceError,
@@ -60,11 +59,14 @@ _MAX_NEWTON_STEPS = 100
 
 @dataclass(frozen=True)
 class ClassifierParams:
-    """Linear log-odds classifier: p(y=1 | x) = sigmoid(coef . x + intercept)."""
+    """Linear log-odds classifier: p(y=1 | x) = sigmoid(coef . x + intercept).
+
+    The parameters are all a prediction reads; the l2 strength they were
+    trained with stays with the caller that chose it.
+    """
 
     coefficients: np.ndarray
     intercept: float
-    l2_strength: float
 
     def __post_init__(self) -> None:
         coef = np.array(self.coefficients, dtype=float, copy=True)
@@ -76,12 +78,11 @@ class ClassifierParams:
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "intercept", _check_real(
             self.intercept, math.isfinite, InvalidInputError, "intercept must be finite"))
-        object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength, InvalidInputError))
 
 
-def _check_l2(l2_strength: float, error: type[EosError]) -> float:
+def _check_l2(l2_strength: float) -> float:
     """l2_strength as a float: finite and non-negative."""
-    return _check_real(l2_strength, lambda c: math.isfinite(c) and c >= 0.0, error,
+    return _check_real(l2_strength, lambda c: math.isfinite(c) and c >= 0.0, InvalidConfigError,
                        "l2_strength must be finite and non-negative")
 
 
@@ -167,7 +168,7 @@ def train_weighted_classifier(
     """
     y = _require_labels(dataset).astype(float)
     w = check_weights(weights, dataset.n_instances)
-    l2_strength = _check_l2(l2_strength, InvalidConfigError)
+    l2_strength = _check_l2(l2_strength)
     grad_tol = _check_real(grad_tol, _positive, InvalidConfigError, "grad_tol must be positive")
     max_iters = _check_int(max_iters, lambda n: n >= 1, InvalidConfigError,
                            "max_iters must be an integer >= 1")
@@ -244,9 +245,7 @@ def _newton(design: np.ndarray, y: np.ndarray, w: np.ndarray, l2_strength: float
             f"weighted classifier did not reach gradient norm {grad_tol:g} "
             f"(got {gnorm:.3e}); {advice}"
         )
-    return ClassifierParams(
-        coefficients=theta[:d], intercept=float(theta[d]), l2_strength=float(l2_strength)
-    )
+    return ClassifierParams(coefficients=theta[:d], intercept=float(theta[d]))
 
 
 def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
@@ -288,7 +287,7 @@ class ClassifierLossModel:
     l2_strength: float = _L2_STRENGTH
 
     def __post_init__(self) -> None:
-        self.l2_strength = _check_l2(self.l2_strength, InvalidConfigError)
+        self.l2_strength = _check_l2(self.l2_strength)
         self._warm: ClassifierParams | None = None
         self._problem: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -398,7 +397,7 @@ class MislabelExperimentConfig:
         object.__setattr__(self, "seed", _check_int(
             self.seed, lambda n: n >= 0, InvalidConfigError, "seed must be a non-negative integer"))
         object.__setattr__(self, "alpha_grid", _check_alpha_grid(self.alpha_grid))
-        object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength, InvalidConfigError))
+        object.__setattr__(self, "l2_strength", _check_l2(self.l2_strength))
 
 
 @dataclass(frozen=True)
@@ -453,23 +452,22 @@ def select_alpha(
     reference: Dataset,
     alpha_grid: tuple[float, ...],
     l2_strength: float,
-    *,
-    tol: float = EosConfig.tol,
-    max_iters: int = EosConfig.max_iters,
+    config: EosConfig = EosConfig(),
 ) -> tuple[ClassifierParams, FitResult]:
     """Plain fit plus grid selection of alpha by class separation on ``reference``.
 
     ``alpha_grid`` holds multipliers of the plain fit's mean per-sample loss
     (see ``MislabelExperimentConfig``).  Every grid entry gets a robust fit
-    on ``corrupted`` with ``tol`` and ``max_iters``, started from the plain
-    fit's parameters: its first step returns them, the same bits as a cold
-    start.  Among the fits that converged, the one whose decision scores
-    best separate the classes of ``reference`` (``_separation``, the
-    binormal AUC) is selected; ties go to the earlier grid entry.  Returns
-    the plain fit's parameters and the selected fit; its ``alpha`` is the
-    selected one.  ``reference`` carries the labels to trust: the uncorrupted
-    training labels in the experiment, the training data itself in
-    ``robust-train``.
+    on ``corrupted`` with ``config.tol`` and ``config.max_iters``, started
+    from the plain fit's parameters: its first step returns them, the same
+    bits as a cold start.  ``config.alpha`` is ignored, as in
+    ``calibrate_alpha``.  Among the fits that converged, the one whose
+    decision scores best separate the classes of ``reference``
+    (``_separation``, the binormal AUC) is selected; ties go to the earlier
+    grid entry.  Returns the plain fit's parameters and the selected fit;
+    its ``alpha`` is the selected one.  ``reference`` carries the labels to
+    trust: the uncorrupted training labels in the experiment, the training
+    data itself in ``robust-train``.
 
     The mean log-loss on ``reference`` is not the criterion because it
     rewards calibration as much as ranking; on the label-flip task it
@@ -487,8 +485,7 @@ def select_alpha(
     best_result: FitResult | None = None
     unconverged: list[float] = []
     for multiplier in grid:
-        config = EosConfig(alpha=multiplier * loss_scale, tol=tol, max_iters=max_iters)
-        result = fit(corrupted, copy.copy(model), config)
+        result = fit(corrupted, copy.copy(model), replace(config, alpha=multiplier * loss_scale))
         if result.termination is not Termination.CONVERGED:
             unconverged.append(result.alpha)
             continue
@@ -497,7 +494,7 @@ def select_alpha(
             best_separation, best_result = separation, result
     if best_result is None:
         raise NonConvergenceError(
-            f"no robust fit converged within max_iters={max_iters} at any alpha in "
+            f"no robust fit converged within max_iters={config.max_iters} at any alpha in "
             f"({', '.join(f'{a:.6g}' for a in unconverged)}); raise max_iters or tol"
         )
     return plain, best_result

@@ -34,15 +34,15 @@ from conftest import planted_gaussian_2d
 
 def test_identical_points_produce_no_flags():
     data = Dataset(np.tile([2.0, 3.0, 4.0], (20, 1)))
-    report = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 0.1)
-    assert report.n_flagged == 0
+    _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 0.1)
+    assert not flags.any()
 
 
 def test_topk_recovers_planted_outliers():
     data, planted = planted_gaussian_2d(seed=7)
-    report = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10)
-    assert frozenset(int(i) for i in np.flatnonzero(report.flags)) == planted
-    assert report.n_flagged == 10
+    _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10)
+    assert frozenset(int(i) for i in np.flatnonzero(flags)) == planted
+    assert flags.sum() == 10
 
 
 def test_relative_threshold_separates_planted_outliers():
@@ -51,23 +51,23 @@ def test_relative_threshold_separates_planted_outliers():
     # while planted ones stay below 2e-11).  kappa=1e-4 lies in that gap and
     # recovers the planted set exactly; it is the recorded separating kappa.
     data, planted = planted_gaussian_2d(seed=7)
-    report = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 0.1)
+    result, _ = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 0.1)
     n = data.n_instances
     planted_idx = np.fromiter(planted, dtype=np.intp)
     inlier_mask = np.ones(n, dtype=bool)
     inlier_mask[planted_idx] = False
-    weights = report.fit.weights
+    weights = result.weights
     assert np.all(weights[planted_idx] < 0.1 / n)
     assert weights[planted_idx].max() < weights[inlier_mask].min()
 
-    separated = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 1e-4)
-    assert frozenset(int(i) for i in np.flatnonzero(separated.flags)) == planted
+    _, separated = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, 1e-4)
+    assert frozenset(int(i) for i in np.flatnonzero(separated)) == planted
 
 
 def test_topk_tie_break_by_index_on_symmetric_data():
     data = Dataset(np.tile([1.0, 1.0], (6, 1)))
-    report = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 2)
-    assert list(np.flatnonzero(report.flags)) == [0, 1]
+    _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 2)
+    assert list(np.flatnonzero(flags)) == [0, 1]
 
 
 @pytest.mark.parametrize("k, flagged", [(1, [1]), (2, [1, 3]), (3, [1, 2, 3]), (4, [0, 1, 2, 3])])
@@ -76,8 +76,8 @@ def test_topk_breaks_weight_ties_by_the_fits_larger_error_then_index(k, flagged)
     errors = np.array([0.0, 2.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     tied = replace(fit(data, GaussianModel(), EosConfig(alpha=1.0)),
                    weights=np.full(8, 0.125), errors=errors)
-    report = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
-    assert np.flatnonzero(report.flags).tolist() == flagged
+    flags = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
+    assert np.flatnonzero(flags).tolist() == flagged
 
 
 def test_topk_flags_the_first_k_of_the_full_sort():
@@ -94,25 +94,25 @@ def test_topk_flags_the_first_k_of_the_full_sort():
     for k in (0, 1, at_tie, 199):
         expected = np.zeros(200, dtype=bool)
         expected[order[:k]] = True
-        report = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
-        assert np.array_equal(report.flags, expected)
+        flags = eos.anomaly.flag_outliers(tied, FlagRule.TOP_K, k)
+        assert np.array_equal(flags, expected)
 
 
 @pytest.mark.parametrize("rule, param", [(FlagRule.RELATIVE_THRESHOLD, 0.1), (FlagRule.TOP_K, 3)])
 def test_flags_are_read_only(rule, param):
     data = Dataset(np.random.default_rng(2).normal(size=(20, 2)))
-    report = eos.anomaly.flag_outliers(fit(data, GaussianModel(), EosConfig()), rule, param)
+    flags = eos.anomaly.flag_outliers(fit(data, GaussianModel(), EosConfig()), rule, param)
     with pytest.raises(ValueError, match="read-only"):
-        report.flags[0] = not report.flags[0]
+        flags[0] = not flags[0]
 
 
 def test_topk_monotone_in_k():
     data, _ = planted_gaussian_2d(seed=4)
     previous: set[int] = set()
     for k in (0, 1, 3, 7, 15, 40):
-        report = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, k)
-        current = set(np.flatnonzero(report.flags).tolist())
-        assert report.n_flagged == min(k, data.n_instances - 1)
+        _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, k)
+        current = set(np.flatnonzero(flags).tolist())
+        assert flags.sum() == min(k, data.n_instances - 1)
         assert previous <= current
         previous = current
 
@@ -120,16 +120,16 @@ def test_topk_monotone_in_k():
 def test_topk_caps_at_t_minus_one():
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(10, 1)))
-    report = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 500)
-    assert report.n_flagged == 9
+    _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 500)
+    assert flags.sum() == 9
 
 
 def test_relative_threshold_monotone_in_kappa():
     data, _ = planted_gaussian_2d(seed=4)
     previous: set[int] = set()
     for kappa in (1e-6, 1e-3, 0.05, 0.2, 0.8):
-        report = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, kappa)
-        current = set(np.flatnonzero(report.flags).tolist())
+        _, flags = detect(data, EosConfig(alpha=1.0), FlagRule.RELATIVE_THRESHOLD, kappa)
+        current = set(np.flatnonzero(flags).tolist())
         assert previous <= current
         previous = current
 
@@ -138,8 +138,8 @@ def test_relative_threshold_never_flags_everything():
     rng = np.random.default_rng(1)
     data = Dataset(rng.normal(size=(25, 2)))
     # kappa > 1 would flag every near-uniform weight without the guard.
-    report = detect(data, EosConfig(alpha=1e6), FlagRule.RELATIVE_THRESHOLD, 5.0)
-    assert report.n_flagged < data.n_instances
+    _, flags = detect(data, EosConfig(alpha=1e6), FlagRule.RELATIVE_THRESHOLD, 5.0)
+    assert flags.sum() < data.n_instances
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (8, 10)], ids=["4x3", "8x10"])
@@ -155,26 +155,24 @@ def test_detect_requires_enough_instances(monkeypatch, shape):
         calibrate_alpha(data, 0.9, EosConfig(alpha=1.0))
 
 
-def test_report_holds_the_fit_it_flags():
+def test_detect_returns_the_fit_it_flags():
     data, _ = planted_gaussian_2d(seed=7)
-    result = fit(data, GaussianModel(), EosConfig(alpha=2.5))
-    report = eos.anomaly.flag_outliers(result, FlagRule.TOP_K, 10)
-    assert report.fit is result
+    result, flags = detect(data, EosConfig(alpha=2.5), FlagRule.TOP_K, 10)
     assert result.alpha == 2.5
-    detected = detect(data, EosConfig(alpha=2.5), FlagRule.TOP_K, 10)
-    assert np.array_equal(report.flags, detected.flags)
+    assert np.array_equal(flags, eos.anomaly.flag_outliers(result, FlagRule.TOP_K, 10))
+    alone = fit(data, GaussianModel(), EosConfig(alpha=2.5))
+    assert np.array_equal(flags, eos.anomaly.flag_outliers(alone, FlagRule.TOP_K, 10))
 
 
 def test_any_models_fit_can_be_flagged():
     data, _ = planted_gaussian_2d(seed=7)
     result = fit(data, SquaredEuclideanModel(), EosConfig(alpha=1.0))
     top = eos.anomaly.flag_outliers(result, FlagRule.TOP_K, 10)
-    assert top.fit is result
     expected = np.zeros(data.n_instances, dtype=bool)
     expected[np.lexsort((-result.errors, result.weights))[:10]] = True
-    assert np.array_equal(top.flags, expected)
+    assert np.array_equal(top, expected)
     relative = eos.anomaly.flag_outliers(result, FlagRule.RELATIVE_THRESHOLD, 0.1)
-    assert np.array_equal(relative.flags, result.weights < 0.1 / data.n_instances)
+    assert np.array_equal(relative, result.weights < 0.1 / data.n_instances)
 
 
 def test_detect_rejects_bad_rule_params(monkeypatch):
@@ -470,9 +468,9 @@ def test_calibrate_survives_weights_collapsed_onto_two_points(seed):
 
 def test_detect_reports_fit_termination():
     data, _ = planted_gaussian_2d(seed=7)
-    converged = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10).fit
+    converged, _ = detect(data, EosConfig(alpha=1.0), FlagRule.TOP_K, 10)
     assert converged.termination is Termination.CONVERGED
     assert converged.iterations > 1
-    capped = detect(data, EosConfig(alpha=1.0, max_iters=1), FlagRule.TOP_K, 10).fit
+    capped, _ = detect(data, EosConfig(alpha=1.0, max_iters=1), FlagRule.TOP_K, 10)
     assert capped.termination is Termination.MAX_ITERS_REACHED
     assert capped.iterations == 1

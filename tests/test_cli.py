@@ -222,14 +222,13 @@ def test_calibrated_detect_flags_from_the_calibration_fit(
     assert cli_fits == len(fits) == len(calibration.path)
     assert calibration.saturated is identical
 
-    report = detect(data, replace(eos_cfg, alpha=calibration.fit.alpha), FlagRule.TOP_K, 4)
+    result, flags = detect(data, replace(eos_cfg, alpha=calibration.fit.alpha), FlagRule.TOP_K, 4)
     expected = ["index,weight,flag"] + [
-        f"{i},{float(w)!r},{int(f)}"
-        for i, (w, f) in enumerate(zip(report.fit.weights, report.flags))
+        f"{i},{float(w)!r},{int(f)}" for i, (w, f) in enumerate(zip(result.weights, flags))
     ]
     assert (tmp_path / "out" / "weights.csv").read_text().splitlines() == expected
     results = _report(tmp_path / "out")["results"]
-    assert results["flagged_indices"] == np.flatnonzero(report.flags).tolist()
+    assert results["flagged_indices"] == np.flatnonzero(flags).tolist()
     assert results["calibration"] == {
         "alpha": calibration.fit.alpha,
         "attained_fraction": calibration.attained_fraction,
@@ -800,7 +799,7 @@ from eos import mahalanobis_chi2_baseline, predict_proba, weighted_gaussian_mle
 assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 rng = np.random.default_rng(3)
 x = rng.standard_normal((2000, 4)) * 8.0
-params = ClassifierParams(np.array([1.5, -2.0, 0.25, 3.0]), 0.5, 1e-4)
+params = ClassifierParams(np.array([1.5, -2.0, 0.25, 3.0]), 0.5)
 proba = predict_proba(params, x)
 data = Dataset(rng.standard_normal((400, 3)))
 flags = mahalanobis_chi2_baseline(data, 0.975)
@@ -877,12 +876,12 @@ def test_affinity_csv_matches_csv_writer(tmp_path, section):
 def test_detect_csv_matches_csv_writer(detect_setup):
     tmp_path, cfg_path, config = detect_setup
     assert main(["--config", str(cfg_path), "--quiet"]) == 0
-    report = detect(
+    result, flags = detect(
         parse_csv_dataset(config["input_path"]), EosConfig(alpha=1.0), FlagRule.TOP_K, 4
     )
     expected = _oracle_csv(
         ["index", "weight", "flag"],
-        [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(report.fit.weights, report.flags))],
+        [[i, float(w), int(f)] for i, (w, f) in enumerate(zip(result.weights, flags))],
     )
     assert (tmp_path / "out" / "weights.csv").read_bytes() == expected
 

@@ -28,15 +28,26 @@ def test_writable_array_is_copied():
     assert not data.instances.flags.writeable
 
 
-def test_frozen_owned_float_matrix_is_adopted_and_views_are_copied():
+def test_frozen_float_matrix_and_views_are_copied():
     x = np.arange(6.0).reshape(3, 2).copy()
     x.setflags(write=False)
-    assert Dataset(x).instances is x
+    assert Dataset(x).instances is not x
     view = x[:, :1]
     assert Dataset(view).instances is not view
     ints = np.arange(6).reshape(3, 2).copy()
     ints.setflags(write=False)
     assert Dataset(ints).instances.dtype == np.float64
+
+
+def test_a_view_taken_before_freezing_cannot_change_a_dataset():
+    # A frozen matrix that owns its data can still have a writable view.
+    x = np.zeros((4, 2))
+    view = x[:]
+    x.setflags(write=False)
+    data = Dataset(x)
+    view[0, 0] = 1e308
+    assert data.instances[0, 0] == 0.0
+    assert data.mean_variance == 0.0
 
 
 def test_subset_and_with_labels_hand_over_frozen_arrays():

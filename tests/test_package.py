@@ -7,7 +7,7 @@ def test_public_names():
     assert sorted(eos.__all__) == sorted([
         "__version__",
         "affinity_blocks", "calibrate_row_alpha", "gaussian_affinity_row",
-        "AlphaCalibration", "FlagRule", "OutlierReport", "calibrate_alpha", "check_flag_rule",
+        "AlphaCalibration", "FlagRule", "calibrate_alpha", "check_flag_rule",
         "detect", "flag_outliers",
         "MetricReport", "SyntheticSpec", "generate", "mahalanobis_chi2_baseline", "precision",
         "run_synth_benchmark", "timing_probe_wstep", "timing_ratios",
@@ -24,6 +24,6 @@ def test_public_names():
         "mislabel_experiment", "predict_proba", "robust_fit", "select_alpha",
         "summarize_mislabel", "train_weighted_classifier",
     ])
-    assert len(eos.__all__) == 60
+    assert len(eos.__all__) == 59
     for name in eos.__all__:
         assert hasattr(eos, name), name

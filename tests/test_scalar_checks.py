@@ -153,10 +153,8 @@ SITES = [
     ("run_synth_benchmark.n_seeds",
      lambda v: run_synth_benchmark(SyntheticSpec(**SPEC), v), np.int64(2),
      InvalidInputError),
-    ("ClassifierParams.intercept", lambda v: ClassifierParams(np.zeros(2), v, 0.0),
+    ("ClassifierParams.intercept", lambda v: ClassifierParams(np.zeros(2), v),
      np.float32(0.5), InvalidInputError),
-    ("ClassifierParams.l2_strength", lambda v: ClassifierParams(np.zeros(2), 0.0, v),
-     np.float32(0.01), InvalidInputError),
     ("train_weighted_classifier.l2_strength",
      lambda v: train_weighted_classifier(LABELED, UNIFORM, v), np.float32(0.01),
      InvalidConfigError),
@@ -233,29 +231,29 @@ ARRAY_SITES = [
      InvalidInputError, "scores must be finite"),
     ("auc.label", lambda: auc(np.zeros(2), np.array([0, 2])), InvalidInputError,
      "labels must be binary 0/1"),
-    ("ClassifierParams.coefficients-2d", lambda: ClassifierParams(np.zeros((2, 1)), 0.0, 0.0),
+    ("ClassifierParams.coefficients-2d", lambda: ClassifierParams(np.zeros((2, 1)), 0.0),
      InvalidInputError, "coefficients must be a vector, got shape (2, 1)"),
     ("ClassifierParams.coefficients-non-finite",
-     lambda: ClassifierParams(np.array([np.inf, 0.0]), 0.0, 0.0), InvalidInputError,
+     lambda: ClassifierParams(np.array([np.inf, 0.0]), 0.0), InvalidInputError,
      "classifier parameters must be finite"),
     ("decision_function.columns",
-     lambda: decision_function(ClassifierParams(np.zeros(3), 0.0, 0.0), np.zeros((4, 2))),
+     lambda: decision_function(ClassifierParams(np.zeros(3), 0.0), np.zeros((4, 2))),
      InvalidInputError, "instances have 2 columns for 3 coefficients"),
     ("classifier_loss_error.columns",
-     lambda: classifier_loss_error(LABELED, ClassifierParams(np.zeros(3), 0.0, 0.0)),
+     lambda: classifier_loss_error(LABELED, ClassifierParams(np.zeros(3), 0.0)),
      InvalidInputError, "instances have 2 columns for 3 coefficients"),
     ("predict_proba.non-finite",
-     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0, 0.0), np.array([[0.0, np.nan]])),
+     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0), np.array([[0.0, np.nan]])),
      InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
     ("predict_proba.1d",
-     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0, 0.0), np.zeros(2)),
+     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0), np.zeros(2)),
      InvalidInputError, "instances must be a 2-D matrix, got ndim=1"),
     ("decision_function.beyond-bound",
-     lambda: decision_function(ClassifierParams(np.zeros(2), 0.0, 0.0), np.array([[0.0, 1e200]])),
+     lambda: decision_function(ClassifierParams(np.zeros(2), 0.0), np.array([[0.0, 1e200]])),
      InvalidInputError, "|instances| reaches 1e+200, beyond 3.35"),
     ("train_weighted_classifier.initial",
      lambda: train_weighted_classifier(LABELED, UNIFORM,
-                                       initial=ClassifierParams(np.zeros(3), 0.0, 0.0)),
+                                       initial=ClassifierParams(np.zeros(3), 0.0)),
      InvalidInputError, "initial coefficients must have length 2, got (3,)"),
     ("GaussianParams.mu-2d", lambda: GaussianParams(np.zeros((2, 1)), np.eye(2)),
      InvalidInputError, "mu must be a vector, got shape (2, 1)"),

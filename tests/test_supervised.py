@@ -141,7 +141,7 @@ def test_training_converges_from_a_saturated_start(coef, intercept):
     # halvings could not shrink it to an acceptable size.
     data = _two_gaussian_dataset(150, 3, np.random.default_rng(19))
     weights = np.full(150, 1 / 150)
-    start = ClassifierParams(coefficients=np.full(3, coef), intercept=intercept, l2_strength=1e-4)
+    start = ClassifierParams(coefficients=np.full(3, coef), intercept=intercept)
 
     params = train_weighted_classifier(data, weights, 1e-4, initial=start)
 
@@ -189,13 +189,13 @@ def test_training_requires_labels():
 
 def test_loss_half_probability_is_log_two():
     data = Dataset(np.array([[0.0]]), np.array([1]))
-    params = ClassifierParams(coefficients=np.zeros(1), intercept=0.0, l2_strength=0.0)
+    params = ClassifierParams(coefficients=np.zeros(1), intercept=0.0)
     assert classifier_loss_error(data, params)[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_loss_is_not_clamped_at_certainty():
     data = Dataset(np.array([[1.0], [1.0]]), np.array([1, 0]))
-    params = ClassifierParams(coefficients=np.array([1e4]), intercept=0.0, l2_strength=0.0)
+    params = ClassifierParams(coefficients=np.array([1e4]), intercept=0.0)
     right, wrong = classifier_loss_error(data, params)
     assert right == 0.0
     assert wrong == 1e4  # the full log-odds z
@@ -479,8 +479,10 @@ def test_select_alpha_skips_unconverged_fits():
     assert small.termination is Termination.MAX_ITERS_REACHED
     assert large.termination is Termination.CONVERGED
 
-    _, result = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=cap)
-    # The selected fit's alpha is its grid multiplier times the plain fit's mean loss.
+    # config.alpha is ignored: the selected fit's alpha is its grid multiplier
+    # times the plain fit's mean loss.
+    capped = EosConfig(alpha=123.0, max_iters=cap)
+    _, result = select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, capped)
     assert result.alpha == 10.0 * scale
     assert result.termination is Termination.CONVERGED
 
@@ -489,7 +491,7 @@ def test_select_alpha_raises_when_no_fit_converges():
     data, corrupted = _corrupted_task()
     cfg = MislabelExperimentConfig(flip_proportion=0.2, alpha_grid=(0.1, 10.0))
     with pytest.raises(NonConvergenceError, match="max_iters=1") as info:
-        select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, max_iters=1)
+        select_alpha(corrupted, data, cfg.alpha_grid, cfg.l2_strength, EosConfig(max_iters=1))
     assert str(info.value).count(",") == 1  # both alpha values are named
 
 
