@@ -663,6 +663,17 @@ def test_robust_train_report(tmp_path):
     assert (tmp_path / "out" / "weights.csv").exists()
 
 
+def test_robust_train_reports_the_l2_strength_its_fit_used(tmp_path):
+    cfg_path = _robust_train_config(tmp_path, robust_train={"alpha": 1.0, "l2_strength": 0.5})
+    assert main(["--config", str(cfg_path), "--quiet"]) == 0
+    results = _report(tmp_path / "out")["results"]
+    assert results["l2_strength"] == 0.5
+    data = parse_csv_dataset(tmp_path / "labeled.csv", label_column="label")
+    expected = robust_fit(data, EosConfig(alpha=1.0), l2_strength=0.5).theta
+    assert results["coefficients"] == expected.coefficients.tolist()
+    assert results["intercept"] == expected.intercept
+
+
 def test_robust_train_alpha_selection_honours_eos_max_iters(tmp_path, capsys):
     # Without robust_train.alpha, every grid fit runs with eos.tol and
     # eos.max_iters; capped at one iteration none converges.

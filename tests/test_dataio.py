@@ -27,6 +27,23 @@ def test_plain_numeric_csv(tmp_path):
     assert np.array_equal(data.instances, [[1, 2], [3, 4], [5, 6]])
 
 
+def test_parse_hands_over_the_parsed_matrix_without_a_copy(tmp_path, monkeypatch):
+    # A file of feature columns only: the Dataset holds loadtxt's own matrix, frozen.
+    path = _write(tmp_path, "plain.csv", "x,y\n1,2\n3,4\n5,6\n")
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def recorded_loadtxt(*args, **kwargs):
+        parsed.append(loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(np, "loadtxt", recorded_loadtxt)
+    data = parse_csv_dataset(path)
+    assert len(parsed) == 1
+    assert data.instances is parsed[0]
+    assert not data.instances.flags.writeable
+
+
 def test_wdbc_shaped_file(tmp_path):
     header = "id,diagnosis," + ",".join(f"f{i}" for i in range(30))
     rows = []
