@@ -490,7 +490,7 @@ def _run_robust_train(config: RunConfig, out_dir: Path) -> dict:
     else:
         _, result = select_alpha(data, data, section.alpha_grid, section.l2_strength, config.eos)
     params = result.theta
-    training_auc = auc(predict_proba(params, data.instances), data.labels)
+    training_auc = auc(predict_proba(data, params), data.labels)
     _write_csv(out_dir / "weights.csv", ["index", "weight"],
                _weight_blocks("%d,%r\n", result.weights))
     return {

@@ -28,6 +28,12 @@ def _check_peak(name: str, peak: float, d: int) -> None:
                                 "rescale the features")
 
 
+def _check_dim(dataset: Dataset, dim: int) -> None:
+    """Refuse model parameters of dimension ``dim`` for ``dataset``'s feature count."""
+    if dataset.n_features != dim:
+        raise InvalidInputError(f"dataset has {dataset.n_features} features, params expect {dim}")
+
+
 def _scale_exponent(x: np.ndarray) -> int:
     """The least e >= 0 with |x| < 2**e: scaling by 2**-e is exact and brings x into (-1, 1)."""
     return max(math.frexp(max(float(x.max()), -float(x.min())))[1], 0)

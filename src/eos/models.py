@@ -3,7 +3,9 @@
 Both satisfy the ``ErrorModel`` contract: ``step`` returns the exact
 minimizer of the weighted error (up to a tiny covariance floor) and the
 errors under it, so the alternating fit is guaranteed to descend.  Steps
-take ``fit``'s weights unchecked; the public functions check their inputs.
+take ``fit``'s weights unchecked.  The public functions check their inputs
+once: a ``Dataset`` is checked when it is built, so an evaluator checks
+only the parameters' dimension.
 
 Every Gaussian pass over the instances runs in cache-sized row blocks, and
 no call allocates a T x D array.  The moments pass weights the rows of each
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_real, check_weights
-from .data import Dataset, _centered_blocks, _check_peak
+from .data import Dataset, _centered_blocks, _check_dim, _check_peak
 from .exceptions import InvalidInputError, NumericalError
 
 __all__ = [
@@ -144,20 +146,13 @@ def _negative_log_likelihood(q: np.ndarray, params: GaussianParams) -> np.ndarra
     return q
 
 
-def _check_dim(dataset: Dataset, params: GaussianParams) -> None:
-    if dataset.n_features != params.dim:
-        raise InvalidInputError(
-            f"dataset has {dataset.n_features} features, params expect {params.dim}"
-        )
-
-
 def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     """(x - mu)^T Sigma^{-1} (x - mu) per row.
 
     Raises ``NumericalError`` when a distance overflows, which a covariance
     far too small for the data's scale can make happen.
     """
-    _check_dim(dataset, params)
+    _check_dim(dataset, params.dim)
     q = _quadratic_form(dataset.instances, params)
     if not np.isfinite(q.max()):  # NaN and inf carry through the max
         raise NumericalError(

@@ -6,7 +6,9 @@ downweights training instances the classifier cannot explain, which is
 where randomly flipped labels end up.  Training and the per-sample error
 share one log-loss kernel computed from the log-odds, with no probability
 clamp, and the solver takes one path from any start, cold or warm.  Steps
-take ``fit``'s weights unchecked; the public functions check their inputs.
+take ``fit``'s weights unchecked.  The public functions check their inputs
+once: a ``Dataset`` is checked when it is built, so an evaluator checks
+only the parameters' dimension.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .bench import _metric_report
 from .core import (EosConfig, FitResult, Termination, _check_int, _check_real, _positive,
                    check_weights, fit)
-from .data import Dataset
+from .data import Dataset, _check_dim
 from .exceptions import (
     InvalidConfigError,
     InvalidInputError,
@@ -86,23 +88,17 @@ def _check_l2(l2_strength: float) -> float:
                        "l2_strength must be finite and non-negative")
 
 
-def decision_function(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
-    """Each row's log-odds; ``instances`` are checked as ``Dataset`` instances are."""
-    x = Dataset(instances).instances
-    _check_columns(x.shape[1], params)
-    return x @ params.coefficients + params.intercept
+def decision_function(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
+    """Each row's log-odds coef . x + intercept, read from the instances with no copy."""
+    _check_dim(dataset, len(params.coefficients))
+    return dataset.instances @ params.coefficients + params.intercept
 
 
-def _check_columns(n_columns: int, params: ClassifierParams) -> None:
-    d = params.coefficients.shape[0]
-    if n_columns != d:
-        raise InvalidInputError(f"instances have {n_columns} columns for {d} coefficients")
-
-
-def predict_proba(params: ClassifierParams, instances: np.ndarray) -> np.ndarray:
+def predict_proba(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
+    """Each row's p(y=1 | x), the logistic function of ``decision_function``."""
     from scipy.special import expit  # imported on use, so that import eos loads no scipy
 
-    return expit(decision_function(params, instances))
+    return expit(decision_function(dataset, params))
 
 
 def _require_labels(dataset: Dataset) -> np.ndarray:
@@ -172,11 +168,8 @@ def train_weighted_classifier(
     grad_tol = _check_real(grad_tol, _positive, InvalidConfigError, "grad_tol must be positive")
     max_iters = _check_int(max_iters, lambda n: n >= 1, InvalidConfigError,
                            "max_iters must be an integer >= 1")
-    d = dataset.n_features
-    if initial is not None and initial.coefficients.shape != (d,):
-        raise InvalidInputError(
-            f"initial coefficients must have length {d}, got {initial.coefficients.shape}"
-        )
+    if initial is not None:
+        _check_dim(dataset, len(initial.coefficients))
     return _newton(_design(dataset.instances), y, w, l2_strength, initial, grad_tol, max_iters)
 
 
@@ -252,13 +245,11 @@ def classifier_loss_error(dataset: Dataset, params: ClassifierParams) -> np.ndar
     """Per-sample negative log-likelihood of the observed label.
 
     The loss is the one ``train_weighted_classifier`` minimizes, computed
-    from the log-odds without forming probabilities, so it is finite for
-    any parameters and unclamped: a certainly-wrong point costs its full
-    margin.
+    from ``decision_function``'s log-odds without forming probabilities, so
+    it is finite for any parameters and unclamped: a certainly-wrong point
+    costs its full margin.
     """
-    _check_columns(dataset.n_features, params)
-    z = dataset.instances @ params.coefficients + params.intercept
-    return _log_loss(z, _require_labels(dataset))
+    return _log_loss(decision_function(dataset, params), _require_labels(dataset))
 
 
 @dataclass
@@ -489,7 +480,7 @@ def select_alpha(
         if result.termination is not Termination.CONVERGED:
             unconverged.append(result.alpha)
             continue
-        separation = _separation(decision_function(result.theta, reference.instances), labels)
+        separation = _separation(decision_function(reference, result.theta), labels)
         if separation > best_separation:
             best_separation, best_result = separation, result
     if best_result is None:
@@ -514,8 +505,8 @@ def _run_split(data: Dataset, cfg: MislabelExperimentConfig, rng: np.random.Gene
 
     plain, robust = select_alpha(corrupted, train, cfg.alpha_grid, cfg.l2_strength)
 
-    auc_plain = auc(predict_proba(plain, test.instances), test.labels)
-    auc_robust = auc(predict_proba(robust.theta, test.instances), test.labels)
+    auc_plain = auc(predict_proba(test, plain), test.labels)
+    auc_robust = auc(predict_proba(test, robust.theta), test.labels)
 
     weights = robust.weights
     clean_mask = np.ones(n_train, dtype=bool)

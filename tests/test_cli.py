@@ -809,15 +809,15 @@ from eos import ClassifierParams, Dataset, decision_function, mahalanobis_square
 from eos import mahalanobis_chi2_baseline, predict_proba, weighted_gaussian_mle
 assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 rng = np.random.default_rng(3)
-x = rng.standard_normal((2000, 4)) * 8.0
+points = Dataset(rng.standard_normal((2000, 4)) * 8.0)
 params = ClassifierParams(np.array([1.5, -2.0, 0.25, 3.0]), 0.5)
-proba = predict_proba(params, x)
+proba = predict_proba(points, params)
 data = Dataset(rng.standard_normal((400, 3)))
 flags = mahalanobis_chi2_baseline(data, 0.975)
 from scipy.special import expit
 from scipy.stats import chi2
 maha = mahalanobis_squared(data, weighted_gaussian_mle(data, np.full(400, 1 / 400)))
-print(np.array_equal(proba, expit(decision_function(params, x))),
+print(np.array_equal(proba, expit(decision_function(points, params))),
       np.array_equal(flags, maha > chi2.ppf(0.975, 3)), int(flags.sum()))
 """
     proba_ok, flags_ok, n_flagged = _run_fresh(code).split()

@@ -84,7 +84,7 @@ def test_every_path_runs_clean_at_the_largest_accepted_peak():
     assert math.isfinite(data.mean_variance)
     # The gradient tolerance follows the features' scale.
     params = train_weighted_classifier(data, np.full(t, 1 / t), grad_tol=1e-12 * _BOUND)
-    assert np.isfinite(predict_proba(params, data.instances)).all()
+    assert np.isfinite(predict_proba(data, params)).all()
 
 
 def _one_float_past(x):

@@ -43,11 +43,12 @@ from eos import (
     fit,
     flag_outliers,
     gaussian_affinity_row,
+    gaussian_error,
     inject_label_flips,
     mahalanobis_chi2_baseline,
+    mahalanobis_squared,
     mislabel_experiment,
     objective,
-    predict_proba,
     robust_fit,
     run_synth_benchmark,
     select_alpha,
@@ -217,6 +218,10 @@ ARRAY_SITES = [
      "instances must be a 2-D matrix, got ndim=1"),
     ("Dataset.instances-no-rows", lambda: Dataset(np.zeros((0, 2))), InvalidInputError,
      "instances must be at least 1x1, got (0, 2)"),
+    ("Dataset.instances-non-finite", lambda: Dataset(np.array([[0.0, np.nan]])),
+     InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
+    ("Dataset.instances-beyond-bound", lambda: Dataset(np.array([[0.0, 1e200]])),
+     InvalidInputError, "|instances| reaches 1e+200, beyond 3.35"),
     ("Dataset.labels-length", lambda: Dataset(_X, np.zeros(39, dtype=int)), InvalidInputError,
      "labels must be a vector of length 40, got shape (39,)"),
     ("Dataset.feature_names-length", lambda: Dataset(_X, feature_names=("a",)),
@@ -237,24 +242,15 @@ ARRAY_SITES = [
      lambda: ClassifierParams(np.array([np.inf, 0.0]), 0.0), InvalidInputError,
      "classifier parameters must be finite"),
     ("decision_function.columns",
-     lambda: decision_function(ClassifierParams(np.zeros(3), 0.0), np.zeros((4, 2))),
-     InvalidInputError, "instances have 2 columns for 3 coefficients"),
+     lambda: decision_function(POINTS, ClassifierParams(np.zeros(3), 0.0)),
+     InvalidInputError, "dataset has 2 features, params expect 3"),
     ("classifier_loss_error.columns",
      lambda: classifier_loss_error(LABELED, ClassifierParams(np.zeros(3), 0.0)),
-     InvalidInputError, "instances have 2 columns for 3 coefficients"),
-    ("predict_proba.non-finite",
-     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0), np.array([[0.0, np.nan]])),
-     InvalidInputError, "instances contain a non-finite entry at row 0, column 1"),
-    ("predict_proba.1d",
-     lambda: predict_proba(ClassifierParams(np.zeros(2), 0.0), np.zeros(2)),
-     InvalidInputError, "instances must be a 2-D matrix, got ndim=1"),
-    ("decision_function.beyond-bound",
-     lambda: decision_function(ClassifierParams(np.zeros(2), 0.0), np.array([[0.0, 1e200]])),
-     InvalidInputError, "|instances| reaches 1e+200, beyond 3.35"),
+     InvalidInputError, "dataset has 2 features, params expect 3"),
     ("train_weighted_classifier.initial",
      lambda: train_weighted_classifier(LABELED, UNIFORM,
                                        initial=ClassifierParams(np.zeros(3), 0.0)),
-     InvalidInputError, "initial coefficients must have length 2, got (3,)"),
+     InvalidInputError, "dataset has 2 features, params expect 3"),
     ("GaussianParams.mu-2d", lambda: GaussianParams(np.zeros((2, 1)), np.eye(2)),
      InvalidInputError, "mu must be a vector, got shape (2, 1)"),
     ("GaussianParams.mu-empty", lambda: GaussianParams(np.zeros(0), np.zeros((0, 0))),
@@ -263,6 +259,11 @@ ARRAY_SITES = [
      InvalidInputError, "mu and sigma must be finite"),
     ("GaussianParams.mu-beyond-bound", lambda: GaussianParams(np.array([0.0, 1e200]), np.eye(2)),
      InvalidInputError, "|mu| reaches 1e+200, beyond 3.35"),
+    ("mahalanobis_squared.columns",
+     lambda: mahalanobis_squared(POINTS, GaussianParams(np.zeros(3), np.eye(3))),
+     InvalidInputError, "dataset has 2 features, params expect 3"),
+    ("gaussian_error.columns", lambda: gaussian_error(POINTS, GaussianParams(np.zeros(1), np.eye(1))),
+     InvalidInputError, "dataset has 2 features, params expect 1"),
     ("squared_euclidean_error.center",
      lambda: squared_euclidean_error(POINTS, np.array([np.inf, 0.0])), InvalidInputError,
      "center must be finite"),

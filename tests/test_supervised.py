@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,28 @@ def test_one_hot_weights_fit_that_point():
     weights = np.zeros(6)
     weights[2] = 1.0
     params = train_weighted_classifier(data, weights, 1e-4)
-    prob_one = predict_proba(params, data.instances[2:3])[0]
+    prob_one = predict_proba(data.subset([2]), params)[0]
     prob_true = 1.0 - prob_one if data.labels[2] == 0 else prob_one
     assert prob_true > 0.99
+
+
+def test_predictions_read_the_datasets_matrix_without_a_copy():
+    # The Dataset checked its instances when it was built; a prediction
+    # allocates row vectors only, not a second 50,000 x 10 matrix (4 MB).
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.standard_normal((50_000, 10)))
+    params = ClassifierParams(rng.standard_normal(10), 0.5)
+    predict_proba(data.subset([0]), params)  # loads scipy before the trace
+    tracemalloc.start()
+    try:
+        proba = predict_proba(data, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.instances.nbytes
+    from scipy.special import expit
+
+    assert np.array_equal(proba, expit(data.instances @ params.coefficients + params.intercept))
 
 
 def test_gradient_norm_at_optimum():
@@ -257,7 +277,7 @@ def test_classifier_step_converges_from_a_saturated_warm_start():
     model = ClassifierLossModel(l2_strength=1e-4)
     model.step(data, uniform)
     saturated, _ = model.step(data, one_hot)
-    z = decision_function(saturated, data.instances)
+    z = decision_function(data, saturated)
     assert np.all(np.abs(z) > 40.0)  # p(1-p) < 1e-17 at every point
 
     params, _ = model.step(data, uniform)
