@@ -32,7 +32,7 @@ import numpy as np
 from .core import _check_int, _check_real, _checked_errors, _softmax
 from .data import _FLOAT_MAX, Dataset
 from .exceptions import CalibrationError, InvalidConfigError, InvalidInputError
-from .models import _squared_distances
+from .models import _quadratic_form
 
 __all__ = ["gaussian_affinity_row", "calibrate_row_alpha", "affinity_blocks"]
 
@@ -223,11 +223,11 @@ def _anchor_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values (R x T-1) and sigma_sq (R,) of the rows of ``anchors`` over
     the instances ``x``, at the shared ``alpha`` or, when it is None,
-    calibrated to ``perplexity``.  The bound of ``Dataset`` instances keeps
-    every squared distance finite."""
+    calibrated to ``perplexity``.  Squared distances come from the blocked
+    ``_quadratic_form``, kept finite by the bound of ``Dataset`` instances."""
     shifted = np.empty((len(anchors), x.shape[0] - 1))
     for k, i in enumerate(anchors):
-        shifted[k] = np.delete(_squared_distances(x, x[i]), i)
+        shifted[k] = np.delete(_quadratic_form(x, x[i]), i)
     shifted -= shifted.min(axis=1, keepdims=True)  # the shift of w_step: row minima are 0
     if perplexity is None:
         values, alphas = _softmax(shifted, alpha), np.full(len(anchors), alpha)

@@ -28,6 +28,13 @@ def _check_peak(name: str, peak: float, d: int) -> None:
                                 "rescale the features")
 
 
+def _check_dataset(dataset: object) -> None:
+    """Refuse a first argument that is not a ``Dataset``, before any argument is read."""
+    if not isinstance(dataset, Dataset):
+        raise InvalidInputError(f"expected a Dataset as the first argument, got "
+                                f"{type(dataset).__name__}; the Dataset comes first, then the params")
+
+
 def _check_dim(dataset: Dataset, dim: int) -> None:
     """Refuse model parameters of dimension ``dim`` for ``dataset``'s feature count."""
     if dataset.n_features != dim:
@@ -46,18 +53,23 @@ def _centered_blocks(x: np.ndarray, mu: np.ndarray):
     spread over at most T / D blocks however wide x is.  Each block is one
     flat subtraction of ``mu`` tiled once per pass: broadcasting ``mu`` over
     the rows runs numpy's inner loop once per row on only D elements, which
-    costs more than the arithmetic when D is small.  The differences are
-    the same floats either way.
+    costs more than the arithmetic when D is small.  Past D = 181, where D
+    rows outgrow 2**15 cells, the rows are broadcast over instead, and no
+    tile as large as a block is made.  The differences are the same floats
+    either way.
     """
     t, d = x.shape
     size = min(t, max(d, _BLOCK_CELLS // d))
     buffer = np.empty(size * d)
-    tiled = np.tile(mu, size)
+    tiled = np.tile(mu, size) if d * d <= _BLOCK_CELLS else None
     for start in range(0, t, size):
         rows = slice(start, min(start + size, t))
-        cells = (rows.stop - start) * d
-        centered = np.subtract(x[rows].reshape(-1), tiled[:cells], out=buffer[:cells])
-        yield rows, centered.reshape(-1, d)
+        centered = buffer[:(rows.stop - start) * d].reshape(-1, d)
+        if tiled is None:
+            np.subtract(x[rows], mu, out=centered)
+        else:
+            np.subtract(x[rows].reshape(-1), tiled[:centered.size], out=centered.reshape(-1))
+        yield rows, centered
 
 
 @dataclass(frozen=True)

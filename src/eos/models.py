@@ -5,14 +5,14 @@ minimizer of the weighted error (up to a tiny covariance floor) and the
 errors under it, so the alternating fit is guaranteed to descend.  Steps
 take ``fit``'s weights unchecked.  The public functions check their inputs
 once: a ``Dataset`` is checked when it is built, so an evaluator checks
-only the parameters' dimension.
+only that it was given one, first, and the parameters' dimension.
 
-Every Gaussian pass over the instances runs in cache-sized row blocks, and
-no call allocates a T x D array.  The moments pass weights the rows of each
-block and adds one D x D product per block; the quadratic forms are written
-block by block into one T-vector.  Each block is centered by one flat
-subtraction (``data._centered_blocks``), because numpy's broadcast over an
-inner axis of only D elements costs more than its arithmetic.
+Every pass over the instances runs in row blocks of 2**15 cells, or of D
+rows past D = 181, so below that width no call allocates a T x D array.  The
+moments pass adds one weighted D x D product per block; ``_quadratic_form``
+writes the Mahalanobis distances, and the squared Euclidean ones as their
+identity-covariance case, into one T-vector.  ``data._centered_blocks``
+centers each block in one reused buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_real, check_weights
-from .data import Dataset, _centered_blocks, _check_dim, _check_peak
+from .data import Dataset, _centered_blocks, _check_dataset, _check_dim, _check_peak
 from .exceptions import InvalidInputError, NumericalError
 
 __all__ = [
@@ -125,14 +125,15 @@ def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mu, sigma
 
 
-def _quadratic_form(x: np.ndarray, params: GaussianParams) -> np.ndarray:
-    """q_t = ||(x_t - mu) V / sqrt(lambda)||^2, the Mahalanobis distance,
-    written block by block into one T-vector."""
-    eigenvalues, eigenvectors = params._spectrum
-    whitener = eigenvectors / np.sqrt(eigenvalues)
+def _quadratic_form(x: np.ndarray, center: np.ndarray,
+                    spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """q_t = ||(x_t - center) V / sqrt(lambda)||^2, the Mahalanobis distance
+    for a covariance's spectrum (lambda, V), written block by block into one
+    T-vector.  With no spectrum, the identity covariance: ||x_t - center||^2."""
+    whitener = None if spectrum is None else spectrum[1] / np.sqrt(spectrum[0])
     q = np.empty(x.shape[0])
-    for rows, centered in _centered_blocks(x, params.mu):
-        z = centered @ whitener
+    for rows, centered in _centered_blocks(x, center):
+        z = centered if whitener is None else centered @ whitener
         np.einsum("ij,ij->i", z, z, out=q[rows])
     return q
 
@@ -152,8 +153,9 @@ def mahalanobis_squared(dataset: Dataset, params: GaussianParams) -> np.ndarray:
     Raises ``NumericalError`` when a distance overflows, which a covariance
     far too small for the data's scale can make happen.
     """
+    _check_dataset(dataset)
     _check_dim(dataset, params.dim)
-    q = _quadratic_form(dataset.instances, params)
+    q = _quadratic_form(dataset.instances, params.mu, params._spectrum)
     if not np.isfinite(q.max()):  # NaN and inf carry through the max
         raise NumericalError(
             f"Mahalanobis distances overflow: sigma's smallest eigenvalue "
@@ -224,29 +226,26 @@ class GaussianModel:
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[GaussianParams, np.ndarray]:
         params = _floored_params(dataset, *_weighted_moments(dataset.instances, weights))
-        return params, _negative_log_likelihood(_quadratic_form(dataset.instances, params), params)
+        q = _quadratic_form(dataset.instances, params.mu, params._spectrum)
+        return params, _negative_log_likelihood(q, params)
 
 
 def squared_euclidean_error(dataset: Dataset, center: np.ndarray) -> np.ndarray:
-    """g_t = ||x_t - center||^2; ``center`` is held to the bound of the instances."""
+    """g_t = ||x_t - center||^2, the Mahalanobis distance at the identity
+    covariance; ``center`` is held to the bound of the instances."""
+    _check_dataset(dataset)
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or c.shape[0] != dataset.n_features:
         raise InvalidInputError(f"center must have length {dataset.n_features}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("center must be finite")
     _check_peak("center", float(np.abs(c).max()), c.shape[0])
-    return _squared_distances(dataset.instances, c)
-
-
-def _squared_distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """||x_t - center||^2 per row, unchecked."""
-    diff = x - center
-    return np.einsum("ij,ij->i", diff, diff)
+    return _quadratic_form(dataset.instances, c)
 
 
 class SquaredEuclideanModel:
-    """Squared-distance error; the weighted mean is the exact update."""
+    """Identity-covariance Mahalanobis error; the weighted mean is the exact update."""
 
     def step(self, dataset: Dataset, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         center = weights @ dataset.instances
-        return center, _squared_distances(dataset.instances, center)
+        return center, _quadratic_form(dataset.instances, center)

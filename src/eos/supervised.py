@@ -23,7 +23,7 @@ import numpy as np
 from .bench import _metric_report
 from .core import (EosConfig, FitResult, Termination, _check_int, _check_real, _positive,
                    check_weights, fit)
-from .data import Dataset, _check_dim
+from .data import Dataset, _check_dataset, _check_dim
 from .exceptions import (
     InvalidConfigError,
     InvalidInputError,
@@ -90,6 +90,7 @@ def _check_l2(l2_strength: float) -> float:
 
 def decision_function(dataset: Dataset, params: ClassifierParams) -> np.ndarray:
     """Each row's log-odds coef . x + intercept, read from the instances with no copy."""
+    _check_dataset(dataset)
     _check_dim(dataset, len(params.coefficients))
     return dataset.instances @ params.coefficients + params.intercept
 

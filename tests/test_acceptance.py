@@ -25,7 +25,6 @@ from eos import (
     objective,
     run_synth_benchmark,
     shannon_entropy,
-    squared_euclidean_error,
     timing_probe_wstep,
     timing_ratios,
     summarize_mislabel,
@@ -94,12 +93,18 @@ def test_criterion_3_affinity_bandwidth_correspondence():
         data = Dataset(rng.normal(size=(t, d)))
         i = int(rng.integers(0, t))
         sigma_sq = float(rng.uniform(0.05, 5.0))
-        row = gaussian_affinity_row(data, i, sigma_sq)
-        distances = np.delete(squared_euclidean_error(data, data.instances[i]), i)
-        if np.abs(row - w_step(distances, 2.0 * sigma_sq)).max() > 1e-12:
-            ok = False
+        # The textbook row: p(j | i) = exp(-d_ij / 2 sigma^2) / sum_k exp(-d_ik / 2 sigma^2).
+        x = data.instances.tolist()
+        distances = np.array([sum((a - b) ** 2 for a, b in zip(x[i], x[j]))
+                              for j in range(t) if j != i])
+        kernel = np.exp(-distances / (2.0 * sigma_sq))
+        textbook = kernel / kernel.sum()
+        for row in (gaussian_affinity_row(data, i, sigma_sq), w_step(distances, 2.0 * sigma_sq)):
+            if np.abs(row - textbook).max() > 1e-12:
+                ok = False
     elapsed = time.perf_counter() - started
-    _report(3, "gaussian affinity row equals w-step at alpha = 2 sigma^2", ok and elapsed < 5, elapsed)
+    _report(3, "affinity row and w-step at alpha = 2 sigma^2 equal the textbook row",
+            ok and elapsed < 5, elapsed)
     assert ok
     assert elapsed < 5.0
 

@@ -318,7 +318,7 @@ def test_single_block_step_is_the_one_shot_formula(d):
         assert np.array_equal(errors, expected)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 10, 37])
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 37, 181, 182])
 def test_centered_blocks_are_the_broadcast_difference(d):
     size = _block_rows(d)
     rng = np.random.default_rng(d)
@@ -345,6 +345,42 @@ def test_step_allocates_no_instance_sized_matrix():
     finally:
         tracemalloc.stop()
     assert peak < data.instances.nbytes / 4
+
+
+@pytest.mark.parametrize("name", ["squared_euclidean_error", "SquaredEuclideanModel.step",
+                                  "gaussian_error", "mahalanobis_squared", "GaussianModel.step"])
+def test_no_model_pass_holds_an_instance_sized_temporary(name):
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.normal(size=(50_000, 10)))
+    w = rng.dirichlet(np.ones(data.n_instances))
+    params = weighted_gaussian_mle(data, w)
+    call = {
+        "squared_euclidean_error": lambda: squared_euclidean_error(data, params.mu),
+        "SquaredEuclideanModel.step": lambda: SquaredEuclideanModel().step(data, w),
+        "gaussian_error": lambda: gaussian_error(data, params),
+        "mahalanobis_squared": lambda: mahalanobis_squared(data, params),
+        "GaussianModel.step": lambda: GaussianModel().step(data, w),
+    }[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.instances.nbytes / 2
+
+
+# Below and above one row block, D = 1, and D past einsum's 8,192-element buffer.
+@pytest.mark.parametrize("t, d", [(1, 1), (2 * _block_rows(1) + 5, 1), (_block_rows(10) - 1, 10),
+                                  (3 * _block_rows(10) + 7, 10), (20, 9000)])
+def test_squared_distances_are_the_broadcast_expression(t, d):
+    rng = np.random.default_rng(t + d)
+    x = rng.normal(size=(t, d)) * 1e3 + 7.0
+    c = rng.normal(size=d) * 1e3
+    diff = x - c
+    expected = np.einsum("ij,ij->i", diff, diff)
+    assert squared_euclidean_error(Dataset(x), c).tobytes() == expected.tobytes()
 
 
 def test_features_at_1e150_still_fit():

@@ -49,6 +49,7 @@ from eos import (
     mahalanobis_squared,
     mislabel_experiment,
     objective,
+    predict_proba,
     robust_fit,
     run_synth_benchmark,
     select_alpha,
@@ -288,6 +289,20 @@ ARRAY_SITES = [
     # float maximum evenly, so perplexity 2 of two neighbors is out of reach.
     ("calibrate_row_alpha.above-range", lambda: calibrate_row_alpha([0.0, 1.7e308], 2),
      CalibrationError, "target perplexity 2.0 above achievable range [1, 1.80891]"),
+]
+
+# Each evaluator that takes a Dataset first refuses a bare matrix there and
+# the parameters-first order, before either argument is read.
+_GAUSSIAN = GaussianParams(np.zeros(2), np.eye(2))
+_CLASSIFIER = ClassifierParams(np.zeros(2), 0.0)
+ARRAY_SITES += [
+    (f"{evaluate.__name__}.{case}", lambda evaluate=evaluate, args=args: evaluate(*args),
+     InvalidInputError, f"got {type(args[0]).__name__}; the Dataset comes first")
+    for evaluate, params in [(mahalanobis_squared, _GAUSSIAN), (gaussian_error, _GAUSSIAN),
+                             (squared_euclidean_error, np.zeros(2)),
+                             (decision_function, _CLASSIFIER), (predict_proba, _CLASSIFIER),
+                             (classifier_loss_error, _CLASSIFIER)]
+    for case, args in [("ndarray-first", (_X, params)), ("swapped", (params, LABELED))]
 ]
 
 
